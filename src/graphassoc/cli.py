@@ -11,10 +11,9 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .epsrational import default_eps
+from .epsrational import _fraction_literal, default_eps
 from .fans import FanError, build_graph_fan, f_vector, fan_to_json, is_complete, is_smooth
 from .graphs import (
     Graph,
@@ -100,7 +99,7 @@ def cmd_classify(args) -> int:
     results: dict = {}
     if cs is not None:
         w = remark_weights(cs, g)
-        eps = Fraction(args.eps) if args.eps else default_eps(w.n, cs.k)
+        eps = _fraction_literal(args.eps) if args.eps else default_eps(w.n, cs.k)
         results.update(
             {
                 "is_hassett": True,
@@ -253,7 +252,7 @@ def cmd_moduli(args) -> int:
             return EXIT_USAGE
         w = remark_weights(cs, g)
         echo = graph_echo(args.graph, g)
-    cap = args.max_vertices if args.max_vertices else w.n - 2
+    cap = args.max_vertices if args.max_vertices is not None else w.n - 2
     results: dict = {"weights": str(w), "n": w.n}
     if args.divisors:
         divisors = nodal_divisors(w)

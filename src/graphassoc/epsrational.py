@@ -138,6 +138,14 @@ def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _fraction_literal(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _eps_term(b: Fraction, lead: bool) -> str:
     sign = "-" if b < 0 else ("" if lead else "+")
     mag = abs(b)
@@ -194,7 +202,7 @@ def parse_eps_rational(text: str) -> EpsRational:
         tm = _TERM_RE.match(term)
         if not tm or (tm.group("coeff") is None and tm.group("eps") is None):
             raise ValueError(f"bad EpsRational term {term!r} in {text!r}")
-        coeff = Fraction(tm.group("coeff")) if tm.group("coeff") else Fraction(1)
+        coeff = _fraction_literal(tm.group("coeff")) if tm.group("coeff") else Fraction(1)
         if tm.group("eps"):
             total = total + EpsRational(0, sign * coeff)
         else:

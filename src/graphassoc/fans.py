@@ -4,6 +4,7 @@ tube cones in decreasing tube cardinality."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -25,10 +26,7 @@ class Ray:
     def __post_init__(self):
         if all(c == 0 for c in self.coords):
             raise FanError("zero ray")
-        g = 0
-        for c in self.coords:
-            g = _gcd(g, abs(c))
-        if g != 1:
+        if math.gcd(*self.coords) != 1:
             raise FanError(f"ray {self.coords} is not primitive")
 
 
@@ -40,12 +38,6 @@ class Fan:
     dim: int
     rays: tuple[Ray, ...]
     max_cones: tuple[tuple[int, ...], ...]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def projective_simplex_fan(d: int) -> Fan:
@@ -79,9 +71,7 @@ def stellar_subdivide(f: Fan, ray_indices: Sequence[int], label: Optional[tuple]
     for i in idx:
         for j, c in enumerate(f.rays[i].coords):
             coords[j] += c
-    g = 0
-    for c in coords:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*coords)
     coords = tuple(c // g for c in coords)
     if label is None:
         label = ("sum", idx)

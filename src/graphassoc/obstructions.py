@@ -1,11 +1,11 @@
 """Combinatorial obstruction witnesses and exact feasibility of the
 tube/non-tube weight inequalities.
 
-Feasibility uses Fourier-Motzkin elimination over exact rationals with
-strictness tracking: a derived bound is strict iff either parent is strict.
-Row growth is kept tame by deduplication per coefficient vector and by
-dropping rows dominated by another row given the strict positivity of the
-variables, which the system always asserts.
+Feasibility is one exact simplex over Fraction with Bland's rule, run on
+the homogenised LP of Motzkin's transposition theorem, which turns strict
+rows into a positive margin t to maximise.  Both verdicts come with a
+certificate that is checked before it is returned: a point against every
+constraint, or nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .epsrational import _frac_str
 from .graphs import (
     Graph,
     GraphError,
@@ -24,7 +25,6 @@ from .graphs import (
 )
 
 OBSTRUCTION_B_MAX_VERTICES = 12
-FEASIBLE_MAX_VARIABLES = 12
 
 
 @dataclass(frozen=True)
@@ -182,16 +182,12 @@ class LinearSystem:
     def to_json(self) -> list[dict]:
         return [
             {
-                "coeffs": [_frac(c) for c in row.coeffs],
+                "coeffs": [_frac_str(c) for c in row.coeffs],
                 "rel": row.rel,
-                "rhs": _frac(row.rhs),
+                "rhs": _frac_str(row.rhs),
             }
             for row in self.constraints
         ]
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def w1w2_system(g: Graph) -> LinearSystem:
@@ -232,208 +228,122 @@ def w1w2_system(g: Graph) -> LinearSystem:
     return LinearSystem(nv, tuple(rows))
 
 
-# -- Fourier-Motzkin --------------------------------------------------------
+# -- exact simplex with Motzkin certificates -------------------------------
 
 
-@dataclass
-class _Row:
-    # normalized form: coeffs . x  (<= | <)  rhs
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    strict: bool
-
-
-def _normalize(coeffs, rhs, strict) -> _Row:
-    """Scale by a positive rational so entries are coprime integers."""
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // _gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(rhs * lcm)]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return _Row(tuple(Fraction(v) for v in ints[:-1]), Fraction(ints[-1]), strict)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _to_upper_rows(sys: LinearSystem) -> list[_Row]:
+def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[Fraction, ...], Fraction, bool]]:
+    """Each constraint as rows (a, b, strict) meaning a.x < b if strict, else
+    a.x <= b; an equality gives two rows."""
     rows = []
     for con in sys.constraints:
-        coeffs = con.coeffs
+        neg = tuple(-c for c in con.coeffs)
         if con.rel in ("<=", "<"):
-            rows.append(_normalize(coeffs, con.rhs, con.rel == "<"))
+            rows.append((con.coeffs, con.rhs, con.rel == "<"))
         elif con.rel in (">=", ">"):
-            rows.append(_normalize(tuple(-c for c in coeffs), -con.rhs, con.rel == ">"))
+            rows.append((neg, -con.rhs, con.rel == ">"))
         elif con.rel == "=":
-            rows.append(_normalize(coeffs, con.rhs, False))
-            rows.append(_normalize(tuple(-c for c in coeffs), -con.rhs, False))
+            rows += [(con.coeffs, con.rhs, False), (neg, -con.rhs, False)]
         else:
             raise ValueError(f"unknown relation {con.rel!r}")
     return rows
 
 
-def _dedupe(rows: list[_Row]) -> list[_Row]:
-    """Keep the strongest row per coefficient vector."""
-    best: dict[tuple, _Row] = {}
-    for r in rows:
-        key = r.coeffs
-        cur = best.get(key)
-        if cur is None or (r.rhs, not r.strict) < (cur.rhs, not cur.strict):
-            best[key] = r
-    return list(best.values())
+def _pivot(table, basis, nonbasic, r, c) -> None:
+    """Exchange the basic variable of row r with the nonbasic one of column c.
 
-
-def _prune_dominated(rows: list[_Row], num_vars: int) -> list[_Row]:
-    """Drop rows implied by another row plus strict positivity of variables.
-
-    If the row set certifies x_j > 0 for variable j (a row -a x_j <= b with
-    b < 0, or < 0), then any row whose coefficients exceed another's only on
-    such variables (with rhs no smaller) is redundant: the surplus
-    coefficient mass can only increase the left side.  The certificate rows
-    themselves are exempt from pruning so every dropped row stays implied by
-    what remains; without that exemption the justification can turn circular
-    (e.g. a trivial constant row would "dominate" the very positivity row it
-    relies on).
+    Row i of the tableau reads
+    basis[i] = table[i][-1] - sum_j table[i][j] * nonbasic[j];
+    the objective row is the last one and is updated like the others.
     """
-    positive = set()
-    certificates = set()
-    for idx, r in enumerate(rows):
-        if r.rhs < 0 or (r.strict and r.rhs == 0):
-            nz = [j for j, c in enumerate(r.coeffs) if c != 0]
-            if len(nz) == 1 and r.coeffs[nz[0]] < 0:
-                positive.add(nz[0])
-                certificates.add(idx)
-    if not positive:
-        return rows
-    keep = [True] * len(rows)
-    for i, r in enumerate(rows):
-        if not keep[i]:
+    p = table[r][c]
+    prow = [v / p for v in table[r]]
+    prow[c] = 1 / p
+    nz = [j for j, v in enumerate(prow) if v and j != c]
+    for i, row in enumerate(table):
+        f = row[c]
+        if i == r or not f:
             continue
-        for j, r2 in enumerate(rows):
-            if i == j or not keep[j] or j in certificates:
-                continue
-            # does r imply r2?
-            if r.rhs > r2.rhs:
-                continue
-            diff_vars = [v for v in range(num_vars) if r.coeffs[v] != r2.coeffs[v]]
-            if not all(r.coeffs[v] > r2.coeffs[v] and v in positive for v in diff_vars):
-                continue
-            if r2.strict and not (r.strict or diff_vars or r.rhs < r2.rhs):
-                continue
-            keep[j] = False
-    return [r for i, r in enumerate(rows) if keep[i]]
+        for j in nz:
+            row[j] -= f * prow[j]
+        row[c] = -f / p
+    table[r] = prow
+    basis[r], nonbasic[c] = nonbasic[c], basis[r]
 
 
-@dataclass
-class _Stage:
-    var: int
-    lowers: list[_Row]  # negative coefficient on var: bound from below
-    uppers: list[_Row]  # positive coefficient on var: bound from above
+def _is_motzkin_certificate(rows, y) -> bool:
+    """Whether multipliers y >= 0 combine the rows (a, b, strict) into the
+    contradiction 0 < 0 or 0 <= -c with c > 0.
+
+    By Motzkin's transposition theorem such y exist iff the rows have no
+    common solution: sum y_i a_i = 0, and sum y_i b_i < 0, or sum y_i b_i = 0
+    with y_i > 0 on some strict row.
+    """
+    if any(v < 0 for v in y):
+        return False
+    combined = [sum(v * c for v, c in zip(y, col)) for col in zip(*(a for a, _, _ in rows))]
+    if any(combined):
+        return False
+    beta = sum(v * b for v, (_, b, _) in zip(y, rows))
+    some_strict = any(v > 0 and strict for v, (_, _, strict) in zip(y, rows))
+    return beta < 0 or (beta == 0 and some_strict)
 
 
 def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """One exact rational solution of the system, or None if infeasible.
 
-    Eliminates variables by Fourier-Motzkin, then back-substitutes choosing
-    the midpoint of each variable's final interval (or a unit offset from a
-    one-sided bound).  The returned point is re-verified against every
-    original constraint.
+    Solves the homogenised Motzkin LP by the simplex method over Fraction
+    with Bland's rule: each row a.x <= b becomes a.x - b*s (+ t if strict)
+    <= 0, with t <= s and t <= 1, and t is maximised over free x and
+    s, t >= 0.  The all-zero point is feasible, so the free x_j are pivoted
+    into the basis on rows with right-hand side 0 and never leave it.  If
+    t* > 0, x/s solves the system and is re-verified against every original
+    constraint.  If t* = 0, the final objective row holds multipliers y >= 0
+    of the rows, checked as a Motzkin certificate of infeasibility before
+    None is returned.  A failed check raises RuntimeError.
     """
-    if sys.num_vars > FEASIBLE_MAX_VARIABLES:
-        raise ValueError(f"feasibility check capped at {FEASIBLE_MAX_VARIABLES} variables")
-    rows = _prune_dominated(_dedupe(_to_upper_rows(sys)), sys.num_vars)
-    remaining = list(range(sys.num_vars))
-    stages: list[_Stage] = []
-    eliminated = 0
+    rows = _upper_rows(sys)
+    n, m = sys.num_vars, len(rows)
+    zero, one = Fraction(0), Fraction(1)
+    # columns: x_j is j, s is n, t is n + 1, then the right-hand side;
+    # the slack of tableau row i is variable n + 2 + i
+    table = [list(a) + [-b, one if strict else zero, zero] for a, b, strict in rows]
+    table.append([zero] * n + [-one, one, zero])  # t - s <= 0
+    table.append([zero] * n + [zero, one, one])  # t <= 1
+    table.append([zero] * n + [zero, -one, zero])  # objective t
+    basis = list(range(n + 2, n + 4 + m))
+    nonbasic = list(range(n + 2))
 
-    while remaining:
-        # pick the variable minimizing the number of generated products
-        def cost(v):
-            lo = sum(1 for r in rows if r.coeffs[v] < 0)
-            up = sum(1 for r in rows if r.coeffs[v] > 0)
-            return lo * up
+    for c in range(n):
+        r = next((i for i in range(m) if table[i][c] and basis[i] >= n), None)
+        if r is not None:
+            _pivot(table, basis, nonbasic, r, c)
+    while True:
+        cols = [j for j in range(n + 2) if nonbasic[j] >= n and table[-1][j] < 0]
+        if not cols:
+            break
+        c = min(cols, key=lambda j: nonbasic[j])
+        ratios = [
+            (table[i][-1] / table[i][c], basis[i], i)
+            for i in range(m + 2)
+            if basis[i] >= n and table[i][c] > 0
+        ]
+        if not ratios:
+            raise RuntimeError("internal error: unbounded simplex objective")
+        _pivot(table, basis, nonbasic, min(ratios)[2], c)
 
-        var = min(remaining, key=cost)
-        remaining.remove(var)
-        lowers = [r for r in rows if r.coeffs[var] < 0]
-        uppers = [r for r in rows if r.coeffs[var] > 0]
-        others = [r for r in rows if r.coeffs[var] == 0]
-        stages.append(_Stage(var, lowers, uppers))
-        eliminated += 1
-
-        new_rows = []
-        for lo in lowers:
-            for up in uppers:
-                a, b = -lo.coeffs[var], up.coeffs[var]
-                coeffs = tuple(
-                    lo.coeffs[j] * b + up.coeffs[j] * a for j in range(sys.num_vars)
-                )
-                rhs = lo.rhs * b + up.rhs * a
-                new_rows.append(_normalize(coeffs, rhs, lo.strict or up.strict))
-        # constant rows: 0 (<|<=) rhs
-        kept = []
-        for r in new_rows:
-            if any(c != 0 for c in r.coeffs):
-                kept.append(r)
-                continue
-            if r.rhs < 0 or (r.strict and r.rhs == 0):
-                return None
-        rows = _prune_dominated(_dedupe(others + kept), sys.num_vars)
-
-    # back-substitute in reverse elimination order
-    values: dict[int, Fraction] = {}
-
-    def evaluate(row: _Row, var: int) -> Fraction:
-        acc = Fraction(0)
-        for j, c in enumerate(row.coeffs):
-            if j == var or c == 0:
-                continue
-            acc += c * values[j]
-        return acc
-
-    for stage in reversed(stages):
-        lo_bound = None
-        lo_strict = False
-        up_bound = None
-        up_strict = False
-        for r in stage.lowers:
-            # coeffs[var] * x <= rhs - rest with coeffs[var] < 0: lower bound
-            bound = (r.rhs - evaluate(r, stage.var)) / r.coeffs[stage.var]
-            if lo_bound is None or bound > lo_bound:
-                lo_bound, lo_strict = bound, r.strict
-            elif bound == lo_bound and r.strict:
-                lo_strict = True
-        for r in stage.uppers:
-            bound = (r.rhs - evaluate(r, stage.var)) / r.coeffs[stage.var]
-            if up_bound is None or bound < up_bound:
-                up_bound, up_strict = bound, r.strict
-            elif bound == up_bound and r.strict:
-                up_strict = True
-        if lo_bound is None and up_bound is None:
-            values[stage.var] = Fraction(0)
-        elif lo_bound is None:
-            values[stage.var] = up_bound - 1
-        elif up_bound is None:
-            values[stage.var] = lo_bound + 1
-        elif lo_bound == up_bound:
-            if lo_strict or up_strict:
-                raise RuntimeError("internal error: empty interval survived elimination")
-            values[stage.var] = lo_bound
-        else:
-            values[stage.var] = (lo_bound + up_bound) / 2
-
-    point = tuple(values[j] for j in range(sys.num_vars))
-    if not satisfies(sys, point):
-        raise RuntimeError("internal error: back-substituted point fails re-verification")
-    return point
+    if table[-1][-1] > 0:
+        value = {v: row[-1] for v, row in zip(basis, table)}
+        point = tuple(value.get(j, zero) / value[n] for j in range(n))
+        if not satisfies(sys, point):
+            raise RuntimeError("internal error: simplex point fails re-verification")
+        return point
+    y = [zero] * m
+    for j, v in enumerate(nonbasic):
+        if n + 2 <= v < n + 2 + m:
+            y[v - n - 2] = table[-1][j]
+    if not _is_motzkin_certificate(rows, y):
+        raise RuntimeError("internal error: simplex multipliers fail the Motzkin check")
+    return None
 
 
 def satisfies(sys: LinearSystem, point: tuple[Fraction, ...]) -> bool:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .epsrational import EpsRational, parse_eps_rational
+from .epsrational import EpsRational, _frac_str, parse_eps_rational
 from .graphs import (
     ConeStructure,
     Graph,
@@ -57,12 +57,8 @@ class WeightVector:
 
     def to_json(self) -> list[dict]:
         return [
-            {"a": _frac(e.a), "b": _frac(e.b)} for e in self.entries()
+            {"a": _frac_str(e.a), "b": _frac_str(e.b)} for e in self.entries()
         ]
-
-
-def _frac(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def parse_weight_vector(text: str) -> WeightVector:

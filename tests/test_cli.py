@@ -136,6 +136,28 @@ def test_moduli_divisors_only(capsys):
     assert ["0", "1"] in res["nodal_divisors"]
 
 
+def test_moduli_rejects_zero_max_vertices(capsys):
+    code, _, err = run(
+        capsys, "moduli", "--weights", "1,1,e,e,e", "--max-vertices", "0"
+    )
+    assert code == EXIT_USAGE
+    assert "max_vertices" in err
+
+
+def test_classify_rejects_zero_denominator_eps(capsys):
+    code, out, err = run(capsys, "classify", "K4", "--eps", "1/0")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "zero denominator" in err
+    assert out == ""
+
+
+def test_moduli_rejects_zero_denominator_weight(capsys):
+    code, out, err = run(capsys, "moduli", "--weights", "1/0,1,1,e")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "zero denominator" in err
+    assert out == ""
+
+
 def test_moduli_rejects_non_cone_graph(capsys):
     code, _, err = run(capsys, "moduli", "P4")
     assert code == EXIT_USAGE

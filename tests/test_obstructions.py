@@ -1,5 +1,6 @@
 """Obstruction witnesses against brute-force oracles, the weight linear
-system, and exact Fourier-Motzkin feasibility."""
+system, and exact simplex feasibility, whose every verdict is checked: a
+point against the constraints, infeasibility by Motzkin multipliers."""
 
 import itertools
 from fractions import Fraction
@@ -237,6 +238,10 @@ def test_feasible_simple_systems():
     )
     assert feasible(sys_) is None
 
+    # an all-zero row with an unsatisfiable right-hand side: 0 <= -3
+    sys_ = LinearSystem(1, (Constraint(F(0), "<=", Fraction(-3)),))
+    assert feasible(sys_) is None
+
 
 def test_feasible_unbounded_directions():
     sys_ = LinearSystem(2, (Constraint(F(1, -1), ">", Fraction(3)),))
@@ -258,10 +263,34 @@ def test_feasible_rejects_obstructed_graphs():
         assert feasible(w1w2_system(parse_graph(spec))) is None, spec
 
 
-def test_feasible_variable_cap():
+def test_feasible_has_no_variable_cap():
     sys_ = LinearSystem(13, (Constraint(tuple([Fraction(1)] * 13), ">", Fraction(0)),))
-    with pytest.raises(ValueError):
-        feasible(sys_)
+    pt = feasible(sys_)
+    assert pt is not None and satisfies(sys_, pt)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_feasible_random_small_systems_never_raise(num_vars, data):
+    """Every verdict on a random small system passes its own check: a point
+    by satisfies, None by the Motzkin multipliers (feasible raises
+    RuntimeError otherwise).  About one system in seven has an all-zero row."""
+    coeffs = st.tuples(*[st.integers(-2, 2).map(Fraction)] * num_vars)
+    rows = data.draw(
+        st.lists(
+            st.builds(
+                Constraint,
+                coeffs,
+                st.sampled_from(["<", "<=", ">", ">=", "="]),
+                st.integers(-2, 2).map(Fraction),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    sys_ = LinearSystem(num_vars, tuple(rows))
+    pt = feasible(sys_)
+    assert pt is None or satisfies(sys_, pt)
 
 
 @settings(deadline=None, max_examples=30)
