@@ -100,6 +100,16 @@ def cmd_classify(args) -> int:
     if cs is not None:
         w = remark_weights(cs, g)
         eps = _fraction_literal(args.eps) if args.eps else default_eps(w.n, cs.k)
+        # a + b*eps directly rather than instantiate(), so that eps <= 0
+        # falls under the same check as an eps that is too large
+        values = [e.a + e.b * eps for e in w.entries()]
+        if not (all(0 < v <= 1 for v in values) and sum(values) > 2):
+            print(
+                f"error: eps = {eps} gives {', '.join(map(str, values))}, not Hassett "
+                "weights (each must lie in (0, 1] and the total must exceed 2)",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
         results.update(
             {
                 "is_hassett": True,
@@ -109,9 +119,7 @@ def cmd_classify(args) -> int:
                 "weights": str(w),
                 "weights_json": w.to_json(),
                 "eps": str(eps),
-                "weights_at_eps": [
-                    str(e.instantiate(eps)) for e in w.entries()
-                ],
+                "weights_at_eps": [str(v) for v in values],
             }
         )
         status = "pass"
@@ -203,8 +211,8 @@ def _verify_one(g: Graph) -> dict:
 
 def cmd_verify(args) -> int:
     if args.all_up_to is not None:
-        if args.all_up_to > 7:
-            print("error: --all-up-to is capped at 7", file=sys.stderr)
+        if not 2 <= args.all_up_to <= 7:
+            print("error: --all-up-to must be at least 2 and is capped at 7", file=sys.stderr)
             return EXIT_USAGE
         failures = []
         total = 0
@@ -309,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all cross-checks")
     p.add_argument("graph", nargs="?")
     p.add_argument("--all-up-to", type=int, dest="all_up_to", metavar="M",
-                   help="sweep all connected graphs on up to M vertices (M <= 7)")
+                   help="sweep all connected graphs on up to M vertices (2 <= M <= 7)")
     common(p)
     p.set_defaults(func=cmd_verify)
 

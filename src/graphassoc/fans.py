@@ -95,7 +95,8 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
 
     The order within a size class does not matter; pass an rng to shuffle it
     (used to test exactly that).  Each tube's cone must still be present when
-    its turn comes; its absence would indicate an ordering bug.
+    its turn comes; `stellar_subdivide` raises FanError if it is not, which
+    would indicate an ordering bug.
     """
     n = g.num_vertices
     if n < 2:
@@ -109,17 +110,19 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
         if rng is not None:
             rng.shuffle(layer)
         for t in layer:
-            idx = tuple(bits_of(t))  # original ray index == vertex label
-            if not cone_exists(f, idx):
-                raise FanError(f"cone of tube {idx} missing during subdivision")
-            f = stellar_subdivide(f, idx, label=("tube", t))
+            # original ray index == vertex label
+            f = stellar_subdivide(f, bits_of(t), label=_tube_label(t))
     return f
+
+
+def _tube_label(t: int) -> tuple:
+    """Label of the ray carrying the tube t (vertex ray for a trivial tube)."""
+    return ("vertex", t.bit_length() - 1) if t & (t - 1) == 0 else ("tube", t)
 
 
 def ray_for_tube(f: Fan, t: int) -> Optional[int]:
     """Ray index carrying the tube t (vertex ray for a trivial tube)."""
-    bits = bits_of(t)
-    want = ("vertex", bits[0]) if len(bits) == 1 else ("tube", t)
+    want = _tube_label(t)
     for i, r in enumerate(f.rays):
         if r.label == want:
             return i
@@ -136,17 +139,6 @@ def f_vector(f: Fan) -> tuple[int, ...]:
         for j in range(1, f.dim + 1):
             faces[j - 1].update(combinations(c, j))
     return tuple(len(s) for s in faces)
-
-
-def cones_of_dimension(f: Fan, j: int) -> set[frozenset[int]]:
-    from itertools import combinations
-
-    if j == 0:
-        return {frozenset()}
-    out = set()
-    for c in f.max_cones:
-        out.update(frozenset(s) for s in combinations(c, j))
-    return out
 
 
 def _det(matrix: list[list[int]]) -> int:

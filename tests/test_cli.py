@@ -35,6 +35,15 @@ def test_classify_yes_with_explicit_eps(capsys):
     assert report["results"]["weights_at_eps"][1] == "49/50"  # 1 - 2/100
 
 
+@pytest.mark.parametrize("eps", ["1", "0", "-1/10"])
+def test_classify_rejects_eps_without_hassett_weights(capsys, eps):
+    # at eps = 1 the weights of cone^2(D2) are 1, -2, 4, 4, 1, 1
+    code, out, err = run(capsys, "classify", "cone^2(D2)", f"--eps={eps}")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "not Hassett weights" in err
+    assert out == ""
+
+
 def test_classify_no_with_witness(capsys):
     code, report, _ = run_json(capsys, "classify", "P4")
     assert code == EXIT_OK
@@ -108,6 +117,14 @@ def test_verify_sweep_cap(capsys):
     code, _, err = run(capsys, "verify", "--all-up-to", "9")
     assert code == EXIT_USAGE
     assert "capped" in err
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-3"])
+def test_verify_sweep_rejects_fewer_than_two_vertices(capsys, m):
+    code, out, err = run(capsys, "verify", f"--all-up-to={m}")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "at least 2" in err
+    assert out == ""
 
 
 def test_moduli_from_graph(capsys):

@@ -68,6 +68,15 @@ def test_cone_exists():
     assert not cone_exists(f, (0, 1, 2, 3))
 
 
+def test_stellar_subdivide_rejects_rays_spanning_no_cone():
+    # build_graph_fan relies on this check to catch a tube cone that is
+    # already gone; the rays of tubes {0,1} and {1,2} of P3 overlap
+    # without nesting, so they span no cone of its fan
+    f = build_graph_fan(parse_graph("P3"))
+    with pytest.raises(FanError):
+        stellar_subdivide(f, (ray_for_tube(f, 0b011), ray_for_tube(f, 0b110)))
+
+
 @pytest.mark.parametrize(
     "spec,fvec",
     [

@@ -1,16 +1,22 @@
 """Tubing compatibility and enumeration, with counting oracles and the
 fan bijection check."""
 
+import dataclasses
 import math
+from itertools import combinations
 
 import pytest
 
 from graphassoc import (
+    Ray,
+    build_graph_fan,
     compatible,
     connected_graphs_up_to_iso,
     enumerate_tubings,
+    f_vector,
     parse_graph,
     proper_tubes,
+    ray_for_tube,
     verify_fan_tubing_bijection,
 )
 from graphassoc.graphs import GraphError, from_edges
@@ -78,6 +84,22 @@ def test_maximal_tubings_of_complete_graphs_count_factorial():
         assert len(enumerate_tubings(g, m - 1)) == math.factorial(m), m
 
 
+def test_enumerate_tubings_matches_brute_force():
+    # every j-subset of the proper tubes, in lexicographic order of tube
+    # indices, kept when its tubes are pairwise compatible
+    for n in range(2, 6):
+        for g in connected_graphs_up_to_iso(n):
+            all_tubes = sorted(proper_tubes(g))
+            ok = {(a, b): compatible(g, a, b) for a, b in combinations(all_tubes, 2)}
+            for j in range(n):
+                brute = [
+                    tubing
+                    for tubing in combinations(all_tubes, j)
+                    if all(ok[p] for p in combinations(tubing, 2))
+                ]
+                assert enumerate_tubings(g, j) == brute, (g.edges(), j)
+
+
 def test_tubings_are_pairwise_compatible():
     g = parse_graph("C5")
     for tubing in enumerate_tubings(g, 3):
@@ -93,18 +115,49 @@ def test_bijection_on_named_graphs():
 
 
 def test_bijection_counts_match_f_vector():
-    from graphassoc import build_graph_fan, f_vector
-
     g = parse_graph("P4")
     rep = verify_fan_tubing_bijection(g)
     assert rep.counts == f_vector(build_graph_fan(g))
 
 
 def test_bijection_small_sweep():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in connected_graphs_up_to_iso(n):
-            rep = verify_fan_tubing_bijection(g)
+            f = build_graph_fan(g)
+            rep = verify_fan_tubing_bijection(g, f)
             assert rep.passed, (g.edges(), rep.failure)
+            assert rep.counts == f_vector(f), g.edges()
+
+
+def test_bijection_fails_without_a_maximal_cone():
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    rep = verify_fan_tubing_bijection(g, dataclasses.replace(f, max_cones=f.max_cones[1:]))
+    assert rep.passed is False
+    assert "not a cone" in rep.failure
+
+
+def test_bijection_fails_on_a_tube_without_a_ray():
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    i = ray_for_tube(f, 0b0110)
+    rays = list(f.rays)
+    rays[i] = Ray(rays[i].coords, ("sum", (1, 2)))
+    rep = verify_fan_tubing_bijection(g, dataclasses.replace(f, rays=tuple(rays)))
+    assert rep.passed is False
+    assert "uses a tube with no ray" in rep.failure
+
+
+def test_bijection_fails_on_a_cone_without_a_tubing():
+    # tubes {0,1} and {1,2} overlap without nesting, so no tubing holds both
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    extra = tuple(sorted(ray_for_tube(f, t) for t in (0b0011, 0b0110, 0b1000)))
+    rep = verify_fan_tubing_bijection(
+        g, dataclasses.replace(f, max_cones=tuple(sorted(f.max_cones + (extra,))))
+    )
+    assert rep.passed is False
+    assert "no tubing partner" in rep.failure or "not a cone" in rep.failure
 
 
 def test_bijection_guards():
