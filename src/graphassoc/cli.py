@@ -95,11 +95,13 @@ def _flat(v):
 
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
+    eps = _fraction_literal(args.eps) if args.eps is not None else None
     cs = classify_iterated_cone(g)
     results: dict = {}
     if cs is not None:
         w = remark_weights(cs, g)
-        eps = _fraction_literal(args.eps) if args.eps else default_eps(w.n, cs.k)
+        if eps is None:
+            eps = default_eps(w.n, cs.k)
         # a + b*eps directly rather than instantiate(), so that eps <= 0
         # falls under the same check as an eps that is too large
         values = [e.a + e.b * eps for e in w.entries()]

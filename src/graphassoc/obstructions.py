@@ -1,15 +1,18 @@
 """Combinatorial obstruction witnesses and exact feasibility of the
 tube/non-tube weight inequalities.
 
-Feasibility is one exact simplex over Fraction with Bland's rule, run on
-the homogenised LP of Motzkin's transposition theorem, which turns strict
-rows into a positive margin t to maximise.  Both verdicts come with a
-certificate that is checked before it is returned: a point against every
+Feasibility is one exact simplex with Bland's rule, run on the homogenised
+LP of Motzkin's transposition theorem, which turns strict rows into a
+positive margin t to maximise.  It pivots fraction-free: an integer tableau
+over one common denominator, every division exact.  Both verdicts come with
+a certificate that is checked before it is returned: a point against every
 constraint, or nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -230,44 +233,50 @@ def w1w2_system(g: Graph) -> LinearSystem:
 
 # -- exact simplex with Motzkin certificates -------------------------------
 
+# each relation as upper-form rows (sign, strict): sign*a.x < or <= sign*b
+_UPPER = {"<": ((1, 1),), "<=": ((1, 0),), ">": ((-1, 1),), ">=": ((-1, 0),),
+          "=": ((1, 0), (-1, 0))}
+_HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+          "=": operator.eq}
 
-def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[Fraction, ...], Fraction, bool]]:
-    """Each constraint as rows (a, b, strict) meaning a.x < b if strict, else
-    a.x <= b; an equality gives two rows."""
+
+def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[int, ...], int, int]]:
+    """Each constraint as integer rows (a, b, strict), a.x < b if strict,
+    else a.x <= b, scaled by the lcm of its denominators (an equality gives
+    two).  strict is that scale on a strict row, else 0: as the coefficient
+    of the margin t in feasible's LP it keeps the unscaled rows' pivots."""
     rows = []
     for con in sys.constraints:
-        neg = tuple(-c for c in con.coeffs)
-        if con.rel in ("<=", "<"):
-            rows.append((con.coeffs, con.rhs, con.rel == "<"))
-        elif con.rel in (">=", ">"):
-            rows.append((neg, -con.rhs, con.rel == ">"))
-        elif con.rel == "=":
-            rows += [(con.coeffs, con.rhs, False), (neg, -con.rhs, False)]
-        else:
+        if con.rel not in _UPPER:
             raise ValueError(f"unknown relation {con.rel!r}")
+        scale = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
+        a = [c.numerator * (scale // c.denominator) for c in con.coeffs]
+        b = con.rhs.numerator * (scale // con.rhs.denominator)
+        rows += [(tuple(sg * v for v in a), sg * b, scale * st) for sg, st in _UPPER[con.rel]]
     return rows
 
 
-def _pivot(table, basis, nonbasic, r, c) -> None:
-    """Exchange the basic variable of row r with the nonbasic one of column c.
+def _pivot(table, basis, nonbasic, r, c, d) -> int:
+    """Exchange the basic variable of row r with the nonbasic one of column
+    c; return the new common denominator.
 
-    Row i of the tableau reads
-    basis[i] = table[i][-1] - sum_j table[i][j] * nonbasic[j];
-    the objective row is the last one and is updated like the others.
+    The integer tableau over d > 0 reads, row by row,
+    basis[i] = (table[i][-1] - sum_j table[i][j] * nonbasic[j]) / d, with
+    the objective row last.  Its entries are minors of the starting tableau
+    (Edmonds), so each division by d is exact.  A negative pivot negates
+    the whole tableau, which keeps the new denominator |p| positive.
     """
-    p = table[r][c]
-    prow = [v / p for v in table[r]]
-    prow[c] = 1 / p
-    nz = [j for j, v in enumerate(prow) if v and j != c]
+    prow = table[r]
+    p, sign = abs(prow[c]), (1 if prow[c] > 0 else -1)
+    prow[:] = [sign * v for v in prow]
     for i, row in enumerate(table):
         f = row[c]
-        if i == r or not f:
-            continue
-        for j in nz:
-            row[j] -= f * prow[j]
-        row[c] = -f / p
-    table[r] = prow
+        if i != r and (f or p != d):
+            row[:] = [(v * p - f * w) // d for v, w in zip(row, prow)]
+            row[c] = -sign * f
+    prow[c] = sign * d
     basis[r], nonbasic[c] = nonbasic[c], basis[r]
+    return p
 
 
 def _is_motzkin_certificate(rows, y) -> bool:
@@ -291,71 +300,62 @@ def _is_motzkin_certificate(rows, y) -> bool:
 def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     """One exact rational solution of the system, or None if infeasible.
 
-    Solves the homogenised Motzkin LP by the simplex method over Fraction
-    with Bland's rule: each row a.x <= b becomes a.x - b*s (+ t if strict)
-    <= 0, with t <= s and t <= 1, and t is maximised over free x and
-    s, t >= 0.  The all-zero point is feasible, so the free x_j are pivoted
-    into the basis on rows with right-hand side 0 and never leave it.  If
-    t* > 0, x/s solves the system and is re-verified against every original
-    constraint.  If t* = 0, the final objective row holds multipliers y >= 0
-    of the rows, checked as a Motzkin certificate of infeasibility before
-    None is returned.  A failed check raises RuntimeError.
+    Solves the homogenised Motzkin LP by the simplex method with Bland's
+    rule on an integer tableau over one common denominator (fraction-free
+    pivoting): each row a.x <= b, scaled to integers, becomes
+    a.x - b*s (+ t if strict) <= 0, with t <= s and t <= 1, and t is
+    maximised over free x and s, t >= 0.  The all-zero point is feasible,
+    so the free x_j are pivoted into the basis on rows with right-hand side
+    0 and never leave it.  The ratio test cross-multiplies and breaks ties by
+    the smaller basic variable.  If t* > 0, x/s solves the system and is
+    re-verified against every original constraint.  If t* = 0, the final
+    objective row holds multipliers y >= 0 of the integer rows, checked as a
+    Motzkin certificate of infeasibility before None is returned.  A failed
+    check raises RuntimeError.
     """
     rows = _upper_rows(sys)
     n, m = sys.num_vars, len(rows)
-    zero, one = Fraction(0), Fraction(1)
     # columns: x_j is j, s is n, t is n + 1, then the right-hand side;
     # the slack of tableau row i is variable n + 2 + i
-    table = [list(a) + [-b, one if strict else zero, zero] for a, b, strict in rows]
-    table.append([zero] * n + [-one, one, zero])  # t - s <= 0
-    table.append([zero] * n + [zero, one, one])  # t <= 1
-    table.append([zero] * n + [zero, -one, zero])  # objective t
+    table = [list(a) + [-b, strict, 0] for a, b, strict in rows]
+    table.append([0] * n + [-1, 1, 0])  # t - s <= 0
+    table.append([0] * n + [0, 1, 1])  # t <= 1
+    table.append([0] * n + [0, -1, 0])  # objective t
     basis = list(range(n + 2, n + 4 + m))
     nonbasic = list(range(n + 2))
+    d = 1
 
     for c in range(n):
         r = next((i for i in range(m) if table[i][c] and basis[i] >= n), None)
         if r is not None:
-            _pivot(table, basis, nonbasic, r, c)
-    while True:
-        cols = [j for j in range(n + 2) if nonbasic[j] >= n and table[-1][j] < 0]
-        if not cols:
-            break
+            d = _pivot(table, basis, nonbasic, r, c, d)
+    while cols := [j for j in range(n + 2) if nonbasic[j] >= n and table[-1][j] < 0]:
         c = min(cols, key=lambda j: nonbasic[j])
-        ratios = [
-            (table[i][-1] / table[i][c], basis[i], i)
-            for i in range(m + 2)
-            if basis[i] >= n and table[i][c] > 0
-        ]
-        if not ratios:
+        r = None
+        for i in range(m + 2):
+            a = table[i][c]
+            if a > 0 and basis[i] >= n and (r is None or (
+                    (table[i][-1] * table[r][c], basis[i]) < (table[r][-1] * a, basis[r]))):
+                r = i
+        if r is None:
             raise RuntimeError("internal error: unbounded simplex objective")
-        _pivot(table, basis, nonbasic, min(ratios)[2], c)
+        d = _pivot(table, basis, nonbasic, r, c, d)
 
     if table[-1][-1] > 0:
         value = {v: row[-1] for v, row in zip(basis, table)}
-        point = tuple(value.get(j, zero) / value[n] for j in range(n))
+        point = tuple(Fraction(value.get(j, 0), value[n]) for j in range(n))
         if not satisfies(sys, point):
             raise RuntimeError("internal error: simplex point fails re-verification")
         return point
-    y = [zero] * m
-    for j, v in enumerate(nonbasic):
-        if n + 2 <= v < n + 2 + m:
-            y[v - n - 2] = table[-1][j]
+    col = {v: j for j, v in enumerate(nonbasic)}
+    y = [table[-1][col[v]] if v in col else 0 for v in range(n + 2, n + 2 + m)]
     if not _is_motzkin_certificate(rows, y):
         raise RuntimeError("internal error: simplex multipliers fail the Motzkin check")
     return None
 
 
 def satisfies(sys: LinearSystem, point: tuple[Fraction, ...]) -> bool:
-    for con in sys.constraints:
-        lhs = sum(c * x for c, x in zip(con.coeffs, point))
-        ok = {
-            "<": lhs < con.rhs,
-            "<=": lhs <= con.rhs,
-            ">": lhs > con.rhs,
-            ">=": lhs >= con.rhs,
-            "=": lhs == con.rhs,
-        }[con.rel]
-        if not ok:
-            return False
-    return True
+    if unknown := {con.rel for con in sys.constraints} - _HOLDS.keys():
+        raise ValueError(f"unknown relation {min(unknown)!r}")
+    return all(_HOLDS[con.rel](sum(c * x for c, x in zip(con.coeffs, point)), con.rhs)
+               for con in sys.constraints)

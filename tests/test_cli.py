@@ -168,6 +168,16 @@ def test_classify_rejects_zero_denominator_eps(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("spec", ["P4", "C4", "K3"])
+@pytest.mark.parametrize("eps", ["abc", "1/0", ""])
+def test_classify_rejects_malformed_eps_on_every_graph(capsys, spec, eps):
+    # --eps is parsed before the graph is classified, not only for cones
+    code, out, err = run(capsys, "classify", spec, f"--eps={eps}")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_moduli_rejects_zero_denominator_weight(capsys):
     code, out, err = run(capsys, "moduli", "--weights", "1/0,1,1,e")
     assert code == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Obstruction witnesses against brute-force oracles, the weight linear
-system, and exact simplex feasibility, whose every verdict is checked: a
-point against the constraints, infeasibility by Motzkin multipliers."""
+system, and exact fraction-free simplex feasibility, whose every verdict is
+checked: a point against the constraints, infeasibility by Motzkin
+multipliers.  The points it returns on the yes-instances are pinned."""
 
 import itertools
 from fractions import Fraction
@@ -20,6 +21,7 @@ from graphassoc import (
     parse_graph,
     w1w2_system,
 )
+from graphassoc import obstructions
 from graphassoc.graphs import GraphError, induced_connected, popcount
 from graphassoc.obstructions import Constraint, LinearSystem, satisfies
 
@@ -281,7 +283,7 @@ def test_feasible_random_small_systems_never_raise(num_vars, data):
             st.builds(
                 Constraint,
                 coeffs,
-                st.sampled_from(["<", "<=", ">", ">=", "="]),
+                st.sampled_from(RELATIONS),
                 st.integers(-2, 2).map(Fraction),
             ),
             min_size=1,
@@ -291,6 +293,127 @@ def test_feasible_random_small_systems_never_raise(num_vars, data):
     sys_ = LinearSystem(num_vars, tuple(rows))
     pt = feasible(sys_)
     assert pt is None or satisfies(sys_, pt)
+
+
+RELATIONS = ["<", "<=", ">", ">=", "="]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_feasible_random_fractional_systems_never_raise(num_vars, data):
+    """As above, with fractional coefficients over a denominator of 1..4
+    drawn per row and right-hand sides over their own 1..4, so that rows are
+    scaled to integers by different factors.  The verdict must match that
+    on the same rows multiplied by 12 by hand."""
+
+    def row(den):
+        coeffs = st.tuples(*[st.integers(-4, 4).map(lambda k: Fraction(k, den))] * num_vars)
+        rhs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+        return st.builds(Constraint, coeffs, st.sampled_from(RELATIONS), rhs)
+
+    rows = data.draw(st.lists(st.integers(1, 4).flatmap(row), min_size=1, max_size=6))
+    sys_ = LinearSystem(num_vars, tuple(rows))
+    pt = feasible(sys_)
+    assert pt is None or satisfies(sys_, pt)
+    whole = tuple(Constraint(tuple(12 * c for c in r.coeffs), r.rel, 12 * r.rhs) for r in rows)
+    assert (feasible(LinearSystem(num_vars, whole)) is None) == (pt is None)
+
+
+def test_feasible_negative_first_pivot(monkeypatch):
+    """-2x + 3y <= 1 is the first row eligible for x, so the first
+    free-variable pivot is -2 and the integer tableau is negated; the next
+    pivot, on y, is -5 over the denominator 2."""
+    pivots = []
+    pivot = obstructions._pivot
+
+    def spy(table, basis, nonbasic, r, c, d):
+        pivots.append(table[r][c])
+        return pivot(table, basis, nonbasic, r, c, d)
+
+    monkeypatch.setattr(obstructions, "_pivot", spy)
+    rows = (Constraint(F(-2, 3), "<=", Fraction(1)), Constraint(F(1, 1), ">", Fraction(2)))
+    sys_ = LinearSystem(2, rows + (Constraint(F(1, -1), ">=", Fraction(1, 2)),))
+    assert feasible(sys_) == (Fraction(7, 4), Fraction(5, 4))
+    assert pivots[:2] == [-2, -5]
+    pivots.clear()
+    # x < -1 forces y > 3 and -2x + 3y > 11
+    sys_ = LinearSystem(2, rows + (Constraint(F(1, 0), "<", Fraction(-1)),))
+    assert feasible(sys_) is None
+    assert pivots[:2] == [-2, -5]
+
+
+def test_feasible_keeps_the_fraction_simplex_points():
+    """Rows are scaled to integers with the margin t scaled alike, so the
+    points are those of the same simplex over Fraction on the unscaled rows
+    (unscaled, t's coefficient would give (0, 1/3) and 1/4 instead); ties in
+    the ratio test go to the smaller basic variable (the larger would give
+    (3/2, -1) on the last system)."""
+    sys_ = LinearSystem(2, (Constraint(F(0, -3), ">", Fraction(-3, 2)),))
+    assert feasible(sys_) == (Fraction(0), Fraction(1, 6))
+    rows = (
+        Constraint((Fraction(1, 3),), ">", Fraction(-3, 4)),
+        Constraint(F(1), ">=", Fraction(1, 4)),
+        Constraint(F(-4), "<=", Fraction(-1)),
+    )
+    assert feasible(LinearSystem(1, rows)) == (Fraction(3, 4),)
+    rows = (
+        Constraint(F(-2, -2), "<=", Fraction(-1)),
+        Constraint(F(2, 1), "<=", Fraction(2)),
+        Constraint(F(-1, -2), ">", Fraction(-2)),
+    )
+    assert feasible(LinearSystem(2, rows)) == (Fraction(1), Fraction(0))
+
+
+def test_unknown_relation_raises_value_error():
+    rows = (Constraint(F(1), ">", Fraction(0)), Constraint(F(1), "!=", Fraction(0)))
+    sys_ = LinearSystem(1, rows)
+    with pytest.raises(ValueError, match="unknown relation '!='"):
+        satisfies(sys_, F(1))
+    with pytest.raises(ValueError, match="unknown relation '!='"):
+        feasible(sys_)
+
+
+# The point feasible returns for every yes-instance on 3..6 vertices (in the
+# catalog's labelling) and for K7 and S7, as read off the Fraction simplex
+# it replaced; the integer pivots are the same, so the points must be too.
+PINNED_POINTS = [
+    (3, [(0, 1), (0, 2)], "1/3 2/3 1/3 1/3"),
+    (3, "K3", "1 1 1 1"),
+    (4, [(0, 3), (1, 3), (2, 3)], "1/4 1/4 1/4 1/4 3/4"),
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], "1/3 2/3 1/3 2/3 1/3"),
+    (4, "K4", "1 1 1 1 1"),
+    (5, [(0, 4), (1, 4), (2, 4), (3, 4)], "1/5 1/5 1/5 1/5 1/5 4/5"),
+    (5, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], "1/4 1/4 1/4 1/4 3/4 3/4"),
+    (5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+     "1/3 1/3 2/3 1/3 2/3 2/3"),
+    (5, "K5", "1 1 1 1 1 1"),
+    (6, [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5)], "1/6 1/6 1/6 1/6 1/6 1/6 5/6"),
+    (6, [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+     "1/5 1/5 1/5 1/5 1/5 4/5 4/5"),
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3),
+         (2, 4), (2, 5)], "1/4 3/4 3/4 3/4 1/4 1/4 1/4"),
+    (6, [(0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+         (2, 5), (3, 4), (3, 5), (4, 5)], "1/3 1/3 2/3 2/3 1/3 2/3 2/3"),
+    (6, "K6", "1 1 1 1 1 1 1"),
+    (7, "K7", "1 1 1 1 1 1 1 1"),
+    (7, "S7", "1/7 6/7 1/7 1/7 1/7 1/7 1/7 1/7"),
+]
+
+
+def _pinned_graph(n, edges):
+    return parse_graph(edges) if isinstance(edges, str) else from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n, edges, point", PINNED_POINTS)
+def test_feasible_pinned_points(n, edges, point):
+    assert feasible(w1w2_system(_pinned_graph(n, edges))) == tuple(map(Fraction, point.split()))
+
+
+def test_pinned_points_cover_every_small_yes_instance():
+    yes = [g.edges() for n in range(3, 7) for g in connected_graphs_up_to_iso(n)
+           if feasible(w1w2_system(g)) is not None]
+    pinned = [_pinned_graph(n, e).edges() for n, e, _ in PINNED_POINTS if n < 7]
+    assert yes == pinned
 
 
 @settings(deadline=None, max_examples=30)
