@@ -31,7 +31,7 @@ from .moduli import (
     nodal_divisors,
 )
 from .obstructions import feasible, obstruction_a, obstruction_b, w1w2_system
-from .tubings import verify_fan_tubing_bijection
+from .tubings import BIJECTION_MAX_VERTICES, verify_fan_tubing_bijection
 from .weights import (
     check_w1_w2,
     is_valid,
@@ -191,7 +191,7 @@ def _verify_one(g: Graph) -> dict:
         w = remark_weights(cs, g)
         out["weights_valid"] = is_valid(w).valid
         out["w1w2_check"] = check_w1_w2(g, w, marks=mark_of_vertex(cs)).passed
-        corr = divisor_tube_correspondence(g, w)
+        corr = divisor_tube_correspondence(g, w, fan)
         out["divisor_correspondence"] = corr.passed
         out["rays_vs_divisors"] = f"{corr.num_rays} = {corr.num_divisors} + {corr.k}"
 
@@ -236,6 +236,9 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not failures else EXIT_INVARIANT
 
     g = load_graph(args.graph)
+    if g.num_vertices > BIJECTION_MAX_VERTICES:
+        # refuse before building the fan, which is most of the work
+        raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
     results = _verify_one(g)
     report = {
         "command": "verify",

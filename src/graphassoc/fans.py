@@ -1,6 +1,13 @@
 """Simplicial lattice fans: the fan of projective space, stellar
 subdivision, and the graph associahedral fan built by subdividing along
-tube cones in decreasing tube cardinality."""
+tube cones in decreasing tube cardinality.
+
+Subdivision runs on maximal cones held as int bitmasks over ray indices,
+one scan of the cone list per subdivision; `build_graph_fan` keeps that
+list across all of its subdivisions and sorts it into tuples once, at the
+end.  Smoothness reads each ray as a signed 0/1 vector: cones whose ray
+supports are laminar get an exact combinatorial test (see `is_smooth`),
+and every other cone goes through a Bareiss determinant."""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, bits_of, is_connected, tubes
+from .graphs import Graph, GraphError, bits_of, is_connected, mask_of, tubes
 
 VertexLabel = tuple  # ("vertex", i) or ("tube", mask)
 
@@ -59,34 +66,49 @@ def cone_exists(f: Fan, ray_indices: Sequence[int]) -> bool:
     return any(s.issubset(c) for c in f.max_cones)
 
 
+def _primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: tuple) -> Ray:
+    """The primitive part of the sum of the given rays' coordinates."""
+    coords = [0] * len(rays[0].coords)
+    for i in idx:
+        for j, c in enumerate(rays[i].coords):
+            coords[j] += c
+    g = math.gcd(*coords)
+    return Ray(tuple(c // g for c in coords), label)
+
+
+def _subdivide(cones: list[int], m: int, new: int) -> list[int]:
+    """Stellar subdivision of maximal cones held as ray-index bitmasks: each
+    cone c containing the face m becomes the cones (c | new) ^ low, one for
+    each bit low of m.  Raises FanError if no cone contains m."""
+    out, star = [], []
+    for c in cones:
+        if c & m == m:
+            star.append(c | new)
+        else:
+            out.append(c)
+    if not star:
+        raise FanError(f"rays {tuple(bits_of(m))} do not span a cone of the fan")
+    for i in bits_of(m):
+        low = 1 << i
+        out += [c ^ low for c in star]
+    return out
+
+
+def _cone_tuples(cones: list[int]) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(map(tuple, map(bits_of, cones))))
+
+
 def stellar_subdivide(f: Fan, ray_indices: Sequence[int], label: Optional[tuple] = None) -> Fan:
     """Subdivide at the cone spanned by the given rays; the new ray is the
     primitive part of the sum of their primitive generators."""
     idx = tuple(sorted(set(ray_indices)))
     if len(idx) < 2:
         raise FanError("stellar subdivision needs a cone of dimension >= 2")
-    if not cone_exists(f, idx):
+    if idx[0] < 0:  # no ray has a negative index, so these span no cone
         raise FanError(f"rays {idx} do not span a cone of the fan")
-    coords = [0] * f.dim
-    for i in idx:
-        for j, c in enumerate(f.rays[i].coords):
-            coords[j] += c
-    g = math.gcd(*coords)
-    coords = tuple(c // g for c in coords)
-    if label is None:
-        label = ("sum", idx)
-    new_index = len(f.rays)
-    rays = f.rays + (Ray(coords, label),)
-
-    idx_set = set(idx)
-    cones = []
-    for c in f.max_cones:
-        if idx_set.issubset(c):
-            for r in idx:
-                cones.append(tuple(sorted((set(c) - {r}) | {new_index})))
-        else:
-            cones.append(c)
-    return Fan(f.dim, rays, tuple(sorted(cones)))
+    cones = _subdivide(list(map(mask_of, f.max_cones)), mask_of(idx), 1 << len(f.rays))
+    ray = _primitive_sum(f.rays, idx, ("sum", idx) if label is None else label)
+    return Fan(f.dim, f.rays + (ray,), _cone_tuples(cones))
 
 
 def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
@@ -95,8 +117,9 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
 
     The order within a size class does not matter; pass an rng to shuffle it
     (used to test exactly that).  Each tube's cone must still be present when
-    its turn comes; `stellar_subdivide` raises FanError if it is not, which
-    would indicate an ordering bug.
+    its turn comes; `_subdivide` raises FanError if it is not, which would
+    indicate an ordering bug.  Original ray i carries graph vertex i, so a
+    tube's vertex bitmask is also the bitmask of its cone's rays.
     """
     n = g.num_vertices
     if n < 2:
@@ -105,14 +128,16 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
         raise GraphError("unsupported: disconnected non-discrete graph")
     d = n - 1
     f = projective_simplex_fan(d)
+    rays = list(f.rays)
+    cones = list(map(mask_of, f.max_cones))
     for size in range(d, 1, -1):
         layer = [t for t in tubes(g, size, size)]
         if rng is not None:
             rng.shuffle(layer)
         for t in layer:
-            # original ray index == vertex label
-            f = stellar_subdivide(f, bits_of(t), label=_tube_label(t))
-    return f
+            cones = _subdivide(cones, t, 1 << len(rays))
+            rays.append(_primitive_sum(rays, bits_of(t), _tube_label(t)))
+    return Fan(d, tuple(rays), _cone_tuples(cones))
 
 
 def _tube_label(t: int) -> tuple:
@@ -163,11 +188,70 @@ def _det(matrix: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _support(coords: tuple[int, ...]) -> Optional[int]:
+    """Bitmask of the nonzero coordinates if they are all +1 or all -1."""
+    signs = {c for c in coords if c}
+    if signs != {1} and signs != {-1}:
+        return None
+    return sum(1 << j for j, c in enumerate(coords) if c)
+
+
+def _laminar_unimodular(supports: list[int], full: int) -> Optional[bool]:
+    """|det| == 1 for rows that are signed indicator vectors of the given
+    supports, or None if two supports cross (neither nested nor disjoint)."""
+    # by size, so a set's proper subsets come before it and an earlier a
+    # meets b in a (nested), in nothing (disjoint), or else crosses it
+    supports = sorted(supports, key=int.bit_count)
+    singletons = True
+    cover = 0
+    for i, b in enumerate(supports):
+        below = 0
+        for a in supports[:i]:
+            m = a & b
+            if m == a:
+                if a != b:
+                    below |= a
+            elif m:
+                return None
+        rem = b & ~below
+        if rem & (rem - 1) or not rem:
+            singletons = False
+        cover |= rem
+    return singletons and cover == full
+
+
 def is_smooth(f: Fan) -> bool:
-    """Every maximal cone's rays form a lattice basis (determinant +-1)."""
+    """Every maximal cone's rays form a lattice basis (determinant +-1).
+
+    Every ray of a graph fan is +- the indicator vector 1_B of a set B of
+    coordinates, its support: u_0 = -(1, ..., 1), u_i = e_i, and a tube ray
+    is the primitive sum of some of these.  Flipping a row's sign keeps
+    |det|, so take the rows to be 1_B.  Suppose a cone's d supports form a
+    laminar family (any two are nested or disjoint), and let
+    rem(B) = B minus the union of the supports A with A a proper subset
+    of B.
+    - If the supports are distinct, the maximal proper subsets of each B are
+      pairwise disjoint, so subtracting their rows from row B leaves 1_rem(B).
+      Ordered by size, these row operations form a unit triangular matrix
+      and keep |det|.  The rem sets are pairwise disjoint, so a rem with
+      two or more coordinates leaves another rem empty, a zero row.  The
+      reduced matrix has |det| = 1 iff each rem is a singleton, and then
+      the d singletons cover all d coordinates.
+    - If two supports are equal, the two rows are +-1_B, |det| = 0, and
+      their rem sets coincide, so the singletons cannot cover d coordinates.
+    Hence |det| = 1 iff every rem is a singleton and together they cover all
+    d coordinates.  A cone with a ray that is not a signed 0/1 vector of one
+    sign, or with two crossing supports, gets its determinant by Bareiss
+    elimination instead.
+    """
+    supports = [_support(r.coords) for r in f.rays]
+    full = (1 << f.dim) - 1
     for c in f.max_cones:
-        mat = [list(f.rays[i].coords) for i in c]
-        if abs(_det(mat)) != 1:
+        cone = [supports[i] for i in c]
+        verdict = None if None in cone else _laminar_unimodular(cone, full)
+        if verdict is None:
+            verdict = abs(_det([list(f.rays[i].coords) for i in c])) == 1
+        if not verdict:
             return False
     return True
 

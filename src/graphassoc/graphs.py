@@ -30,13 +30,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def bits_of(mask: int) -> list[int]:
+    """Set bit positions, ascending.  One step per set bit, so a sparse mask
+    with a high top bit (a cone over many rays) costs no more than its bits."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .epsrational import EpsRational
-from .fans import build_graph_fan
+from .fans import Fan, build_graph_fan
 from .graphs import Graph, bits_of, classify_iterated_cone, tubes
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
@@ -265,11 +265,14 @@ class CorrespondenceReport:
     detail: Optional[str] = None
 
 
-def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> CorrespondenceReport:
+def divisor_tube_correspondence(
+    g: Graph, w: Optional[WeightVector] = None, fan: Optional[Fan] = None
+) -> CorrespondenceReport:
     """For an iterated cone with its explicit weights, verify that nodal
     divisors are exactly {0} union the marks of proper tubes of sufficient
     weight, and that #rays = #divisors + k (the k independent-vertex rays
-    correspond to coincidence loci, not nodal divisors)."""
+    correspond to coincidence loci, not nodal divisors).  Pass g's fan if it
+    is already built; otherwise it is built here."""
     cs = classify_iterated_cone(g)
     if cs is None:
         raise ValueError("graph is not an iterated cone over a discrete set")
@@ -285,7 +288,8 @@ def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> C
         if total > one:
             expected.add(frozenset([0] + [marks[v] for v in bits_of(t)]))
     actual = {d.side for d in nodal_divisors(w)}
-    fan = build_graph_fan(g)
+    if fan is None:
+        fan = build_graph_fan(g)
     num_rays = len(fan.rays)
     report = CorrespondenceReport(
         passed=(expected == actual) and (num_rays == len(actual) + cs.k),

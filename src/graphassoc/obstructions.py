@@ -218,14 +218,14 @@ def w1w2_system(g: Graph) -> LinearSystem:
             for j in range(nv)
         )
 
+    tube_rows, non_tube_rows = [], []
     for size in range(n, 1, -1):
         for s in subsets_by_size(n, size):
             if induced_connected(g, s):
-                rows.append(Constraint(subset_row(s), ">", one))
-    for size in range(n, 1, -1):
-        for s in subsets_by_size(n, size):
-            if not induced_connected(g, s):
-                rows.append(Constraint(subset_row(s), "<=", one))
+                tube_rows.append(Constraint(subset_row(s), ">", one))
+            else:
+                non_tube_rows.append(Constraint(subset_row(s), "<=", one))
+    rows += tube_rows + non_tube_rows
 
     rows.append(Constraint(tuple(one for _ in range(nv)), ">", one))
     return LinearSystem(nv, tuple(rows))

@@ -113,6 +113,18 @@ def test_verify_sweep(capsys):
     assert report["results"]["failures"] == []
 
 
+def test_verify_refuses_more_than_eight_vertices_before_building_the_fan(capsys, monkeypatch):
+    from graphassoc import cli
+
+    def no_fan(*args, **kwargs):
+        raise AssertionError("verify built the fan of a graph it refuses")
+
+    monkeypatch.setattr(cli, "build_graph_fan", no_fan)
+    code, _, err = run(capsys, "verify", "K9")
+    assert code == EXIT_USAGE
+    assert "error: bijection check capped at 8 vertices" in err
+
+
 def test_verify_sweep_cap(capsys):
     code, _, err = run(capsys, "verify", "--all-up-to", "9")
     assert code == EXIT_USAGE

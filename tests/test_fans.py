@@ -1,6 +1,9 @@
 """Fans: projective space fan, stellar subdivision, graph associahedral
 fans, f-vectors, smoothness, completeness, order-independence."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
 
@@ -21,7 +24,8 @@ from graphassoc import (
     ray_for_tube,
     stellar_subdivide,
 )
-from graphassoc.fans import _det, cone_exists, fan_to_json
+from graphassoc import fans
+from graphassoc.fans import _det, _laminar_unimodular, _support, cone_exists, fan_to_json
 
 
 def catalan(n):
@@ -75,6 +79,10 @@ def test_stellar_subdivide_rejects_rays_spanning_no_cone():
     f = build_graph_fan(parse_graph("P3"))
     with pytest.raises(FanError):
         stellar_subdivide(f, (ray_for_tube(f, 0b011), ray_for_tube(f, 0b110)))
+    # indices that name no ray span no cone either
+    for idx in [(-1, 0), (0, len(f.rays))]:
+        with pytest.raises(FanError, match="do not span a cone"):
+            stellar_subdivide(f, idx)
 
 
 @pytest.mark.parametrize(
@@ -162,6 +170,69 @@ def test_is_smooth_detects_singular_cone():
     assert not is_smooth(f)
 
 
+def _one_cone_fan(*rows):
+    rays = tuple(Ray(r, ("vertex", i)) for i, r in enumerate(rows))
+    return Fan(len(rows), rays, (tuple(range(len(rows))),))
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Records each Bareiss determinant that is_smooth falls back to."""
+    calls = []
+
+    def counting_det(matrix):
+        calls.append(matrix)
+        return _det(matrix)
+
+    monkeypatch.setattr(fans, "_det", counting_det)
+    return calls
+
+
+def test_is_smooth_singular_laminar_cone(det_calls):
+    # {0,1} inside {0,1,2}, and {2} inside it too: rem({0,1}) is not a singleton
+    assert not is_smooth(_one_cone_fan((1, 1, 0), (1, 1, 1), (0, 0, 1)))
+    assert det_calls == []
+
+
+def test_is_smooth_equal_supports(det_calls):
+    # u and -u share their support, so the rows are dependent
+    assert not is_smooth(_one_cone_fan((1, 1, 0), (-1, -1, 0), (0, 0, 1)))
+    assert det_calls == []
+
+
+def test_is_smooth_non_laminar_cone_takes_bareiss(det_calls):
+    # {0,1}, {0,2}, {1,2} cross pairwise; det 2
+    assert not is_smooth(_one_cone_fan((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+    assert len(det_calls) == 1
+    # {0,1} and {1,2} cross; det 1
+    assert is_smooth(_one_cone_fan((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    assert len(det_calls) == 2
+
+
+def test_is_smooth_mixed_sign_ray_takes_bareiss(det_calls):
+    assert _support((1, -1, 0)) is None
+    assert is_smooth(_one_cone_fan((1, -1, 0), (0, 1, 0), (0, 0, 1)))
+    assert not is_smooth(_one_cone_fan((1, -1, 0), (1, 1, 0), (0, 0, 1)))  # det 2
+    assert len(det_calls) == 2
+
+
+def test_is_smooth_matches_det_on_every_cone_of_rays():
+    # every d-subset of the rays of four graph fans, smooth or not, laminar
+    # or not, judged as a one-cone fan against the Bareiss determinant
+    laminar_verdicts = set()
+    for spec in ["P4", "C5", "K4", "S5"]:
+        f = build_graph_fan(parse_graph(spec))
+        full = (1 << f.dim) - 1
+        for c in itertools.combinations(range(len(f.rays)), f.dim):
+            rows = [f.rays[i].coords for i in c]
+            expected = abs(_det([list(r) for r in rows])) == 1
+            assert is_smooth(_one_cone_fan(*rows)) == expected, (spec, c)
+            laminar = _laminar_unimodular([_support(r) for r in rows], full)
+            if laminar is not None:
+                laminar_verdicts.add(laminar)
+    assert laminar_verdicts == {True, False}
+
+
 def test_is_complete_detects_missing_cone():
     f = projective_simplex_fan(2)
     g = Fan(2, f.rays, f.max_cones[:-1])
@@ -183,3 +254,23 @@ def test_fan_to_json():
     assert {"vertex": 0} in labels
     assert {"tube": [0, 1]} in labels
     assert all(len(c) == 2 for c in js["max_cones"])
+
+
+# SHA-256 of the sorted-key JSON of each fan, recorded before the bitmask
+# subdivision loop replaced the tuple-based one: ray order, labels and cone
+# order must stay byte-identical.
+PINNED_FANS = {
+    ("P7", None): "7ec0626905d0ce5882a79e6b7a9a903772ffa6d5229b7297f894e68d0e7b2955",
+    ("C7", None): "c285c70a6f090f9aded16c8080e2f79c5e08bdb6f17be887cad3b7825f65e3fc",
+    ("S7", None): "b7f479ac442eccda13254beb735c9605190db665aa8d4235f7096f8d6e995f64",
+    ("K7", None): "b0f1398fba76e9320428540a6fdcacd8ca6403f601e0062cdf4caf699d0cbacf",
+    ("S6", 3): "ffe4b009da4bce7a3560d961b6b9176eda72b0b858dd04b1ed038ea5f9a0c323",
+}
+
+
+@pytest.mark.parametrize("spec,seed", sorted(PINNED_FANS, key=str))
+def test_fan_json_is_pinned(spec, seed):
+    rng = None if seed is None else random.Random(seed)
+    f = build_graph_fan(parse_graph(spec), rng=rng)
+    digest = hashlib.sha256(json.dumps(fan_to_json(f), sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_FANS[(spec, seed)]

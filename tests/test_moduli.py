@@ -3,6 +3,7 @@
 import pytest
 
 from graphassoc import (
+    build_graph_fan,
     EpsRational,
     StableTree,
     WeightVector,
@@ -148,6 +149,13 @@ def test_correspondence_counts():
     assert (rep.num_rays, rep.num_divisors, rep.k) == (13, 11, 2)
     rep = divisor_tube_correspondence(parse_graph("S4"))
     assert (rep.num_rays, rep.num_divisors, rep.k) == (10, 7, 3)
+
+
+def test_correspondence_reuses_a_given_fan():
+    for spec in ["K4", "S4", "cone^2(D2)"]:
+        g = parse_graph(spec)
+        rep = divisor_tube_correspondence(g, fan=build_graph_fan(g))
+        assert rep == divisor_tube_correspondence(g), spec
 
 
 def test_correspondence_rejects_non_cones():

@@ -22,7 +22,7 @@ from graphassoc import (
     w1w2_system,
 )
 from graphassoc import obstructions
-from graphassoc.graphs import GraphError, induced_connected, popcount
+from graphassoc.graphs import GraphError, induced_connected, non_tubes, popcount, tubes
 from graphassoc.obstructions import Constraint, LinearSystem, satisfies
 
 
@@ -188,6 +188,25 @@ def test_w1w2_system_rows():
     ]
     assert len(nontube_rows) == 1
     assert nontube_rows[0].coeffs == (one, one, Fraction(0), one)
+
+    # every row, in order: bounds, tubes, non-tubes, total weight
+    for n in range(2, 6):
+        for g in connected_graphs_up_to_iso(n):
+            nv = n + 1
+
+            def row(s):
+                return (one,) + tuple(Fraction(s >> v & 1) for v in range(n))
+
+            unit = [tuple(Fraction(i == j) for i in range(nv)) for j in range(nv)]
+            expected = [
+                Constraint(u, rel, Fraction(rhs))
+                for u in unit
+                for rel, rhs in ((">", 0), ("<=", 1))
+            ]
+            expected += [Constraint(row(t), ">", one) for t in tubes(g, 2, n)]
+            expected += [Constraint(row(d), "<=", one) for d in non_tubes(g)]
+            expected.append(Constraint((one,) * nv, ">", one))
+            assert list(w1w2_system(g).constraints) == expected, g.edges()
 
 
 def test_w1w2_system_json():
