@@ -59,6 +59,7 @@ from .moduli import (
     NodalDivisor,
     StableTree,
     chain_shape_check,
+    count_stable_trees,
     divisor_tube_correspondence,
     enumerate_stable_trees,
     max_components,

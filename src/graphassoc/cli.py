@@ -24,12 +24,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph,
 )
-from .moduli import (
-    divisor_tube_correspondence,
-    enumerate_stable_trees,
-    max_components,
-    nodal_divisors,
-)
+from .moduli import count_stable_trees, divisor_tube_correspondence, nodal_divisors
 from .obstructions import feasible, obstruction_a, obstruction_b, w1w2_system
 from .tubings import BIJECTION_MAX_VERTICES, verify_fan_tubing_bijection
 from .weights import (
@@ -272,12 +267,9 @@ def cmd_moduli(args) -> int:
         results["num_nodal_divisors"] = len(divisors)
         results["nodal_divisors"] = [d.to_json() for d in divisors]
     else:
-        trees = enumerate_stable_trees(w, cap)
-        by_size: dict[int, int] = {}
-        for t in trees:
-            by_size[t.num_vertices] = by_size.get(t.num_vertices, 0) + 1
-        results["max_components"] = max_components(w, cap)
-        results["tree_counts_by_components"] = {str(k): v for k, v in sorted(by_size.items())}
+        by_size = count_stable_trees(w, cap)
+        results["max_components"] = max(by_size, default=0)
+        results["tree_counts_by_components"] = {str(k): v for k, v in by_size.items()}
         results["num_nodal_divisors"] = len(nodal_divisors(w))
     report = {
         "command": "moduli",

@@ -44,6 +44,27 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def cliques(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
+    """Every clique of 1..max_size nodes of the graph whose node i is
+    adjacent to the nodes of the bitmask compat[i], as the increasing tuple
+    of its nodes, depth first: each size comes out in lexicographic order.
+
+    These are the faces of a flag complex: tubings over a table of
+    compatible tubes, stable trees over one of compatible nodal divisors."""
+
+    def extend(chosen: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            clique = chosen + (low.bit_length() - 1,)
+            yield clique
+            if len(clique) < max_size:
+                # compatible nodes after this one only, so none is seen twice
+                yield from extend(clique, cand & compat[clique[-1]])
+
+    return extend((), (1 << len(compat)) - 1 if max_size > 0 else 0)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Labeled simple graph; adj[v] is the neighbour bitmask of vertex v."""

@@ -4,20 +4,41 @@ Trees are enumerated at the nodal level: vertices are components, edges are
 nodes, legs are the marks M, 0, 1, ..., n-2.  Coincidence loci (colliding
 marks) are deliberately not enumerated; the toric comparison only needs the
 nodal divisors plus the count of independent marks.
+
+For weights in (0, 1], a dual tree is stable iff the split of every edge is
+a nodal divisor, and its splits are then pairwise compatible: their M-free
+sides are nested or disjoint.  Stability of a vertex v is
+deg(v) + w(legs(v)) > 2.
+
+- Stable implies nodal.  Cutting an edge leaves, on either side, a subtree
+  of k vertices whose degrees add up to 2k - 1.  Its k stability
+  inequalities add up to w(side) > 1, so a side has two marks or more.  Two
+  edges split the marks alike only when the k vertices between them carry
+  no legs; their degrees add up to 2k and their inequalities fail.
+- Nodal implies stable.  A leaf's legs are one side of its edge, which
+  weighs more than 1.  A vertex of degree 2 carries the marks by which its
+  two distinct splits differ, so weight > 0.  A vertex of degree 3 or more
+  is stable whatever its legs.
+
+A stable tree is determined by its splits, since every vertex of degree at
+most 2 carries a leg.  So the stable trees with j + 1 components are
+exactly the j-cliques of the compatibility graph on `nodal_divisors(w)`,
+walked by `graphs.cliques`; only the one-component tree needs its own
+check, total weight > 2.  Weights are compared in `nodal_divisors`, in that
+check and in the check that they lie in (0, 1]; the walk compares none.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .epsrational import EpsRational
 from .fans import Fan, build_graph_fan
-from .graphs import Graph, bits_of, classify_iterated_cone, tubes
+from .graphs import Graph, bits_of, classify_iterated_cone, cliques, mask_of, tubes
 from .weights import WeightVector, mark_of_vertex, remark_weights
-
-MAX_MARKS = 9
 
 Label = Union[str, int]  # "M" or 0..n-2
 
@@ -39,33 +60,6 @@ class StableTree:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def partition_key(self):
-        """Multiset of leg bipartitions induced by the edges; a stable tree
-        is determined by it, so it doubles as an isomorphism-invariant key."""
-        parts = []
-        all_legs = frozenset().union(*self.legs)
-        for i, j in self.edges:
-            side = self._side_legs(i, j)
-            parts.append(frozenset([side, all_legs - side]))
-        return (len(self.legs), frozenset(parts))
-
-    def _side_legs(self, root: int, banned: int) -> frozenset:
-        """Legs in the component of `root` after removing edge (root, banned)."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for a, b in self.edges:
-                if v == a and b != banned or v == b and a != banned:
-                    w = b if v == a else a
-                    if w not in seen and not (v == root and w == banned):
-                        seen.add(w)
-                        stack.append(w)
-        out = set()
-        for v in seen:
-            out |= self.legs[v]
-        return frozenset(out)
 
     def is_path(self) -> bool:
         return all(self.degree(v) <= 2 for v in range(self.num_vertices))
@@ -102,78 +96,69 @@ def _tree_stable(w: WeightVector, tree: StableTree) -> bool:
     )
 
 
-def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
-    """All stable dual trees with at most max_vertices components, up to
-    isomorphism fixing the legs.
-
-    Works by recursive edge-splitting from the one-component tree: every
-    stable tree contracts, edge by edge, to the one-component tree through
-    stable trees, so splitting reaches everything.  Splits that leave either
-    side unstable are pruned; duplicates are removed via the edge-partition
-    key.
-    """
-    if w.n > MAX_MARKS:
-        raise ValueError(f"stable-tree enumeration capped at {MAX_MARKS} marks")
+def _stable_cliques(
+    w: WeightVector, max_vertices: int
+) -> tuple[list[int], Iterator[tuple[int, ...]]]:
+    """The M-free sides of the nodal divisors, as bitmasks of mark labels,
+    and a walk over the cliques of pairwise compatible sides, as tuples of
+    side indices: one per stable tree of 1..max_vertices components, the
+    empty clique (the one-component tree) first.  No cliques at all when
+    the one-component tree is unstable."""
     if not (1 <= max_vertices <= w.n - 2):
         raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
+    zero, one = EpsRational(0), EpsRational(1)
+    if not all(zero < c <= one for c in w.entries()):
+        raise ValueError(f"stable trees need every weight in (0, 1], got {w}")
+    if not _vertex_stable(w, frozenset(["M", *range(w.n - 1)]), 0):
+        return [], iter(())
+    sides = [mask_of(d.side) for d in nodal_divisors(w)]
+    compat = [0] * len(sides)
+    for i, a in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            if (a & sides[j]) in (0, a, sides[j]):  # disjoint or nested
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    return sides, itertools.chain([()], cliques(compat, max_vertices - 1))
 
-    all_legs = frozenset(["M"] + list(range(w.n - 1)))
-    root = StableTree((all_legs,), ())
-    if not _tree_stable(w, root):
-        return []
 
-    found: dict = {root.partition_key(): root}
-    frontier = [root]
-    for _ in range(max_vertices - 1):
-        next_frontier = []
-        for tree in frontier:
-            for split in _splits(w, tree):
-                key = split.partition_key()
-                if key not in found:
-                    found[key] = split
-                    next_frontier.append(split)
-        frontier = next_frontier
+def _tree_of(n: int, sides: list[int]) -> StableTree:
+    """The tree whose edges split off the given compatible M-free sides,
+    listed by nondecreasing size as `nodal_divisors` orders them.  Vertex 0
+    holds M; vertex i + 1 hangs below the edge of sides[i], from the
+    smallest later side that contains it, or else from vertex 0, and keeps
+    the marks of its side that no child takes."""
+    taken = [0] * (len(sides) + 1)  # vertex -> union of its children's sides
+    edges = []
+    for i, side in enumerate(sides):
+        parent = next(
+            (j + 1 for j in range(i + 1, len(sides)) if side & ~sides[j] == 0), 0
+        )
+        edges.append((parent, i + 1))
+        taken[parent] |= side
+    legs = [frozenset(["M", *bits_of(((1 << (n - 1)) - 1) & ~taken[0])])]
+    legs += [frozenset(bits_of(side & ~taken[i + 1])) for i, side in enumerate(sides)]
+    return StableTree(tuple(legs), tuple(edges))
 
-    trees = list(found.values())
+
+def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
+    """All stable dual trees with at most max_vertices components, up to
+    isomorphism fixing the legs, sorted by component count and then by
+    `str(to_json())`; [] when the total weight is at most 2.  Raises
+    ValueError unless every weight lies in (0, 1].
+
+    For weights in (0, 1] a tree is stable iff every edge's split is a
+    nodal divisor: a leaf needs its side to weigh more than 1, a vertex of
+    degree 2 carries the marks by which its two splits differ, and a vertex
+    of degree 3 or more is always stable; summing the stability
+    inequalities over the vertices on one side of an edge gives the
+    converse.  Splits of one tree have nested or disjoint M-free sides, and
+    fix the tree.  So the trees of j + 1 components are the j-cliques of
+    compatible nodal divisors, walked once and built only for output.
+    """
+    sides, walk = _stable_cliques(w, max_vertices)
+    trees = [_tree_of(w.n, [sides[i] for i in c]) for c in walk]
     trees.sort(key=lambda t: (t.num_vertices, str(t.to_json())))
     return trees
-
-
-def _splits(w: WeightVector, tree: StableTree):
-    """All stable trees obtained by splitting one vertex into two."""
-    for v in range(tree.num_vertices):
-        legs = sorted(tree.legs[v], key=_label_key)
-        incident = [e for e in tree.edges if v in e]
-        items = [("leg", l) for l in legs] + [("edge", e) for e in incident]
-        m = len(items)
-        # new vertex takes the items of the chosen subset; skip the full and
-        # empty subsets, and fix item 0 on the old side to halve the symmetry
-        for pick in range(1, 1 << (m - 1)):
-            new_items = [items[i] for i in range(m) if pick >> i & 1]
-            old_items = [items[i] for i in range(m) if not pick >> i & 1]
-            new_legs = frozenset(x for kind, x in new_items if kind == "leg")
-            old_legs = frozenset(x for kind, x in old_items if kind == "leg")
-            new_edge_count = sum(1 for kind, _ in new_items if kind == "edge") + 1
-            old_edge_count = sum(1 for kind, _ in old_items if kind == "edge") + 1
-            if not _vertex_stable(w, new_legs, new_edge_count):
-                continue
-            if not _vertex_stable(w, old_legs, old_edge_count):
-                continue
-            nv = tree.num_vertices
-            legs_out = list(tree.legs)
-            legs_out[v] = old_legs
-            legs_out.append(new_legs)
-            moved = {e for kind, e in new_items if kind == "edge"}
-            edges_out = []
-            for e in tree.edges:
-                if e in moved:
-                    a, b = e
-                    other = b if a == v else a
-                    edges_out.append((other, nv))
-                else:
-                    edges_out.append(e)
-            edges_out.append((v, nv))
-            yield StableTree(tuple(legs_out), tuple(edges_out))
 
 
 # -- nodal divisors ---------------------------------------------------------
@@ -213,10 +198,17 @@ def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
     return out
 
 
+def count_stable_trees(w: WeightVector, max_vertices: int) -> dict[int, int]:
+    """Component count -> number of stable trees with that many components,
+    for 1..max_vertices components, by the walk of `enumerate_stable_trees`
+    without building the trees."""
+    counts = Counter(len(c) + 1 for c in _stable_cliques(w, max_vertices)[1])
+    return dict(sorted(counts.items()))
+
+
 def max_components(w: WeightVector, cap: int) -> int:
     """Largest component count among stable trees with at most cap vertices."""
-    trees = enumerate_stable_trees(w, cap)
-    return max((t.num_vertices for t in trees), default=0)
+    return max(count_stable_trees(w, cap), default=0)
 
 
 def chain_shape_check(w: WeightVector) -> bool:

@@ -4,23 +4,25 @@ This is the combinatorial model of the face structure of the graph
 associahedron, used as an independent oracle against the fan construction:
 size-j tubings must biject onto j-dimensional cones.
 
-Tubings are found by one depth-first walk over a compatibility table built
-once per graph, `compat[i]` being the bitmask of tube indices compatible
-with tube i.  The bijection check maps each tubing to the bitmask of its
-tube rays and compares it with the fan's faces, also kept as ray bitmasks.
+Tubings are the cliques of a compatibility table built once per graph,
+`compat[i]` being the bitmask of tube indices compatible with tube i; they
+are found by the depth-first walk `graphs.cliques`.  The bijection check
+maps each tubing to the bitmask of its tube rays and compares it with the
+fan's faces, also kept as ray bitmasks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .fans import Fan, _tube_label, build_graph_fan
 from .graphs import (
     Graph,
     GraphError,
     bits_of,
+    cliques,
     induced_connected,
     is_connected,
     is_tube,
@@ -69,23 +71,6 @@ def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     return compat
 
 
-def _walk(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
-    """Every tubing of 1..max_size tubes, as the increasing tuple of its tube
-    indices, depth first: each size comes out in lexicographic order."""
-
-    def extend(chosen: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            tubing = chosen + (low.bit_length() - 1,)
-            yield tubing
-            if len(tubing) < max_size:
-                # compatible tubes after this one only, so none is seen twice
-                yield from extend(tubing, cand & compat[tubing[-1]])
-
-    return extend((), (1 << len(compat)) - 1)
-
-
 def enumerate_tubings(g: Graph, size: int) -> list[tuple[int, ...]]:
     """All tubings with exactly `size` tubes, each a sorted tuple of tube
     masks, in lexicographic order of the chosen tube indices."""
@@ -96,7 +81,7 @@ def enumerate_tubings(g: Graph, size: int) -> list[tuple[int, ...]]:
     all_tubes = sorted(proper_tubes(g))
     return [
         tuple(all_tubes[i] for i in chosen)
-        for chosen in _walk(_compatibility(g, all_tubes), size)
+        for chosen in cliques(_compatibility(g, all_tubes), size)
         if len(chosen) == size
     ]
 
@@ -142,7 +127,7 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
 
     counts = [0] * d
     images = set()
-    for chosen in _walk(_compatibility(g, all_tubes), d):
+    for chosen in cliques(_compatibility(g, all_tubes), d):
         rays = 0
         for i in chosen:
             rays |= ray_bit[i]

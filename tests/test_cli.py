@@ -157,6 +157,22 @@ def test_moduli_with_weights(capsys):
     assert res["tree_counts_by_components"] == {"1": 1, "2": 6, "3": 6}
 
 
+def test_moduli_ten_marks(capsys):
+    code, report, _ = run_json(capsys, "moduli", "--weights", "1,1," + ",".join(["e"] * 8))
+    assert code == EXIT_OK
+    counts = [1, 254, 5796, 40824, 126000, 191520, 141120, 40320]
+    res = report["results"]
+    assert res["tree_counts_by_components"] == {str(j): c for j, c in enumerate(counts, 1)}
+    assert res["max_components"] == 8
+
+
+def test_moduli_rejects_weights_outside_unit_interval(capsys):
+    code, out, err = run(capsys, "moduli", "--weights", "2,1,1,e")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "(0, 1]" in err
+    assert out == ""
+
+
 def test_moduli_divisors_only(capsys):
     code, report, _ = run_json(capsys, "moduli", "--weights", "1,1,e,e,e", "--divisors")
     assert code == EXIT_OK

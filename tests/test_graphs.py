@@ -29,6 +29,7 @@ from graphassoc import (
     universal_vertices,
 )
 from graphassoc.graphs import (
+    cliques,
     induced_connected,
     is_connected,
     popcount,
@@ -136,6 +137,17 @@ def test_subsets_by_size():
     assert len(got) == 6
     assert all(popcount(s) == 2 for s in got)
     assert list(subsets_by_size(3, 0)) == [0]
+
+
+def test_cliques():
+    # a triangle 0-1-2 with a pendant edge 2-3
+    compat = [0b0110, 0b0101, 0b1011, 0b0100]
+    assert list(cliques(compat, 3)) == [
+        (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,), (2, 3), (3,)
+    ]
+    assert [c for c in cliques(compat, 2) if len(c) == 2] == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    assert list(cliques(compat, 0)) == []
+    assert list(cliques([], 3)) == []
 
 
 def test_tubes_order_and_content():

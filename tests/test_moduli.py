@@ -1,5 +1,12 @@
 """Stable dual trees, nodal divisors, and the divisor/ray correspondence."""
 
+import functools
+import hashlib
+import json
+import math
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from graphassoc import (
@@ -8,14 +15,22 @@ from graphassoc import (
     StableTree,
     WeightVector,
     chain_shape_check,
+    classify_iterated_cone,
+    connected_graphs_up_to_iso,
+    count_stable_trees,
     divisor_tube_correspondence,
     enumerate_stable_trees,
+    enumerate_tubings,
+    mark_of_vertex,
     max_components,
     nodal_divisors,
     parse_graph,
     parse_weight_vector,
+    preservation_threshold,
+    record_comparisons,
+    remark_weights,
 )
-from graphassoc.moduli import _tree_stable, _vertex_stable
+from graphassoc.moduli import _label_key, _tree_stable, _vertex_stable
 
 
 def lm_weights(n):
@@ -26,6 +41,198 @@ def projective_weights(n):
     """Weights whose moduli space is a projective space: one full mark, one
     nearly full, the rest infinitesimal."""
     return parse_weight_vector(",".join(["1", f"1-{n - 3}e"] + ["e"] * (n - 2)))
+
+
+def iterated_cones_up_to(max_n):
+    """(graph, remark weights) of every iterated cone on 2..max_n vertices."""
+    for n in range(2, max_n + 1):
+        for g in connected_graphs_up_to_iso(n):
+            cs = classify_iterated_cone(g)
+            if cs is not None:
+                yield g, remark_weights(cs, g)
+
+
+# -- the splitting enumerator, kept as an oracle -----------------------------
+
+
+def splitting_trees(w, max_vertices):
+    """Stable trees by recursive vertex splitting from the one-component
+    tree, pruning splits that leave either side unstable and removing
+    duplicates by their multiset of leg bipartitions; sorted like
+    `enumerate_stable_trees`.  Every stable tree contracts, edge by edge,
+    to the one-component tree through stable trees, so splitting reaches
+    everything."""
+    root = StableTree((frozenset(["M", *range(w.n - 1)]),), ())
+    if not _tree_stable(w, root):
+        return []
+    stable = functools.cache(functools.partial(_vertex_stable, w))
+    found = {partition_key(root): root}
+    frontier = [root]
+    for _ in range(max_vertices - 1):
+        next_frontier = []
+        for tree in frontier:
+            for split in splits(stable, tree):
+                key = partition_key(split)
+                if key not in found:
+                    found[key] = split
+                    next_frontier.append(split)
+        frontier = next_frontier
+    trees = list(found.values())
+    trees.sort(key=lambda t: (t.num_vertices, str(t.to_json())))
+    return trees
+
+
+def partition_key(tree):
+    """Multiset of leg bipartitions induced by the edges; a stable tree is
+    determined by it."""
+    all_legs = frozenset().union(*tree.legs)
+    parts = []
+    for i, j in tree.edges:
+        side = side_legs(tree, i, j)
+        parts.append(frozenset([side, all_legs - side]))
+    return (len(tree.legs), frozenset(parts))
+
+
+def side_legs(tree, root, banned):
+    """Legs in the component of `root` after removing edge (root, banned)."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for a, b in tree.edges:
+            if v == a and b != banned or v == b and a != banned:
+                u = b if v == a else a
+                if u not in seen and not (v == root and u == banned):
+                    seen.add(u)
+                    stack.append(u)
+    return frozenset().union(*(tree.legs[v] for v in seen))
+
+
+def splits(stable, tree):
+    """All trees obtained by splitting one vertex of `tree` into two that
+    pass stable(legs, degree)."""
+    for v in range(tree.num_vertices):
+        legs = sorted(tree.legs[v], key=_label_key)
+        incident = [e for e in tree.edges if v in e]
+        items = [("leg", l) for l in legs] + [("edge", e) for e in incident]
+        m = len(items)
+        # the new vertex takes the chosen items; item 0 stays on the old side
+        for pick in range(1, 1 << (m - 1)):
+            new_items = [items[i] for i in range(m) if pick >> i & 1]
+            old_items = [items[i] for i in range(m) if not pick >> i & 1]
+            new_legs = frozenset(x for kind, x in new_items if kind == "leg")
+            old_legs = frozenset(x for kind, x in old_items if kind == "leg")
+            new_degree = sum(1 for kind, _ in new_items if kind == "edge") + 1
+            old_degree = sum(1 for kind, _ in old_items if kind == "edge") + 1
+            if not (stable(new_legs, new_degree) and stable(old_legs, old_degree)):
+                continue
+            nv = tree.num_vertices
+            legs_out = list(tree.legs)
+            legs_out[v] = old_legs
+            legs_out.append(new_legs)
+            moved = {e for kind, e in new_items if kind == "edge"}
+            edges_out = []
+            for e in tree.edges:
+                if e in moved:
+                    a, b = e
+                    edges_out.append((b if a == v else a, nv))
+                else:
+                    edges_out.append(e)
+            edges_out.append((v, nv))
+            yield StableTree(tuple(legs_out), tuple(edges_out))
+
+
+def trees_json(trees):
+    return [t.to_json() for t in trees]
+
+
+def test_cliques_match_the_splitting_enumerator():
+    """Tree for tree and in order, and counted alike without building."""
+    weights = [
+        parse_weight_vector("1,1-3e,4e,4e,e,e"),
+        parse_weight_vector("1,1,1,e,e,e,e"),
+        *(w for _, w in iterated_cones_up_to(6)),
+        *(lm_weights(n) for n in range(5, 9)),
+    ]
+    assert len(weights) == 2 + 15 + 4
+    for w in weights:
+        trees = enumerate_stable_trees(w, w.n - 2)
+        assert trees_json(trees) == trees_json(splitting_trees(w, w.n - 2)), str(w)
+        assert count_stable_trees(w, w.n - 2) == dict(
+            sorted(Counter(t.num_vertices for t in trees).items())
+        )
+
+
+@pytest.mark.parametrize(
+    "w, digest",
+    [
+        (
+            remark_weights(classify_iterated_cone(parse_graph("S6")), parse_graph("S6")),
+            "299c0d8145f4e7fe8e1abb3d23696b19b0ee50cceb0271c3c9c623ac48c7c967",
+        ),
+        (
+            lm_weights(9),
+            "dac485e67ed5496732cc45ac60b0d7c0518386b3fd85219a8b1d7917f6bde35f",
+        ),
+    ],
+    ids=["S6", "LM9"],
+)
+def test_tree_lists_are_pinned(w, digest):
+    """SHA-256 of the JSON tree list the splitting enumerator gave."""
+    trees = enumerate_stable_trees(w, w.n - 2)
+    assert hashlib.sha256(json.dumps(trees_json(trees)).encode()).hexdigest() == digest
+
+
+def test_losev_manin_trees_are_ordered_set_partitions():
+    """Losev-Manin space is the permutohedral toric variety: its strata of
+    j components are the ordered partitions of the n - 2 light marks into j
+    blocks, j! S(n - 2, j) of them, counted here as surjections."""
+    for n in range(5, 11):
+        m = n - 2
+        surjections = {
+            j: sum((-1) ** i * math.comb(j, i) * (j - i) ** m for i in range(j + 1))
+            for j in range(1, m + 1)
+        }
+        assert count_stable_trees(lm_weights(n), m) == surjections, n
+
+
+def test_heavy_tubings_match_stable_trees():
+    """On an iterated cone, the tubings made only of heavy tubes
+    (c_0 + w(T) > 1) with j tubes are as many as the stable trees with
+    j + 1 components, for every j."""
+    one = EpsRational(1)
+    for g, w in iterated_cones_up_to(6):
+        marks = mark_of_vertex(classify_iterated_cone(g))
+
+        def heavy(t):
+            total = w.c0
+            for v in range(g.num_vertices):
+                if t >> v & 1:
+                    total = total + w.c[marks[v] - 1]
+            return total > one
+
+        heavy_tubings = {
+            j + 1: sum(all(map(heavy, t)) for t in enumerate_tubings(g, j))
+            for j in range(1, g.num_vertices)
+        }
+        trees = count_stable_trees(w, w.n - 2)
+        assert {1: 1, **{c: k for c, k in heavy_tubings.items() if k}} == trees, g
+
+
+@pytest.mark.parametrize(
+    "spec, eps0",
+    [("S5", "1/10"), ("cone^2(D3)", "1/13"), ("cone^3(D2)", "1/14"), ("K5", "1/13"), ("S6", "1/12")],
+)
+def test_preservation_threshold_of_the_moduli_pass(spec, eps0):
+    """The comparisons of trees, divisors and the divisor/tube check on one
+    iterated cone survive up to the same eps0 as before the clique walk."""
+    g = parse_graph(spec)
+    w = remark_weights(classify_iterated_cone(g), g)
+    with record_comparisons() as rec:
+        enumerate_stable_trees(w, w.n - 2)
+        nodal_divisors(w)
+        divisor_tube_correspondence(g, w)
+    assert preservation_threshold(rec.pairs) == Fraction(eps0)
 
 
 def test_vertex_stability():
@@ -75,8 +282,9 @@ def test_two_component_trees_match_nodal_divisors():
 
 
 def test_every_stable_tree_contracts_to_a_stable_tree():
-    """Contracting any edge of a stable tree yields a stable tree (the
-    premise that justifies enumerating by splitting)."""
+    """Contracting any edge of a stable tree yields a stable tree: dropping
+    one split from a clique of compatible nodal divisors leaves a clique,
+    and the splitting oracle relies on it to reach every tree."""
     w = lm_weights(6)
     for tree in enumerate_stable_trees(w, 4):
         for a, b in tree.edges:
@@ -118,12 +326,16 @@ def test_chain_shape():
 
 
 def test_enumeration_guards():
-    with pytest.raises(ValueError):
-        enumerate_stable_trees(lm_weights(10), 2)
+    # ten marks and more are enumerated, no longer capped
+    assert len(enumerate_stable_trees(lm_weights(10), 2)) == 1 + 254
     with pytest.raises(ValueError):
         enumerate_stable_trees(lm_weights(5), 0)
     with pytest.raises(ValueError):
         enumerate_stable_trees(lm_weights(5), 4)
+    # stability is the clique condition only for weights in (0, 1]
+    for text in ["2,1,1,e", "1,1,0,e,e"]:
+        with pytest.raises(ValueError):
+            enumerate_stable_trees(parse_weight_vector(text), 2)
 
 
 def test_tree_json_is_canonical():
