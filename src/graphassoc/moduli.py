@@ -67,11 +67,36 @@ class StableTree:
     def end_vertices(self) -> list[int]:
         return [v for v in range(self.num_vertices) if self.degree(v) == 1]
 
+    def _branch_legs(self, v: int) -> list:
+        """The sorted label keys of the legs beyond each edge at v, sorted.
+        These partition the marks differently at each vertex, so they tell
+        the legless vertices of a stable tree apart."""
+        nbrs: dict[int, list[int]] = {u: [] for u in range(self.num_vertices)}
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        branches = []
+        for start in nbrs[v]:
+            seen, stack, keys = {v, start}, [start], []
+            while stack:
+                u = stack.pop()
+                keys += map(_label_key, self.legs[u])
+                stack += [x for x in nbrs[u] if x not in seen]
+                seen.update(nbrs[u])
+            branches.append(sorted(keys))
+        return sorted(branches)
+
     def to_json(self) -> dict:
+        """Vertices ordered by their sorted legs, legless ones (sorted first)
+        by the legs of their branches, so the JSON does not depend on vertex
+        numbering."""
         order = sorted(
             range(self.num_vertices),
             key=lambda v: sorted(_label_key(l) for l in self.legs[v]),
         )
+        if len(order) > 1 and not self.legs[order[1]]:  # legless vertices tie
+            k = sum(not legs for legs in self.legs)
+            order[:k] = sorted(order[:k], key=self._branch_legs)
         pos = {old: new for new, old in enumerate(order)}
         return {
             "vertices": [

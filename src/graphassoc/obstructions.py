@@ -1,6 +1,11 @@
 """Combinatorial obstruction witnesses and exact feasibility of the
 tube/non-tube weight inequalities.
 
+The first witness of either kind is small, as the two docstrings prove: an
+A witness is an edge and a vertex detached from it, a B witness four
+vertices inducing 2K2, P4 or C4.  So the search scans edges and 4-subsets,
+and needs no cap below graphs.MAX_VERTICES.
+
 Feasibility is one exact simplex with Bland's rule, run on the homogenised
 LP of Motzkin's transposition theorem, which turns strict rows into a
 positive margin t to maximise.  It pivots fraction-free: an integer tableau
@@ -18,16 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .epsrational import _frac_str
-from .graphs import (
-    Graph,
-    GraphError,
-    bits_of,
-    induced_connected,
-    popcount,
-    subsets_by_size,
-)
-
-OBSTRUCTION_B_MAX_VERTICES = 12
+from .graphs import Graph, bits_of, induced_connected, subsets_by_size
 
 
 @dataclass(frozen=True)
@@ -59,109 +55,72 @@ class ObstructionWitness:
 
 def obstruction_a(g: Graph) -> Optional[ObstructionWitness]:
     """First (smallest, lexicographic) witness of a non-tube containing a
-    nontrivial tube.
+    nontrivial tube: an edge, by ascending tube bitmask, and the lowest
+    vertex with no edge into it.
 
-    It suffices to scan pairs (nontrivial tube T, vertex v with no edge into
-    T): any witnessing non-tube D contains a connected component of size >= 2,
-    which is such a T, and some vertex of D detached from it.
+    Any witness (T, v) gives the witness (e, v) for an edge e of T, and
+    sizes are scanned upward, so the first witness is an edge.
     """
-    n = g.num_vertices
-    for size in range(2, n):
-        for t in subsets_by_size(n, size):
-            if not induced_connected(g, t):
-                continue
-            for v in range(n):
-                bit = 1 << v
-                if bit & t:
-                    continue
-                if g.adj[v] & t == 0:
-                    return ObstructionWitness(kind="A", tube=t, non_tube=t | bit)
+    for b in range(g.num_vertices):  # edges a < b by ascending bitmask
+        for a in bits_of(g.adj[b] & ((1 << b) - 1)):
+            t = 1 << a | 1 << b
+            detached = g.vertex_mask & ~(t | g.adj[a] | g.adj[b])
+            if detached:
+                return ObstructionWitness(kind="A", tube=t, non_tube=t | (detached & -detached))
+    return None
+
+
+def _pair_split(s: int, is_block) -> Optional[tuple[int, int]]:
+    """The split of the 4-set s into two pairs that are both blocks, whose
+    pair through s's lowest vertex has the smallest bitmask; or None."""
+    low = s & -s
+    for v in bits_of(s ^ low):
+        pair = low | 1 << v
+        if is_block(pair) and is_block(s ^ pair):
+            return pair, s ^ pair
     return None
 
 
 def obstruction_b(g: Graph) -> Optional[ObstructionWitness]:
-    """First witness of a subset partitionable into k nontrivial tubes and
-    into k' <= k non-tubes.
+    """First witness, by size and then ascending bitmask, of a subset
+    partitionable into k nontrivial tubes and into k' <= k non-tubes; each
+    partition is the one whose block through the subset's lowest vertex
+    has the smallest bitmask.
 
-    Dynamic program over submasks: kmax[S] is the largest number of blocks in
-    a partition of S into nontrivial tubes (None if impossible), kmin[S] the
-    smallest into non-tubes.  Blocks are forced to contain the lowest bit of
-    the remaining mask, so each partition is generated once and greedy
-    reconstruction yields the lexicographically first one.
+    - 2- and 3-subsets are never witnesses: the only partition into blocks
+      of size >= 2 is the set itself, a tube or a non-tube but not both.
+    - A 4-subset S is a witness iff G[S] is 2K2, P4 or C4.  Its tube
+      partition is then a pair of edges, and its non-tube partition is (S,)
+      when G[S] is disconnected, else a pair of non-edges.  (S must split
+      into two edges, as S alone cannot be both; a disconnected G[S] with
+      a perfect matching is 2K2, and the connected graphs on four vertices
+      with a perfect matching in both G[S] and its complement are P4, C4.)
+    - Every witness implies a 4-vertex one.  If G has no induced 2K2, P4
+      or C4, every G[S] is a threshold graph (Chvatal-Hammer 1977), so it
+      has an isolated or a dominating vertex.  An isolated vertex lies in
+      no nontrivial tube of G[S]; a dominating vertex makes its own
+      non-tube block connected.  So G has no witness at all.
+
+    Hence the first witness is the first 4-subset witness.
     """
-    n = g.num_vertices
-    if n > OBSTRUCTION_B_MAX_VERTICES:
-        raise GraphError(f"obstruction B search capped at {OBSTRUCTION_B_MAX_VERTICES} vertices")
-    full = g.vertex_mask
+    def tube(block):
+        return induced_connected(g, block)
 
-    tube_ok = [False] * (full + 1)
-    nontube_ok = [False] * (full + 1)
-    for s in range(1, full + 1):
-        if popcount(s) >= 2:
-            if induced_connected(g, s):
-                tube_ok[s] = True
-            else:
-                nontube_ok[s] = True
+    def non_tube(block):
+        return not induced_connected(g, block)
 
-    def solve(block_ok, best):
-        """best = max or min; table[S] = optimal block count or None."""
-        table: list[Optional[int]] = [None] * (full + 1)
-        table[0] = 0
-        for s in range(1, full + 1):
-            low = s & -s
-            opt = None
-            # iterate submasks of s containing the lowest bit
-            rest = s ^ low
-            sub = rest
-            while True:
-                block = sub | low
-                if block_ok[block] and table[s ^ block] is not None:
-                    cand = 1 + table[s ^ block]
-                    if opt is None or best(cand, opt) == cand:
-                        opt = cand
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            table[s] = opt
-        return table
-
-    kmax = solve(tube_ok, max)
-    kmin = solve(nontube_ok, min)
-
-    def reconstruct(s, table, block_ok):
-        """Greedy: smallest-bitmask optimal block containing the lowest bit."""
-        blocks = []
-        while s:
-            low = s & -s
-            rest = s ^ low
-            target = table[s]
-            best_block = None
-            # enumerate candidate blocks in ascending bitmask order
-            subs = []
-            sub = rest
-            while True:
-                subs.append(sub | low)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & rest
-            for block in sorted(subs):
-                if block_ok[block] and table[s ^ block] is not None \
-                        and 1 + table[s ^ block] == target:
-                    best_block = block
-                    break
-            blocks.append(best_block)
-            s ^= best_block
-        return tuple(blocks)
-
-    for size in range(2, n + 1):
-        for s in subsets_by_size(n, size):
-            if kmax[s] is not None and kmin[s] is not None and kmin[s] <= kmax[s]:
-                return ObstructionWitness(
-                    kind="B",
-                    subset=s,
-                    tube_partition=reconstruct(s, kmax, tube_ok),
-                    nontube_partition=reconstruct(s, kmin, nontube_ok),
-                )
+    for s in subsets_by_size(g.num_vertices, 4):
+        tube_partition = _pair_split(s, tube)
+        if tube_partition is None:
+            continue
+        nontube_partition = _pair_split(s, non_tube) if tube(s) else (s,)
+        if nontube_partition is not None:
+            return ObstructionWitness(
+                kind="B",
+                subset=s,
+                tube_partition=tube_partition,
+                nontube_partition=nontube_partition,
+            )
     return None
 
 

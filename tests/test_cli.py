@@ -5,6 +5,7 @@ import json
 import pytest
 
 from graphassoc.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from graphassoc.graphs import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -54,6 +55,26 @@ def test_classify_no_with_witness(capsys):
 
     code, report, _ = run_json(capsys, "classify", "C4")
     assert report["results"]["obstruction"]["kind"] == "B"
+
+
+@pytest.mark.parametrize("m", [7, 10, MAX_VERTICES // 2])
+def test_classify_complete_bipartite_has_no_cap(capsys, m):
+    """Kb m,m has no A witness; its first B witness is the C4 on 0, 1, m,
+    m + 1, found on four vertices up to MAX_VERTICES."""
+    code, report, _ = run_json(capsys, "classify", f"Kb{m},{m}")
+    assert code == EXIT_OK
+    assert report["results"]["obstruction"] == {
+        "kind": "B",
+        "subset": [0, 1, m, m + 1],
+        "tube_partition": [[0, m], [1, m + 1]],
+        "nontube_partition": [[0, 1], [m, m + 1]],
+    }
+
+
+def test_classify_long_path(capsys):
+    code, report, _ = run_json(capsys, "classify", "P20")
+    assert code == EXIT_OK
+    assert report["results"]["obstruction"] == {"kind": "A", "tube": [0, 1], "non_tube": [0, 1, 3]}
 
 
 def test_classify_text_format(capsys):

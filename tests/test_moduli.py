@@ -183,6 +183,18 @@ def test_tree_lists_are_pinned(w, digest):
     assert hashlib.sha256(json.dumps(trees_json(trees)).encode()).hexdigest() == digest
 
 
+def test_json_does_not_depend_on_vertex_numbering():
+    """Two adjacent legless vertices tie on their legs and are ordered by
+    the legs of their branches, so one 8-mark tree numbered two ways gives
+    one JSON, with the vertex next to M first."""
+    legs = tuple(frozenset(x) for x in (["M", 0], [1, 2], [], [], [3, 4], [5, 6]))
+    a = StableTree(legs, ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)))
+    b = StableTree(legs, ((0, 3), (1, 3), (3, 2), (2, 4), (2, 5)))
+    assert _tree_stable(parse_weight_vector("1,1,1,1,1,1,1,1"), a)
+    assert a.to_json() == b.to_json()
+    assert a.to_json()["edges"] == [[0, 1], [0, 2], [0, 3], [1, 4], [1, 5]]
+
+
 def test_losev_manin_trees_are_ordered_set_partitions():
     """Losev-Manin space is the permutohedral toric variety: its strata of
     j components are the ordered partitions of the n - 2 light marks into j

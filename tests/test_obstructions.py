@@ -3,7 +3,9 @@ system, and exact fraction-free simplex feasibility, whose every verdict is
 checked: a point against the constraints, infeasibility by Motzkin
 multipliers.  The points it returns on the yes-instances are pinned."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,8 @@ from graphassoc import (
     w1w2_system,
 )
 from graphassoc import obstructions
-from graphassoc.graphs import GraphError, induced_connected, non_tubes, popcount, tubes
-from graphassoc.obstructions import Constraint, LinearSystem, satisfies
+from graphassoc.graphs import induced_connected, non_tubes, popcount, subsets_by_size, tubes
+from graphassoc.obstructions import Constraint, LinearSystem, ObstructionWitness, satisfies
 
 
 # -- obstruction A ------------------------------------------------------------
@@ -128,6 +130,19 @@ def test_obstruction_b_examples():
     assert obstruction_b(parse_graph("K4")) is None
     assert obstruction_b(parse_graph("S5")) is None
 
+    # 2K2 and P4 (on 0-2-1-3) are the other witnesses on four vertices;
+    # every other graph on four vertices has an isolated or dominating one
+    wit = obstruction_b(from_edges(4, [(0, 1), (2, 3)]))
+    assert [bits_of(t) for t in wit.tube_partition] == [[0, 1], [2, 3]]
+    assert [bits_of(t) for t in wit.nontube_partition] == [[0, 1, 2, 3]]
+    wit = obstruction_b(from_edges(4, [(0, 2), (2, 1), (1, 3)]))
+    assert [bits_of(t) for t in wit.tube_partition] == [[0, 2], [1, 3]]
+    assert [bits_of(t) for t in wit.nontube_partition] == [[0, 1], [2, 3]]
+    for edges in ([], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)],
+                  [(0, 1), (0, 2), (0, 3)], [(0, 1), (1, 2), (2, 0), (2, 3)],
+                  [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]):
+        assert obstruction_b(from_edges(4, edges)) is None, edges
+
 
 def test_obstruction_b_matches_bruteforce():
     for n in range(2, 6):
@@ -153,9 +168,133 @@ def test_obstruction_b_witness_json():
     assert js["subset"] == [0, 1, 2, 3]
 
 
-def test_obstruction_b_cap():
-    with pytest.raises(GraphError):
-        obstruction_b(parse_graph("P13"))
+def dp_obstruction_b(g):
+    """First B witness over all subsets, as an oracle that does not rest
+    on the 4-subset proof: about 3^n steps, so kept to small graphs.
+
+    Dynamic program over submasks: kmax[S] is the largest number of blocks in
+    a partition of S into nontrivial tubes (None if impossible), kmin[S] the
+    smallest into non-tubes.  Blocks are forced to contain the lowest bit of
+    the remaining mask, so each partition is generated once and greedy
+    reconstruction yields the lexicographically first one.
+    """
+    n = g.num_vertices
+    full = g.vertex_mask
+
+    tube_ok = [False] * (full + 1)
+    nontube_ok = [False] * (full + 1)
+    for s in range(1, full + 1):
+        if popcount(s) >= 2:
+            if induced_connected(g, s):
+                tube_ok[s] = True
+            else:
+                nontube_ok[s] = True
+
+    def solve(block_ok, best):
+        """best = max or min; table[S] = optimal block count or None."""
+        table = [None] * (full + 1)
+        table[0] = 0
+        for s in range(1, full + 1):
+            low = s & -s
+            opt = None
+            # iterate submasks of s containing the lowest bit
+            rest = s ^ low
+            sub = rest
+            while True:
+                block = sub | low
+                if block_ok[block] and table[s ^ block] is not None:
+                    cand = 1 + table[s ^ block]
+                    if opt is None or best(cand, opt) == cand:
+                        opt = cand
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            table[s] = opt
+        return table
+
+    kmax = solve(tube_ok, max)
+    kmin = solve(nontube_ok, min)
+
+    def reconstruct(s, table, block_ok):
+        """Greedy: smallest-bitmask optimal block containing the lowest bit."""
+        blocks = []
+        while s:
+            low = s & -s
+            rest = s ^ low
+            target = table[s]
+            best_block = None
+            # enumerate candidate blocks in ascending bitmask order
+            subs = []
+            sub = rest
+            while True:
+                subs.append(sub | low)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+            for block in sorted(subs):
+                if block_ok[block] and table[s ^ block] is not None \
+                        and 1 + table[s ^ block] == target:
+                    best_block = block
+                    break
+            blocks.append(best_block)
+            s ^= best_block
+        return tuple(blocks)
+
+    for size in range(2, n + 1):
+        for s in subsets_by_size(n, size):
+            if kmax[s] is not None and kmin[s] is not None and kmin[s] <= kmax[s]:
+                return ObstructionWitness(
+                    kind="B",
+                    subset=s,
+                    tube_partition=reconstruct(s, kmax, tube_ok),
+                    nontube_partition=reconstruct(s, kmin, nontube_ok),
+                )
+    return None
+
+
+def subset_scan_obstruction_a(g):
+    """First A witness over every connected subset, by size and then
+    bitmask, as an oracle that does not rest on the edge proof."""
+    n = g.num_vertices
+    for size in range(2, n):
+        for t in subsets_by_size(n, size):
+            if not induced_connected(g, t):
+                continue
+            for v in range(n):
+                bit = 1 << v
+                if bit & t:
+                    continue
+                if g.adj[v] & t == 0:
+                    return ObstructionWitness(kind="A", tube=t, non_tube=t | bit)
+    return None
+
+
+def test_witnesses_are_pinned():
+    """SHA-256 of both first witnesses, each searched on its own, on the 995
+    catalog graphs on 2..7 vertices, as the subset scan and the submask
+    dynamic program gave them."""
+
+    def js(witness):
+        return None if witness is None else witness.to_json()
+
+    rows = [[n, g.edges(), js(obstruction_a(g)), js(obstruction_b(g))]
+            for n in range(2, 8) for g in connected_graphs_up_to_iso(n)]
+    assert len(rows) == 995
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "54cd03019af00059d8f1c1c3ddee72c37e10dc400fccf08844f1a0933e3a18b3"
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(min_value=2, max_value=10), st.booleans(), st.data())
+def test_scans_match_the_subset_oracles(n, dense, data):
+    """Both scans return the oracles' witnesses on random graphs, connected
+    or not, on up to 10 vertices.  Half are complements of sparse graphs,
+    which often have no A witness, and some no B witness either."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    g = from_edges(n, set(pairs) - edges if dense else edges)
+    assert obstruction_a(g) == subset_scan_obstruction_a(g)
+    assert obstruction_b(g) == dp_obstruction_b(g)
 
 
 # -- linear system ------------------------------------------------------------
