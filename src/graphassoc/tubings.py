@@ -1,19 +1,21 @@
 """Tubings: pairwise compatible sets of proper tubes.
 
 This is the combinatorial model of the face structure of the graph
-associahedron, used as an independent oracle against the fan construction:
-size-j tubings must biject onto j-dimensional cones.
+associahedron (Carr-Devadoss), used as an independent oracle against the
+fan construction: size-j tubings must biject onto j-dimensional cones.
 
 Tubings are the cliques of a compatibility table built once per graph,
-`compat[i]` being the bitmask of tube indices compatible with tube i; they
-are found by the depth-first walk `graphs.cliques`.  The bijection check
-maps each tubing to the bitmask of its tube rays and compares it with the
-fan's faces, also kept as ray bitmasks.
+`compat[i]` being the bitmask of tube indices compatible with tube i.
+`enumerate_tubings` lists them with the depth-first walk `graphs.cliques`.
+The bijection check is facet-only: its own walk maps each tubing to the
+bitmask of its tube rays, checks that every inclusion-maximal tubing has
+d tubes (purity) and that the d-tubings map onto the maximal cones, and
+derives every lower dimension from that (the proof is in
+`verify_fan_tubing_bijection`).  No face below a maximal cone is listed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +28,7 @@ from .graphs import (
     induced_connected,
     is_connected,
     is_tube,
+    mask_of,
     tubes,
 )
 
@@ -44,11 +47,6 @@ def compatible(g: Graph, t1: int, t2: int) -> bool:
             raise GraphError(f"{bits_of(t)} is not a tube")
         if t == g.vertex_mask:
             raise GraphError("tubings only contain proper tubes")
-    return _compatible(g, t1, t2)
-
-
-def _compatible(g: Graph, t1: int, t2: int) -> bool:
-    """The rule of `compatible`, on tubes already known to be proper."""
     if t1 & t2:
         return (t1 | t2) in (t1, t2)  # overlap must be containment
     return not induced_connected(g, t1 | t2)
@@ -61,11 +59,23 @@ def proper_tubes(g: Graph) -> list[int]:
 
 def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     """compat[i]: bitmask of the indices of the tubes compatible with
-    all_tubes[i]."""
+    all_tubes[i], by the rule of `compatible`.
+
+    Two disjoint tubes are each connected, so their union is connected iff
+    some edge joins them, that is iff t2 meets `nbr`, the OR of the
+    neighbour rows over the vertices of t1; no union needs a search."""
     compat = [0] * len(all_tubes)
     for i, t1 in enumerate(all_tubes):
+        nbr = 0
+        for v in bits_of(t1):
+            nbr |= g.adj[v]
         for j in range(i + 1, len(all_tubes)):
-            if _compatible(g, t1, all_tubes[j]):
+            t2 = all_tubes[j]
+            if t1 & t2:
+                ok = (t1 | t2) in (t1, t2)  # overlap must be containment
+            else:
+                ok = not nbr & t2
+            if ok:
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     return compat
@@ -95,11 +105,26 @@ class BijectionReport:
 
 def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> BijectionReport:
     """Check that mapping a tubing to its set of tube rays is a bijection
-    from size-j tubings onto j-dimensional cones, for every j.
+    from size-j tubings onto j-dimensional cones, for every j, by comparing
+    only the maximal tubings with the maximal cones.
 
-    Every tubing of every size 1..d must map to a face of the fan that no
-    other tubing maps to, and the tubings of each size must be as many as
-    the faces of that dimension."""
+    Why that suffices:
+    - tube -> ray is injective, because rays are looked up by their unique
+      label; so tubing -> ray set is injective and keeps sizes;
+    - a subset of a tubing is a tubing, and a subset of a cone is a face;
+    - so if every inclusion-maximal tubing has d tubes (purity), and the
+      d-tubings map onto the set of maximal-cone bitmasks, then every
+      tubing lies in a d-tubing and maps into a face, every face lies in a
+      maximal cone and is the image of a subset of its d-tubing, and
+      tubing -> face is a bijection in every dimension.
+
+    One depth-first walk over the compatibility table carries, per tubing,
+    the OR of its ray bits and the AND of its tubes' `compat` rows, which
+    is 0 exactly when the tubing is maximal.  It counts the tubings of each
+    size 1..d and checks purity at each of them (the AND is nonzero below d
+    tubes and 0 at d) and facet membership at the d-tubings; the map being
+    injective, the d-tubings are onto the maximal cones iff they are as
+    many, and the cone left without a partner is looked for only then."""
     if g.num_vertices > BIJECTION_MAX_VERTICES:
         raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
     if not is_connected(g):
@@ -116,36 +141,45 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
             return BijectionReport(False, (), f"tubing {[bits_of(t)]} uses a tube with no ray")
         ray_bit.append(1 << r)
 
-    faces = set()
-    for c in f.max_cones:
-        cone = sum(1 << r for r in c)
-        s = cone
-        while s:
-            faces.add(s)
-            s = (s - 1) & cone
-    face_counts = Counter(s.bit_count() for s in faces)
+    def tubing(rays: int) -> list[list[int]]:
+        return sorted(bits_of(t) for t, b in zip(all_tubes, ray_bit) if b & rays)
 
+    facets = set(map(mask_of, f.max_cones))
+    compat = _compatibility(g, all_tubes)
     counts = [0] * d
-    images = set()
-    for chosen in cliques(_compatibility(g, all_tubes), d):
-        rays = 0
-        for i in chosen:
-            rays |= ray_bit[i]
-        if rays not in faces:
-            tubing = sorted(bits_of(all_tubes[i]) for i in chosen)
-            return BijectionReport(
-                False, (), f"tubing {tubing} maps to {bits_of(rays)}, not a cone"
-            )
-        if rays in images:
-            return BijectionReport(
-                False, (), f"two size-{len(chosen)} tubings share the ray set {bits_of(rays)}"
-            )
-        images.add(rays)
-        counts[len(chosen) - 1] += 1
-    if counts != [face_counts[j] for j in range(1, d + 1)]:
-        missing = min(faces - images)
+
+    def walk(k: int, cand: int, rays: int, common: int) -> Optional[str]:
+        """Visit the (k+1)-tubings that extend a k-tubing by one tube of
+        `cand`, and the tubings below them; return the first failure."""
+        counts[k] += cand.bit_count()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            r = rays | ray_bit[i]
+            c = common & compat[i]
+            if k + 1 < d:
+                if not c:
+                    return f"maximal tubing {tubing(r)} has {k + 1} < {d} tubes"
+                nxt = cand & compat[i]
+                if nxt:
+                    failure = walk(k + 1, nxt, r, c)
+                    if failure:
+                        return failure
+            elif r not in facets:
+                return f"tubing {tubing(r)} maps to {bits_of(r)}, not a cone"
+            elif c:
+                return f"tubing {tubing(r)} of {d} tubes is not maximal"
+        return None
+
+    every = (1 << len(all_tubes)) - 1
+    failure = walk(0, every, 0, every)
+    if failure:
+        return BijectionReport(False, (), failure)
+    if counts[d - 1] != len(facets):
+        images = {sum(ray_bit[i] for i in c) for c in cliques(compat, d) if len(c) == d}
         return BijectionReport(
-            False, tuple(counts), f"cone {bits_of(missing)} has no tubing partner"
+            False, tuple(counts), f"cone {bits_of(min(facets - images))} has no tubing partner"
         )
     return BijectionReport(True, tuple(counts))
 

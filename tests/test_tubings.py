@@ -3,7 +3,9 @@ fan bijection check."""
 
 import dataclasses
 import math
+from collections import Counter
 from itertools import combinations
+from typing import Optional
 
 import pytest
 
@@ -19,12 +21,73 @@ from graphassoc import (
     ray_for_tube,
     verify_fan_tubing_bijection,
 )
-from graphassoc.graphs import GraphError, from_edges
-from graphassoc.tubings import tubing_to_json
+from graphassoc import tubings
+from graphassoc.fans import Fan, _tube_label
+from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected
+from graphassoc.tubings import (
+    BIJECTION_MAX_VERTICES,
+    BijectionReport,
+    _compatibility,
+    tubing_to_json,
+)
 
 
 def catalan(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def face_subset_bijection(g, fan: Optional[Fan] = None) -> BijectionReport:
+    """Oracle: the exhaustive check that lists every face of the fan by
+    walking all 2^d - 1 subsets of every maximal cone, and maps every
+    tubing of every size onto its own face."""
+    if g.num_vertices > BIJECTION_MAX_VERTICES:
+        raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
+    if not is_connected(g):
+        raise GraphError("bijection check needs a connected graph")
+    f = fan if fan is not None else build_graph_fan(g)
+    d = f.dim
+
+    all_tubes = sorted(proper_tubes(g))
+    ray_index = {r.label: i for i, r in enumerate(f.rays)}
+    ray_bit = []
+    for t in all_tubes:
+        r = ray_index.get(_tube_label(t))
+        if r is None:
+            return BijectionReport(False, (), f"tubing {[bits_of(t)]} uses a tube with no ray")
+        ray_bit.append(1 << r)
+
+    faces = set()
+    for c in f.max_cones:
+        cone = sum(1 << r for r in c)
+        s = cone
+        while s:
+            faces.add(s)
+            s = (s - 1) & cone
+    face_counts = Counter(s.bit_count() for s in faces)
+
+    counts = [0] * d
+    images = set()
+    for chosen in cliques(_compatibility(g, all_tubes), d):
+        rays = 0
+        for i in chosen:
+            rays |= ray_bit[i]
+        if rays not in faces:
+            tubing = sorted(bits_of(all_tubes[i]) for i in chosen)
+            return BijectionReport(
+                False, (), f"tubing {tubing} maps to {bits_of(rays)}, not a cone"
+            )
+        if rays in images:
+            return BijectionReport(
+                False, (), f"two size-{len(chosen)} tubings share the ray set {bits_of(rays)}"
+            )
+        images.add(rays)
+        counts[len(chosen) - 1] += 1
+    if counts != [face_counts[j] for j in range(1, d + 1)]:
+        missing = min(faces - images)
+        return BijectionReport(
+            False, tuple(counts), f"cone {bits_of(missing)} has no tubing partner"
+        )
+    return BijectionReport(True, tuple(counts))
 
 
 def test_compatible_rules():
@@ -100,6 +163,18 @@ def test_enumerate_tubings_matches_brute_force():
                 assert enumerate_tubings(g, j) == brute, (g.edges(), j)
 
 
+def test_compatibility_table_matches_compatible():
+    # the neighbour-mask table against the connectivity definition
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            all_tubes = sorted(proper_tubes(g))
+            table = [
+                sum(1 << j for j, t2 in enumerate(all_tubes) if j != i and compatible(g, t1, t2))
+                for i, t1 in enumerate(all_tubes)
+            ]
+            assert _compatibility(g, all_tubes) == table, g.edges()
+
+
 def test_tubings_are_pairwise_compatible():
     g = parse_graph("C5")
     for tubing in enumerate_tubings(g, 3):
@@ -109,9 +184,13 @@ def test_tubings_are_pairwise_compatible():
 
 
 def test_bijection_on_named_graphs():
-    for spec in ["P3", "K3", "P4", "K4", "C5", "S5", "cone^2(D2)"]:
-        rep = verify_fan_tubing_bijection(parse_graph(spec))
+    # P7, C7, S7 and K7 run the check in dimension 6
+    for spec in ["P3", "K3", "P4", "K4", "C5", "S5", "cone^2(D2)", "P7", "C7", "S7", "K7"]:
+        g = parse_graph(spec)
+        f = build_graph_fan(g)
+        rep = verify_fan_tubing_bijection(g, f)
         assert rep.passed, (spec, rep.failure)
+        assert rep.counts == f_vector(f), spec
 
 
 def test_bijection_counts_match_f_vector():
@@ -127,14 +206,18 @@ def test_bijection_small_sweep():
             rep = verify_fan_tubing_bijection(g, f)
             assert rep.passed, (g.edges(), rep.failure)
             assert rep.counts == f_vector(f), g.edges()
+            oracle = face_subset_bijection(g, f)
+            assert (rep.passed, rep.counts) == (oracle.passed, oracle.counts), g.edges()
 
 
 def test_bijection_fails_without_a_maximal_cone():
     g = parse_graph("P4")
     f = build_graph_fan(g)
-    rep = verify_fan_tubing_bijection(g, dataclasses.replace(f, max_cones=f.max_cones[1:]))
+    tampered = dataclasses.replace(f, max_cones=f.max_cones[1:])
+    rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
     assert "not a cone" in rep.failure
+    assert face_subset_bijection(g, tampered).passed is False
 
 
 def test_bijection_fails_on_a_tube_without_a_ray():
@@ -143,9 +226,11 @@ def test_bijection_fails_on_a_tube_without_a_ray():
     i = ray_for_tube(f, 0b0110)
     rays = list(f.rays)
     rays[i] = Ray(rays[i].coords, ("sum", (1, 2)))
-    rep = verify_fan_tubing_bijection(g, dataclasses.replace(f, rays=tuple(rays)))
+    tampered = dataclasses.replace(f, rays=tuple(rays))
+    rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
     assert "uses a tube with no ray" in rep.failure
+    assert face_subset_bijection(g, tampered).passed is False
 
 
 def test_bijection_fails_on_a_cone_without_a_tubing():
@@ -153,11 +238,45 @@ def test_bijection_fails_on_a_cone_without_a_tubing():
     g = parse_graph("P4")
     f = build_graph_fan(g)
     extra = tuple(sorted(ray_for_tube(f, t) for t in (0b0011, 0b0110, 0b1000)))
-    rep = verify_fan_tubing_bijection(
-        g, dataclasses.replace(f, max_cones=tuple(sorted(f.max_cones + (extra,))))
-    )
+    tampered = dataclasses.replace(f, max_cones=tuple(sorted(f.max_cones + (extra,))))
+    rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
     assert "no tubing partner" in rep.failure or "not a cone" in rep.failure
+    assert face_subset_bijection(g, tampered).passed is False
+
+
+def test_bijection_fails_on_a_maximal_tubing_below_dimension(monkeypatch):
+    # no graph reaches the purity branch (every graph associahedron is
+    # simple), so isolate tube {0} of P4 in its compatibility table: the
+    # tubing [[0]] is then maximal with 1 of 3 tubes
+    compatibility = tubings._compatibility
+
+    def isolate_first(g, all_tubes):
+        compat = compatibility(g, all_tubes)
+        return [0] + [row & ~1 for row in compat[1:]]
+
+    monkeypatch.setattr(tubings, "_compatibility", isolate_first)
+    g = parse_graph("P4")
+    assert sorted(proper_tubes(g))[0] == 0b0001
+    rep = verify_fan_tubing_bijection(g)
+    assert rep.passed is False
+    assert rep.failure == "maximal tubing [[0]] has 1 < 3 tubes"
+
+
+def test_bijection_fails_on_a_tubing_past_the_fan_dimension():
+    # a 2-dimensional "fan" whose maximal cones are exactly the images of
+    # the 2-tubings of P4: every 2-tubing maps to a maximal cone, but most
+    # extend to 3-tubings, so purity fails (the face-subset oracle passes it)
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    pairs = tuple(
+        sorted(tuple(sorted(ray_for_tube(f, t) for t in tb)) for tb in enumerate_tubings(g, 2))
+    )
+    flat = dataclasses.replace(f, dim=2, max_cones=pairs)
+    rep = verify_fan_tubing_bijection(g, flat)
+    assert rep.passed is False
+    assert rep.failure.endswith("of 2 tubes is not maximal")
+    assert face_subset_bijection(g, flat).passed is True
 
 
 def test_bijection_guards():
