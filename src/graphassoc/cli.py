@@ -95,6 +95,11 @@ def cmd_classify(args) -> int:
     results: dict = {}
     if cs is not None:
         w = remark_weights(cs, g)
+        violations = is_valid(w).violations
+        if violations:  # invalid as symbolic weights, whatever eps is given
+            msg = "; ".join(violations)
+            print(f"error: weights {w} are not Hassett weights: {msg}", file=sys.stderr)
+            return EXIT_USAGE
         if eps is None:
             eps = default_eps(w.n, cs.k)
         # a + b*eps directly rather than instantiate(), so that eps <= 0

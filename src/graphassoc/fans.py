@@ -2,12 +2,13 @@
 subdivision, and the graph associahedral fan built by subdividing along
 tube cones in decreasing tube cardinality.
 
-Subdivision runs on maximal cones held as int bitmasks over ray indices,
-one scan of the cone list per subdivision; `build_graph_fan` keeps that
-list across all of its subdivisions and sorts it into tuples once, at the
-end.  Smoothness reads each ray as a signed 0/1 vector: cones whose ray
-supports are laminar get an exact combinatorial test (see `is_smooth`),
-and every other cone goes through a Bareiss determinant."""
+A cone is an int bitmask over ray indices, the representation of vertex
+subsets and tubes too; cones become index lists only in `fan_to_json`.
+Subdivision is one scan of the cone list, and `build_graph_fan` keeps that
+list across all of its subdivisions.  Smoothness reads each ray as a
+signed 0/1 vector: cones whose ray supports are laminar get an exact
+combinatorial test (see `is_smooth`), and every other cone goes through a
+Bareiss determinant."""
 
 from __future__ import annotations
 
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import Graph, GraphError, bits_of, is_connected, mask_of, tubes
-
-VertexLabel = tuple  # ("vertex", i) or ("tube", mask)
-
 
 class FanError(ValueError):
     pass
@@ -39,12 +37,12 @@ class Ray:
 
 @dataclass(frozen=True)
 class Fan:
-    """Pure simplicial fan stored by its rays and maximal cones
-    (each a sorted tuple of ray indices of size dim)."""
+    """Pure simplicial fan stored by its rays and maximal cones, each the
+    bitmask of its dim ray indices (bit i set when rays[i] spans it)."""
 
     dim: int
     rays: tuple[Ray, ...]
-    max_cones: tuple[tuple[int, ...], ...]
+    max_cones: tuple[int, ...]
 
 
 def projective_simplex_fan(d: int) -> Fan:
@@ -55,15 +53,15 @@ def projective_simplex_fan(d: int) -> Fan:
     rays = [Ray(tuple(-1 for _ in range(d)), ("vertex", 0))]
     for i in range(1, d + 1):
         rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), ("vertex", i)))
-    cones = []
-    for omit in range(d, -1, -1):
-        cones.append(tuple(i for i in range(d + 1) if i != omit))
-    return Fan(d, tuple(rays), tuple(sorted(cones)))
+    full = (1 << (d + 1)) - 1
+    return Fan(d, tuple(rays), tuple(full ^ (1 << omit) for omit in range(d, -1, -1)))
 
 
 def cone_exists(f: Fan, ray_indices: Sequence[int]) -> bool:
-    s = set(ray_indices)
-    return any(s.issubset(c) for c in f.max_cones)
+    if any(i < 0 for i in ray_indices):  # no ray has a negative index
+        return False
+    m = mask_of(ray_indices)
+    return any(c & m == m for c in f.max_cones)
 
 
 def _primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: tuple) -> Ray:
@@ -94,10 +92,6 @@ def _subdivide(cones: list[int], m: int, new: int) -> list[int]:
     return out
 
 
-def _cone_tuples(cones: list[int]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(map(tuple, map(bits_of, cones))))
-
-
 def stellar_subdivide(f: Fan, ray_indices: Sequence[int], label: Optional[tuple] = None) -> Fan:
     """Subdivide at the cone spanned by the given rays; the new ray is the
     primitive part of the sum of their primitive generators."""
@@ -106,9 +100,9 @@ def stellar_subdivide(f: Fan, ray_indices: Sequence[int], label: Optional[tuple]
         raise FanError("stellar subdivision needs a cone of dimension >= 2")
     if idx[0] < 0:  # no ray has a negative index, so these span no cone
         raise FanError(f"rays {idx} do not span a cone of the fan")
-    cones = _subdivide(list(map(mask_of, f.max_cones)), mask_of(idx), 1 << len(f.rays))
+    cones = _subdivide(list(f.max_cones), mask_of(idx), 1 << len(f.rays))
     ray = _primitive_sum(f.rays, idx, ("sum", idx) if label is None else label)
-    return Fan(f.dim, f.rays + (ray,), _cone_tuples(cones))
+    return Fan(f.dim, f.rays + (ray,), tuple(cones))
 
 
 def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
@@ -129,7 +123,7 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
     d = n - 1
     f = projective_simplex_fan(d)
     rays = list(f.rays)
-    cones = list(map(mask_of, f.max_cones))
+    cones = list(f.max_cones)
     for size in range(d, 1, -1):
         layer = [t for t in tubes(g, size, size)]
         if rng is not None:
@@ -137,7 +131,7 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
         for t in layer:
             cones = _subdivide(cones, t, 1 << len(rays))
             rays.append(_primitive_sum(rays, bits_of(t), _tube_label(t)))
-    return Fan(d, tuple(rays), _cone_tuples(cones))
+    return Fan(d, tuple(rays), tuple(cones))
 
 
 def _tube_label(t: int) -> tuple:
@@ -160,7 +154,9 @@ def f_vector(f: Fan) -> tuple[int, ...]:
     from itertools import combinations
 
     faces = [set() for _ in range(f.dim)]
-    for c in f.max_cones:
+    # neighbours in lexicographic order share most of their faces, and the
+    # set updates run faster in that order than in the order of subdivision
+    for c in sorted(map(bits_of, f.max_cones)):
         for j in range(1, f.dim + 1):
             faces[j - 1].update(combinations(c, j))
     return tuple(len(s) for s in faces)
@@ -247,34 +243,38 @@ def is_smooth(f: Fan) -> bool:
     supports = [_support(r.coords) for r in f.rays]
     full = (1 << f.dim) - 1
     for c in f.max_cones:
-        cone = [supports[i] for i in c]
+        cone = [supports[i] for i in bits_of(c)]
         verdict = None if None in cone else _laminar_unimodular(cone, full)
         if verdict is None:
-            verdict = abs(_det([list(f.rays[i].coords) for i in c])) == 1
+            verdict = abs(_det([list(f.rays[i].coords) for i in bits_of(c)])) == 1
         if not verdict:
             return False
     return True
 
 
 def is_complete(f: Fan) -> bool:
-    """Every facet of a maximal cone is shared by exactly two maximal cones."""
-    from collections import Counter
-    from itertools import combinations
-
-    facets = Counter()
+    """Every facet of a maximal cone is shared by exactly two maximal cones.
+    The facets of the cone c are c ^ low, one for each bit low of c."""
+    seen = {}
     for c in f.max_cones:
-        for facet in combinations(c, f.dim - 1):
-            facets[facet] += 1
-    return all(v == 2 for v in facets.values())
+        rest = c
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            n = seen.get(c ^ low, 0)
+            if n == 2:
+                return False
+            seen[c ^ low] = n + 1
+    return 1 not in seen.values()
 
 
 def canonical_form(f: Fan):
     """Order-independent fingerprint: sorted ray coordinate vectors plus
     maximal cones rewritten in terms of sorted ray positions."""
     order = sorted(range(len(f.rays)), key=lambda i: f.rays[i].coords)
-    pos = {old: new for new, old in enumerate(order)}
+    bit = {old: 1 << new for new, old in enumerate(order)}
     rays = tuple(f.rays[i].coords for i in order)
-    cones = tuple(sorted(tuple(sorted(pos[i] for i in c)) for c in f.max_cones))
+    cones = tuple(sorted(sum(bit[i] for i in bits_of(c)) for c in f.max_cones))
     return (f.dim, rays, cones)
 
 
@@ -291,5 +291,5 @@ def fan_to_json(f: Fan) -> dict:
         "rays": [
             {"coords": list(r.coords), "label": label_json(r.label)} for r in f.rays
         ],
-        "max_cones": [list(c) for c in f.max_cones],
+        "max_cones": sorted(map(bits_of, f.max_cones)),
     }

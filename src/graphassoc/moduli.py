@@ -207,17 +207,11 @@ def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
     non_m = list(range(w.n - 1))  # labels 0..n-2
     out = []
     one = EpsRational(1)
+    whole = w.total()
     for r in range(2, w.n - 1):
         for side in itertools.combinations(non_m, r):
-            total = EpsRational(0)
-            for l in side:
-                total = total + w.weight_of(l)
-            if not (total > one):
-                continue
-            rest = EpsRational(0)
-            for l in ["M"] + [x for x in non_m if x not in side]:
-                rest = rest + w.weight_of(l)
-            if rest > one:
+            total = sum(map(w.weight_of, side), EpsRational(0))
+            if total > one and whole - total > one:
                 out.append(NodalDivisor(frozenset(side)))
     out.sort(key=lambda d: (len(d.side), d.labels()))
     return out

@@ -28,7 +28,6 @@ from .graphs import (
     induced_connected,
     is_connected,
     is_tube,
-    mask_of,
     tubes,
 )
 
@@ -144,7 +143,7 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     def tubing(rays: int) -> list[list[int]]:
         return sorted(bits_of(t) for t, b in zip(all_tubes, ray_bit) if b & rays)
 
-    facets = set(map(mask_of, f.max_cones))
+    facets = set(f.max_cones)
     compat = _compatibility(g, all_tubes)
     counts = [0] * d
 

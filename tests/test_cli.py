@@ -1,5 +1,6 @@
 """Command-line interface: reports, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -42,6 +43,16 @@ def test_classify_rejects_eps_without_hassett_weights(capsys, eps):
     code, out, err = run(capsys, "classify", "cone^2(D2)", f"--eps={eps}")
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "not Hassett weights" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["K1", "D2"])
+def test_classify_reports_invalid_symbolic_weights(capsys, spec):
+    # the weights total 2 - eps, so no choice of eps is to blame
+    code, out, err = run(capsys, "classify", spec)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and err.rstrip().endswith("total 2-eps is not > 2")
+    assert "eps =" not in err
     assert out == ""
 
 
@@ -260,3 +271,29 @@ def test_unsupported_graph(capsys, tmp_path):
     code, _, err = run(capsys, "classify", f"@{f}")
     assert code == EXIT_USAGE
     assert "disconnected" in err
+
+
+# SHA-256 of the stdout of each command with --format json, recorded before
+# cones became ray-index bitmasks: reports must stay byte-identical.
+PINNED_CLI_JSON = {
+    ("verify", "--all-up-to", "6"): "4c6ad65892323e43cb33a1bb72d9004d76324dd2936097ccb1114f2db5c25445",
+    ("verify", "P7"): "65c0d7cb2937c88001ec00e90fb4a59c06d9f8a6a3d6880828fb25a004166242",
+    ("verify", "C7"): "7d77c9371f5ae68a1ff144eae043390e5e4497a06a17ad4e1c6dec79c9c05ab2",
+    ("verify", "S7"): "46981a0023555da67a9ab040ee5f63a7f1179cf053447a5375f20208a7e2731c",
+    ("verify", "K7"): "aeb1b4d40e7e37fc9ce6694e9ebbb145808b861e06be5dd7ad79172d69098b82",
+    ("fan", "P7", "--json-fan", "--f-vector"): "4f5cdf81351f3abe45fc1c5bc00081ef727e687ed97fd8416d6c902f0160ffbb",
+    ("fan", "S6", "--seed-order", "3", "--json-fan"): "817fbd0d1a48e5b2dd236690c1395772a2cfeb037ac7537a3c0f83c8cd5309fd",
+    ("classify", "P4"): "a110faaa6a6b475eb9db160161f9b938101139819a6a1537a2ce40981201afbf",
+    ("classify", "C5"): "0e075efd4c3d6624de8f104761c359decaf8a0baf8dbbcd81813d04074ded54f",
+    ("classify", "Kb3,3"): "cd20a40e008875ae0019cac5bbf9d45332dc2cb58d07355a4949202adc0a1cd7",
+    ("classify", "cone^2(D2)"): "bc27d93d6fbd45ac2c2178fbc302d6e785f32d889ebc1e8789e09047b555ba30",
+    ("moduli", "S6"): "910b26e0078c16c2ff645bee506a2b28ae555fe4da32749d64bc488a59a2a74e",
+    ("moduli", "--weights", "1,1,e,e,e,e,e,e,e"): "8927ce6ffabbad38ac4c36925da60bf43f3e17ac63cf90e91efb88a406a0136c",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CLI_JSON), ids=" ".join)
+def test_cli_json_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLI_JSON[argv]

@@ -70,6 +70,9 @@ def test_cone_exists():
     assert cone_exists(f, (0, 1))
     assert cone_exists(f, (0, 1, 2))
     assert not cone_exists(f, (0, 1, 2, 3))
+    # indices that name no ray lie in no cone
+    assert not cone_exists(f, (-1, 0))
+    assert not cone_exists(f, (0, len(f.rays)))
 
 
 def test_stellar_subdivide_rejects_rays_spanning_no_cone():
@@ -166,13 +169,13 @@ def test_is_smooth_detects_singular_cone():
         Ray((1, 2), ("vertex", 1)),
         Ray((-1, -1), ("vertex", 2)),
     )
-    f = Fan(2, rays, ((0, 1), (1, 2), (0, 2)))
+    f = Fan(2, rays, (0b011, 0b110, 0b101))
     assert not is_smooth(f)
 
 
 def _one_cone_fan(*rows):
     rays = tuple(Ray(r, ("vertex", i)) for i, r in enumerate(rows))
-    return Fan(len(rows), rays, (tuple(range(len(rows))),))
+    return Fan(len(rows), rays, ((1 << len(rows)) - 1,))
 
 
 @pytest.fixture
@@ -237,6 +240,12 @@ def test_is_complete_detects_missing_cone():
     f = projective_simplex_fan(2)
     g = Fan(2, f.rays, f.max_cones[:-1])
     assert not is_complete(g)
+
+
+def test_is_complete_detects_a_facet_in_three_cones():
+    # a cone listed twice puts each of its facets in three maximal cones
+    f = projective_simplex_fan(2)
+    assert not is_complete(Fan(2, f.rays, f.max_cones + f.max_cones[:1]))
 
 
 def test_det():

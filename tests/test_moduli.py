@@ -321,6 +321,14 @@ def test_projective_weights_have_no_degenerations():
     assert max_components(w, 3) == 1
 
 
+def test_nodal_divisors_weigh_the_side_of_m():
+    # with c_M = 1/2, the side {0, 1} weighs 2 but leaves M, 2, 3 with
+    # 1/2 + 2e <= 1, so the M side rules it (and its supersets) out
+    w = parse_weight_vector("1/2,1,1,e,e")
+    sides = [sorted(d.side) for d in nodal_divisors(w)]
+    assert sides == [[0, 2], [0, 3], [1, 2], [1, 3], [0, 2, 3], [1, 2, 3]]
+
+
 def test_remark_weight_trees_for_triangle():
     w = parse_weight_vector("1,1-2e,3e,3e,e")  # triangle weights, n = 5
     assert len(nodal_divisors(w)) == 5

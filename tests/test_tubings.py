@@ -23,7 +23,7 @@ from graphassoc import (
 )
 from graphassoc import tubings
 from graphassoc.fans import Fan, _tube_label
-from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected
+from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected, mask_of
 from graphassoc.tubings import (
     BIJECTION_MAX_VERTICES,
     BijectionReport,
@@ -57,8 +57,7 @@ def face_subset_bijection(g, fan: Optional[Fan] = None) -> BijectionReport:
         ray_bit.append(1 << r)
 
     faces = set()
-    for c in f.max_cones:
-        cone = sum(1 << r for r in c)
+    for cone in f.max_cones:
         s = cone
         while s:
             faces.add(s)
@@ -237,8 +236,8 @@ def test_bijection_fails_on_a_cone_without_a_tubing():
     # tubes {0,1} and {1,2} overlap without nesting, so no tubing holds both
     g = parse_graph("P4")
     f = build_graph_fan(g)
-    extra = tuple(sorted(ray_for_tube(f, t) for t in (0b0011, 0b0110, 0b1000)))
-    tampered = dataclasses.replace(f, max_cones=tuple(sorted(f.max_cones + (extra,))))
+    extra = mask_of(ray_for_tube(f, t) for t in (0b0011, 0b0110, 0b1000))
+    tampered = dataclasses.replace(f, max_cones=f.max_cones + (extra,))
     rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
     assert "no tubing partner" in rep.failure or "not a cone" in rep.failure
@@ -269,9 +268,7 @@ def test_bijection_fails_on_a_tubing_past_the_fan_dimension():
     # extend to 3-tubings, so purity fails (the face-subset oracle passes it)
     g = parse_graph("P4")
     f = build_graph_fan(g)
-    pairs = tuple(
-        sorted(tuple(sorted(ray_for_tube(f, t) for t in tb)) for tb in enumerate_tubings(g, 2))
-    )
+    pairs = tuple(mask_of(ray_for_tube(f, t) for t in tb) for tb in enumerate_tubings(g, 2))
     flat = dataclasses.replace(f, dim=2, max_cones=pairs)
     rep = verify_fan_tubing_bijection(g, flat)
     assert rep.passed is False
