@@ -15,20 +15,16 @@ from .epsrational import (
     parse_eps_rational,
     preservation_threshold,
     record_comparisons,
-    threshold_for_values,
 )
 from .fans import (
     Fan,
     FanError,
     Ray,
     build_graph_fan,
-    canonical_form,
     f_vector,
     is_complete,
     is_smooth,
     projective_simplex_fan,
-    ray_for_tube,
-    stellar_subdivide,
 )
 from .graphs import (
     ConeStructure,
@@ -45,9 +41,7 @@ from .graphs import (
     cycle,
     discrete,
     from_edges,
-    is_tube,
     mask_of,
-    non_tubes,
     parse_edge_list,
     parse_graph,
     path,
@@ -58,11 +52,9 @@ from .graphs import (
 from .moduli import (
     NodalDivisor,
     StableTree,
-    chain_shape_check,
     count_stable_trees,
     divisor_tube_correspondence,
     enumerate_stable_trees,
-    max_components,
     nodal_divisors,
 )
 from .obstructions import (
@@ -73,16 +65,10 @@ from .obstructions import (
     obstruction_b,
     w1w2_system,
 )
-from .tubings import (
-    compatible,
-    enumerate_tubings,
-    proper_tubes,
-    verify_fan_tubing_bijection,
-)
+from .tubings import proper_tubes, verify_fan_tubing_bijection
 from .weights import (
     WeightVector,
     check_w1_w2,
-    dominates,
     is_valid,
     mark_of_vertex,
     parse_weight_vector,

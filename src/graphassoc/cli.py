@@ -2,7 +2,8 @@
 and enumerate moduli data.
 
 Exit codes: 0 computed (whatever the answer), 1 usage or parse error,
-2 internal invariant failure (a cross-check that should always pass failed).
+argparse's own errors and conflicting inputs included, 2 internal invariant
+failure (a cross-check that should always pass failed).
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_moduli(args) -> int:
-    if args.weights:
+    if args.weights is not None:
         w = parse_weight_vector(args.weights)
         echo = {"spec": f"--weights {args.weights}"}
     else:
@@ -286,8 +287,17 @@ def cmd_moduli(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error, where argparse would exit 2, the
+    code of a failed cross-check.  Subparsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphassoc",
         description=(
             "Decide whether the toric variety of a graph associahedron is a "
@@ -337,10 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.graph is None and args.all_up_to is None:
-        parser.error("verify needs a graph or --all-up-to")
-    if args.command == "moduli" and args.graph is None and not args.weights:
-        parser.error("moduli needs a graph or --weights")
+    if args.command == "verify" and (args.graph is None) == (args.all_up_to is None):
+        parser.error("verify needs exactly one of a graph and --all-up-to")
+    if args.command == "moduli":
+        if (args.graph is None) == (args.weights is None):
+            parser.error("moduli needs exactly one of a graph and --weights")
+        if args.divisors and args.max_vertices is not None:
+            parser.error("--max-vertices bounds stable trees, not --divisors")
     try:
         return args.func(args)
     except (GraphError, FanError, ValueError, OSError) as exc:

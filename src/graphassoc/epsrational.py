@@ -130,8 +130,6 @@ class EpsRational:
 
 
 EPS = EpsRational(0, 1)
-ZERO = EpsRational(0)
-ONE = EpsRational(1)
 
 
 def _frac_str(q: Fraction) -> str:
@@ -254,13 +252,6 @@ def preservation_threshold(
         if bound is None or cand < bound:
             bound = cand
     return bound
-
-
-def threshold_for_values(values: Iterable[EpsRational]) -> Optional[Fraction]:
-    """Preservation threshold over all pairs of a finite value set."""
-    vals = list(values)
-    pairs = [(x, y) for i, x in enumerate(vals) for y in vals[i + 1:]]
-    return preservation_threshold(pairs)
 
 
 def default_eps(n: int, k: int) -> Fraction:

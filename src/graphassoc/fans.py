@@ -1,14 +1,15 @@
-"""Simplicial lattice fans: the fan of projective space, stellar
-subdivision, and the graph associahedral fan built by subdividing along
-tube cones in decreasing tube cardinality.
+"""Simplicial lattice fans: the fan of projective space, and the graph
+associahedral fan built from it by stellar subdivision along tube cones in
+decreasing tube cardinality.
 
 A cone is an int bitmask over ray indices, the representation of vertex
 subsets and tubes too; cones become index lists only in `fan_to_json`.
-Subdivision is one scan of the cone list, and `build_graph_fan` keeps that
-list across all of its subdivisions.  Smoothness reads each ray as a
-signed 0/1 vector: cones whose ray supports are laminar get an exact
-combinatorial test (see `is_smooth`), and every other cone goes through a
-Bareiss determinant."""
+Each ray is labelled by the bitmask of the tube it carries, a singleton
+for the ray of a vertex.  Subdivision is one scan of the cone list, and
+`build_graph_fan` keeps that list across all of its subdivisions.
+Smoothness reads each ray as a signed 0/1 vector: cones whose ray supports
+are laminar get an exact combinatorial test (see `is_smooth`), and every
+other cone goes through a Bareiss determinant."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graphs import Graph, GraphError, bits_of, is_connected, mask_of, tubes
+from .graphs import Graph, GraphError, bits_of, is_connected, tubes
 
 class FanError(ValueError):
     pass
@@ -26,7 +27,7 @@ class FanError(ValueError):
 @dataclass(frozen=True)
 class Ray:
     coords: tuple[int, ...]
-    label: tuple
+    label: int  # vertex bitmask of the tube the ray carries
 
     def __post_init__(self):
         if all(c == 0 for c in self.coords):
@@ -50,21 +51,14 @@ def projective_simplex_fan(d: int) -> Fan:
     ray index i carries graph vertex i."""
     if d < 1:
         raise FanError("dimension must be at least 1")
-    rays = [Ray(tuple(-1 for _ in range(d)), ("vertex", 0))]
+    rays = [Ray(tuple(-1 for _ in range(d)), 1)]
     for i in range(1, d + 1):
-        rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), ("vertex", i)))
+        rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), 1 << i))
     full = (1 << (d + 1)) - 1
     return Fan(d, tuple(rays), tuple(full ^ (1 << omit) for omit in range(d, -1, -1)))
 
 
-def cone_exists(f: Fan, ray_indices: Sequence[int]) -> bool:
-    if any(i < 0 for i in ray_indices):  # no ray has a negative index
-        return False
-    m = mask_of(ray_indices)
-    return any(c & m == m for c in f.max_cones)
-
-
-def _primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: tuple) -> Ray:
+def _primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: int) -> Ray:
     """The primitive part of the sum of the given rays' coordinates."""
     coords = [0] * len(rays[0].coords)
     for i in idx:
@@ -92,19 +86,6 @@ def _subdivide(cones: list[int], m: int, new: int) -> list[int]:
     return out
 
 
-def stellar_subdivide(f: Fan, ray_indices: Sequence[int], label: Optional[tuple] = None) -> Fan:
-    """Subdivide at the cone spanned by the given rays; the new ray is the
-    primitive part of the sum of their primitive generators."""
-    idx = tuple(sorted(set(ray_indices)))
-    if len(idx) < 2:
-        raise FanError("stellar subdivision needs a cone of dimension >= 2")
-    if idx[0] < 0:  # no ray has a negative index, so these span no cone
-        raise FanError(f"rays {idx} do not span a cone of the fan")
-    cones = _subdivide(list(f.max_cones), mask_of(idx), 1 << len(f.rays))
-    ray = _primitive_sum(f.rays, idx, ("sum", idx) if label is None else label)
-    return Fan(f.dim, f.rays + (ray,), tuple(cones))
-
-
 def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
     """Graph associahedral fan: subdivide the P^d fan along the cones of the
     original rays of each tube, tube sizes d down to 2.
@@ -130,22 +111,8 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
             rng.shuffle(layer)
         for t in layer:
             cones = _subdivide(cones, t, 1 << len(rays))
-            rays.append(_primitive_sum(rays, bits_of(t), _tube_label(t)))
+            rays.append(_primitive_sum(rays, bits_of(t), t))
     return Fan(d, tuple(rays), tuple(cones))
-
-
-def _tube_label(t: int) -> tuple:
-    """Label of the ray carrying the tube t (vertex ray for a trivial tube)."""
-    return ("vertex", t.bit_length() - 1) if t & (t - 1) == 0 else ("tube", t)
-
-
-def ray_for_tube(f: Fan, t: int) -> Optional[int]:
-    """Ray index carrying the tube t (vertex ray for a trivial tube)."""
-    want = _tube_label(t)
-    for i, r in enumerate(f.rays):
-        if r.label == want:
-            return i
-    return None
 
 
 def f_vector(f: Fan) -> tuple[int, ...]:
@@ -268,23 +235,10 @@ def is_complete(f: Fan) -> bool:
     return 1 not in seen.values()
 
 
-def canonical_form(f: Fan):
-    """Order-independent fingerprint: sorted ray coordinate vectors plus
-    maximal cones rewritten in terms of sorted ray positions."""
-    order = sorted(range(len(f.rays)), key=lambda i: f.rays[i].coords)
-    bit = {old: 1 << new for new, old in enumerate(order)}
-    rays = tuple(f.rays[i].coords for i in order)
-    cones = tuple(sorted(sum(bit[i] for i in bits_of(c)) for c in f.max_cones))
-    return (f.dim, rays, cones)
-
-
 def fan_to_json(f: Fan) -> dict:
-    def label_json(label):
-        if label[0] == "vertex":
-            return {"vertex": label[1]}
-        if label[0] == "tube":
-            return {"tube": bits_of(label[1])}
-        return {"sum": list(label[1])}
+    def label_json(label: int) -> dict:
+        vertices = bits_of(label)
+        return {"vertex": vertices[0]} if len(vertices) == 1 else {"tube": vertices}
 
     return {
         "dim": f.dim,

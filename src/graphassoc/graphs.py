@@ -40,10 +40,6 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def cliques(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
     """Every clique of 1..max_size nodes of the graph whose node i is
     adjacent to the nodes of the bitmask compat[i], as the increasing tuple
@@ -107,7 +103,7 @@ class Graph:
         ]
 
     def degree(self, v: int) -> int:
-        return popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def is_discrete(self) -> bool:
         return all(row == 0 for row in self.adj)
@@ -178,11 +174,6 @@ def cone(g: Graph) -> Graph:
     adj = [row | new for row in g.adj]
     adj.append((1 << n) - 1)
     return Graph(n + 1, tuple(adj))
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    """perm maps old labels to new labels."""
-    return from_edges(g.num_vertices, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 # -- graph DSL --------------------------------------------------------------
@@ -262,15 +253,6 @@ def induced_connected(g: Graph, s: int) -> bool:
     return seen == s
 
 
-def is_tube(g: Graph, s: int) -> bool:
-    """A tube induces a connected subgraph; singletons are (trivial) tubes."""
-    if s == 0:
-        raise GraphError("the empty set is neither a tube nor a non-tube")
-    if s & ~g.vertex_mask:
-        raise GraphError("subset mentions out-of-range vertices")
-    return induced_connected(g, s)
-
-
 def subsets_by_size(n: int, size: int) -> Iterator[int]:
     """All bitmasks over n bits with the given popcount, ascending."""
     if size == 0:
@@ -295,16 +277,6 @@ def tubes(g: Graph, min_size: int, max_size: int) -> list[int]:
     for size in range(max_size, min_size - 1, -1):
         for s in subsets_by_size(g.num_vertices, size):
             if induced_connected(g, s):
-                out.append(s)
-    return out
-
-
-def non_tubes(g: Graph) -> list[int]:
-    """Subsets of size >= 2 inducing a disconnected subgraph, canonical order."""
-    out = []
-    for size in range(g.num_vertices, 1, -1):
-        for s in subsets_by_size(g.num_vertices, size):
-            if not induced_connected(g, s):
                 out.append(s)
     return out
 
@@ -335,11 +307,11 @@ class ConeStructure:
 
     @property
     def k(self) -> int:
-        return popcount(self.independent)
+        return self.independent.bit_count()
 
     @property
     def num_cone(self) -> int:
-        return popcount(self.cone_vertices)
+        return self.cone_vertices.bit_count()
 
 
 def classify_iterated_cone(g: Graph) -> Optional[ConeStructure]:
@@ -363,15 +335,6 @@ def classify_iterated_cone(g: Graph) -> Optional[ConeStructure]:
         if g.adj[v] & rest:
             return None
     return ConeStructure(independent=rest, cone_vertices=univ)
-
-
-def rebuild_iterated_cone(cs: ConeStructure) -> Graph:
-    """Canonical iterated cone with the given sizes: base labels first,
-    cone labels last (matching the cone() labeling convention)."""
-    g = discrete(cs.k)
-    for _ in range(cs.num_cone):
-        g = cone(g)
-    return g
 
 
 # -- small-graph catalog ----------------------------------------------------

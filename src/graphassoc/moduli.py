@@ -58,15 +58,6 @@ class StableTree:
     def num_vertices(self) -> int:
         return len(self.legs)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def is_path(self) -> bool:
-        return all(self.degree(v) <= 2 for v in range(self.num_vertices))
-
-    def end_vertices(self) -> list[int]:
-        return [v for v in range(self.num_vertices) if self.degree(v) == 1]
-
     def _branch_legs(self, v: int) -> list:
         """The sorted label keys of the legs beyond each edge at v, sorted.
         These partition the marks differently at each vertex, so they tell
@@ -112,13 +103,6 @@ def _vertex_stable(w: WeightVector, legs: frozenset, degree: int) -> bool:
     for l in legs:
         total = total + w.weight_of(l)
     return total > EpsRational(2)
-
-
-def _tree_stable(w: WeightVector, tree: StableTree) -> bool:
-    return all(
-        _vertex_stable(w, tree.legs[v], tree.degree(v))
-        for v in range(tree.num_vertices)
-    )
 
 
 def _stable_cliques(
@@ -223,45 +207,6 @@ def count_stable_trees(w: WeightVector, max_vertices: int) -> dict[int, int]:
     without building the trees."""
     counts = Counter(len(c) + 1 for c in _stable_cliques(w, max_vertices)[1])
     return dict(sorted(counts.items()))
-
-
-def max_components(w: WeightVector, cap: int) -> int:
-    """Largest component count among stable trees with at most cap vertices."""
-    return max(count_stable_trees(w, cap), default=0)
-
-
-def chain_shape_check(w: WeightVector) -> bool:
-    """True iff every stable tree is a chain with the two heaviest marks at
-    opposite ends (vacuously true for the one-component tree)."""
-    order = sorted(["M"] + list(range(w.n - 1)), key=lambda l: (_HeavyKey(w, l)))
-    h1, h2 = order[0], order[1]
-    for tree in enumerate_stable_trees(w, w.n - 2):
-        if tree.num_vertices == 1:
-            continue
-        if not tree.is_path():
-            return False
-        ends = tree.end_vertices()
-        e1, e2 = ends[0], ends[1]
-        if not (
-            (h1 in tree.legs[e1] and h2 in tree.legs[e2])
-            or (h1 in tree.legs[e2] and h2 in tree.legs[e1])
-        ):
-            return False
-    return True
-
-
-class _HeavyKey:
-    """Sort key: heavier weight first, then label order."""
-
-    def __init__(self, w: WeightVector, label: Label):
-        self.weight = w.weight_of(label)
-        self.label = _label_key(label)
-
-    def __lt__(self, other):
-        cmp = self.weight.compare(other.weight)
-        if cmp != 0:
-            return cmp > 0
-        return self.label < other.label
 
 
 # -- divisor/tube correspondence --------------------------------------------

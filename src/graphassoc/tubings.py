@@ -6,7 +6,6 @@ fan construction: size-j tubings must biject onto j-dimensional cones.
 
 Tubings are the cliques of a compatibility table built once per graph,
 `compat[i]` being the bitmask of tube indices compatible with tube i.
-`enumerate_tubings` lists them with the depth-first walk `graphs.cliques`.
 The bijection check is facet-only: its own walk maps each tubing to the
 bitmask of its tube rays, checks that every inclusion-maximal tubing has
 d tubes (purity) and that the d-tubings map onto the maximal cones, and
@@ -19,36 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fans import Fan, _tube_label, build_graph_fan
-from .graphs import (
-    Graph,
-    GraphError,
-    bits_of,
-    cliques,
-    induced_connected,
-    is_connected,
-    is_tube,
-    tubes,
-)
+from .fans import Fan, build_graph_fan
+from .graphs import Graph, GraphError, bits_of, cliques, is_connected, tubes
 
 BIJECTION_MAX_VERTICES = 8
-
-
-def compatible(g: Graph, t1: int, t2: int) -> bool:
-    """Tubes are compatible when nested, or disjoint with disconnected union.
-
-    A disjoint union covering all of V(G) and connected still blocks
-    compatibility; this is the rule under which size-j tubings match the
-    j-dimensional cones of the fan.
-    """
-    for t in (t1, t2):
-        if not is_tube(g, t):
-            raise GraphError(f"{bits_of(t)} is not a tube")
-        if t == g.vertex_mask:
-            raise GraphError("tubings only contain proper tubes")
-    if t1 & t2:
-        return (t1 | t2) in (t1, t2)  # overlap must be containment
-    return not induced_connected(g, t1 | t2)
 
 
 def proper_tubes(g: Graph) -> list[int]:
@@ -58,7 +31,8 @@ def proper_tubes(g: Graph) -> list[int]:
 
 def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     """compat[i]: bitmask of the indices of the tubes compatible with
-    all_tubes[i], by the rule of `compatible`.
+    all_tubes[i]: nested, or disjoint with a disconnected union, the rule
+    under which size-j tubings match the j-dimensional cones of the fan.
 
     Two disjoint tubes are each connected, so their union is connected iff
     some edge joins them, that is iff t2 meets `nbr`, the OR of the
@@ -80,21 +54,6 @@ def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     return compat
 
 
-def enumerate_tubings(g: Graph, size: int) -> list[tuple[int, ...]]:
-    """All tubings with exactly `size` tubes, each a sorted tuple of tube
-    masks, in lexicographic order of the chosen tube indices."""
-    if not (0 <= size <= g.num_vertices - 1):
-        raise GraphError(f"tubing size {size} out of range")
-    if size == 0:
-        return [()]
-    all_tubes = sorted(proper_tubes(g))
-    return [
-        tuple(all_tubes[i] for i in chosen)
-        for chosen in cliques(_compatibility(g, all_tubes), size)
-        if len(chosen) == size
-    ]
-
-
 @dataclass(frozen=True)
 class BijectionReport:
     passed: bool
@@ -108,8 +67,8 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     only the maximal tubings with the maximal cones.
 
     Why that suffices:
-    - tube -> ray is injective, because rays are looked up by their unique
-      label; so tubing -> ray set is injective and keeps sizes;
+    - tube -> ray is injective, because a ray is looked up by its label,
+      the tube it carries; so tubing -> ray set is injective and keeps sizes;
     - a subset of a tubing is a tubing, and a subset of a cone is a face;
     - so if every inclusion-maximal tubing has d tubes (purity), and the
       d-tubings map onto the set of maximal-cone bitmasks, then every
@@ -135,7 +94,7 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     ray_index = {r.label: i for i, r in enumerate(f.rays)}
     ray_bit = []
     for t in all_tubes:
-        r = ray_index.get(_tube_label(t))
+        r = ray_index.get(t)
         if r is None:
             return BijectionReport(False, (), f"tubing {[bits_of(t)]} uses a tube with no ray")
         ray_bit.append(1 << r)
@@ -181,7 +140,3 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
             False, tuple(counts), f"cone {bits_of(min(facets - images))} has no tubing partner"
         )
     return BijectionReport(True, tuple(counts))
-
-
-def tubing_to_json(tubing: tuple[int, ...]) -> list[list[int]]:
-    return sorted(sorted(bits_of(t)) for t in tubing)

@@ -1,5 +1,5 @@
 """Hassett weight vectors over Q[eps]: construction for iterated cones,
-validity, domination, and the tube/non-tube inequality checks."""
+validity, and the tube/non-tube inequality checks."""
 
 from __future__ import annotations
 
@@ -126,13 +126,6 @@ def is_valid(w: WeightVector) -> ValidityReport:
     if not (w.total() > EpsRational(2)):
         violations.append(f"total {w.total()} is not > 2")
     return ValidityReport(not violations, tuple(violations))
-
-
-def dominates(w: WeightVector, w2: WeightVector) -> bool:
-    """Entrywise >=; exactly when the reduction map M(w) -> M(w2) exists."""
-    if w.n != w2.n:
-        raise ValueError(f"mark count mismatch: {w.n} vs {w2.n}")
-    return all(a >= b for a, b in zip(w.entries(), w2.entries()))
 
 
 @dataclass(frozen=True)

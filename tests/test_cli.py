@@ -258,11 +258,54 @@ def test_usage_errors(capsys):
 
     code, _, err = run(capsys, "classify", "@/nonexistent/file")
     assert code == EXIT_USAGE
-    # argparse-level misuse exits with SystemExit
-    with pytest.raises(SystemExit):
-        main(["verify"])
-    with pytest.raises(SystemExit):
-        main(["moduli"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["moduli"],
+        ["fan", "K3", "--bogus"],
+        ["verify", "--all-up-to", "x"],
+        ["frobnicate"],
+    ],
+    ids=" ".join,
+)
+def test_argparse_misuse_exits_usage(capsys, argv):
+    # argparse would exit 2, the code of a failed cross-check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["fan", "--help"]], ids=" ".join)
+def test_help_and_version_exit_ok(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code in (None, EXIT_OK)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "K4", "--all-up-to", "2"], "exactly one of a graph and --all-up-to"),
+        (["moduli", "P4", "--weights", "1,1,e,e,e"], "exactly one of a graph and --weights"),
+        (
+            ["moduli", "--weights", "1,1,e,e,e", "--divisors", "--max-vertices", "99"],
+            "--max-vertices bounds stable trees, not --divisors",
+        ),
+    ],
+    ids=["verify graph and sweep", "moduli graph and weights", "moduli divisors and cap"],
+)
+def test_conflicting_inputs_are_rejected(capsys, argv, message):
+    # each pair used to run, one input silently dropped
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE
+    assert message in err
+    assert out == ""
 
 
 def test_unsupported_graph(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Arithmetic, ordering, parsing, and eps-threshold recovery in Q[eps]."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +13,6 @@ from graphassoc import (
     parse_eps_rational,
     preservation_threshold,
     record_comparisons,
-    threshold_for_values,
 )
 
 
@@ -115,8 +115,9 @@ def test_preservation_threshold_basic():
 
 
 def test_threshold_for_values():
+    # the threshold of a value set is that of all its pairs
     vals = [EpsRational(0, 4), EpsRational(1, -3), EpsRational(1)]
-    assert threshold_for_values(vals) == Fraction(1, 7)
+    assert preservation_threshold(combinations(vals, 2)) == Fraction(1, 7)
 
 
 def test_record_comparisons():
@@ -143,7 +144,7 @@ def test_threshold_preserves_all_comparisons(coeffs):
     """At half the preservation threshold, every symbolic comparison among a
     value set matches the numeric comparison of the instantiated values."""
     vals = [EpsRational(a, b) for a, b in coeffs]
-    bound = threshold_for_values(vals)
+    bound = preservation_threshold(combinations(vals, 2))
     eps = Fraction(1, 2) * bound if bound is not None else Fraction(1, 1000)
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:

@@ -1,5 +1,5 @@
 """Fans: projective space fan, stellar subdivision, graph associahedral
-fans, f-vectors, smoothness, completeness, order-independence."""
+fans, ray labels, f-vectors, smoothness, completeness, order-independence."""
 
 import hashlib
 import itertools
@@ -14,18 +14,17 @@ from graphassoc import (
     FanError,
     Ray,
     build_graph_fan,
-    canonical_form,
     connected_graphs_up_to_iso,
     f_vector,
     is_complete,
     is_smooth,
     parse_graph,
     projective_simplex_fan,
-    ray_for_tube,
-    stellar_subdivide,
+    proper_tubes,
 )
 from graphassoc import fans
-from graphassoc.fans import _det, _laminar_unimodular, _support, cone_exists, fan_to_json
+from graphassoc.fans import _det, _laminar_unimodular, _primitive_sum, _subdivide, _support, fan_to_json
+from oracles import canonical_form
 
 
 def catalan(n):
@@ -34,10 +33,10 @@ def catalan(n):
 
 def test_ray_validation():
     with pytest.raises(FanError):
-        Ray((0, 0), ("vertex", 0))
+        Ray((0, 0), 1)
     with pytest.raises(FanError):
-        Ray((2, 4), ("vertex", 0))
-    Ray((1, -2), ("vertex", 0))
+        Ray((2, 4), 1)
+    Ray((1, -2), 1)
 
 
 def test_projective_simplex_fan():
@@ -54,25 +53,14 @@ def test_stellar_subdivide_square_example():
     # subdividing one cone of the P^2 fan yields the 4-cone fan of a
     # Hirzebruch-like blowup: one extra ray, one extra maximal cone
     f = projective_simplex_fan(2)
-    g = stellar_subdivide(f, (1, 2))
+    cones = _subdivide(list(f.max_cones), 0b110, 1 << 3)
+    g = Fan(2, f.rays + (_primitive_sum(f.rays, (1, 2), 0b110),), tuple(cones))
     assert len(g.rays) == 4
     assert g.rays[3].coords == (1, 1)
     assert len(g.max_cones) == 4
     assert is_smooth(g) and is_complete(g)
     with pytest.raises(FanError):
-        stellar_subdivide(g, (1, 2))  # that cone no longer exists
-    with pytest.raises(FanError):
-        stellar_subdivide(f, (1,))
-
-
-def test_cone_exists():
-    f = projective_simplex_fan(3)
-    assert cone_exists(f, (0, 1))
-    assert cone_exists(f, (0, 1, 2))
-    assert not cone_exists(f, (0, 1, 2, 3))
-    # indices that name no ray lie in no cone
-    assert not cone_exists(f, (-1, 0))
-    assert not cone_exists(f, (0, len(f.rays)))
+        _subdivide(cones, 0b110, 1 << 4)  # that cone no longer exists
 
 
 def test_stellar_subdivide_rejects_rays_spanning_no_cone():
@@ -80,12 +68,10 @@ def test_stellar_subdivide_rejects_rays_spanning_no_cone():
     # already gone; the rays of tubes {0,1} and {1,2} of P3 overlap
     # without nesting, so they span no cone of its fan
     f = build_graph_fan(parse_graph("P3"))
-    with pytest.raises(FanError):
-        stellar_subdivide(f, (ray_for_tube(f, 0b011), ray_for_tube(f, 0b110)))
-    # indices that name no ray span no cone either
-    for idx in [(-1, 0), (0, len(f.rays))]:
-        with pytest.raises(FanError, match="do not span a cone"):
-            stellar_subdivide(f, idx)
+    ray = {r.label: i for i, r in enumerate(f.rays)}
+    face = 1 << ray[0b011] | 1 << ray[0b110]
+    with pytest.raises(FanError, match="do not span a cone"):
+        _subdivide(list(f.max_cones), face, 1 << len(f.rays))
 
 
 @pytest.mark.parametrize(
@@ -115,20 +101,23 @@ def test_complete_fans_count_factorial():
 
 
 def test_ray_labels_and_lookup():
+    # each ray is labelled by its tube, vertex ray i by the singleton 1 << i
     g = parse_graph("P3")
     f = build_graph_fan(g)
-    assert ray_for_tube(f, 0b001) == 0
-    assert ray_for_tube(f, 0b010) == 1
-    assert f.rays[ray_for_tube(f, 0b011)].label == ("tube", 0b011)
-    assert ray_for_tube(f, 0b101) is None  # not a tube, never a ray
+    ray = {r.label: i for i, r in enumerate(f.rays)}
+    assert ray[0b001] == 0
+    assert ray[0b010] == 1
+    assert 0b101 not in ray  # not a tube, never a ray
+    assert sorted(ray) == sorted(proper_tubes(g))
 
 
 def test_tube_ray_coordinates():
     # the ray of a tube is the primitive sum of its vertex rays
     f = build_graph_fan(parse_graph("P3"))
-    i = ray_for_tube(f, 0b110)  # vertices 1, 2 with basis rays e_1, e_2
+    ray = {r.label: i for i, r in enumerate(f.rays)}
+    i = ray[0b110]  # vertices 1, 2 with basis rays e_1, e_2
     assert f.rays[i].coords == (1, 1)
-    j = ray_for_tube(f, 0b011)  # vertices 0, 1: (-1,-1) + (1,0)
+    j = ray[0b011]  # vertices 0, 1: (-1,-1) + (1,0)
     assert f.rays[j].coords == (0, -1)
 
 
@@ -165,16 +154,16 @@ def test_smooth_and_complete_small_sweep():
 
 def test_is_smooth_detects_singular_cone():
     rays = (
-        Ray((1, 0), ("vertex", 0)),
-        Ray((1, 2), ("vertex", 1)),
-        Ray((-1, -1), ("vertex", 2)),
+        Ray((1, 0), 0b001),
+        Ray((1, 2), 0b010),
+        Ray((-1, -1), 0b100),
     )
     f = Fan(2, rays, (0b011, 0b110, 0b101))
     assert not is_smooth(f)
 
 
 def _one_cone_fan(*rows):
-    rays = tuple(Ray(r, ("vertex", i)) for i, r in enumerate(rows))
+    rays = tuple(Ray(r, 1 << i) for i, r in enumerate(rows))
     return Fan(len(rows), rays, ((1 << len(rows)) - 1,))
 
 

@@ -24,8 +24,9 @@ from graphassoc import (
     w1w2_system,
 )
 from graphassoc import obstructions
-from graphassoc.graphs import induced_connected, non_tubes, popcount, subsets_by_size, tubes
+from graphassoc.graphs import induced_connected, subsets_by_size, tubes
 from graphassoc.obstructions import Constraint, LinearSystem, ObstructionWitness, satisfies
+from oracles import non_tubes
 
 
 # -- obstruction A ------------------------------------------------------------
@@ -35,9 +36,9 @@ def bruteforce_obstruction_a(g):
     """Any non-tube containing a nontrivial tube, by direct subset scan."""
     n = g.num_vertices
     for d in range(1, 1 << n):
-        if popcount(d) < 3 or induced_connected(g, d):
+        if d.bit_count() < 3 or induced_connected(g, d):
             continue
-        for size in range(2, popcount(d)):
+        for size in range(2, d.bit_count()):
             for combo in itertools.combinations(bits_of(d), size):
                 t = mask_of(combo)
                 if induced_connected(g, t):
@@ -93,17 +94,17 @@ def partitions_into(blocks_ok, universe):
 def bruteforce_obstruction_b(g):
     n = g.num_vertices
     for d in range(1, 1 << n):
-        if popcount(d) < 2:
+        if d.bit_count() < 2:
             continue
         verts = bits_of(d)
         tube_parts = list(
             partitions_into(
-                lambda b: popcount(b) >= 2 and induced_connected(g, b), verts
+                lambda b: b.bit_count() >= 2 and induced_connected(g, b), verts
             )
         )
         non_parts = list(
             partitions_into(
-                lambda b: popcount(b) >= 2 and not induced_connected(g, b), verts
+                lambda b: b.bit_count() >= 2 and not induced_connected(g, b), verts
             )
         )
         if not tube_parts or not non_parts:
@@ -184,7 +185,7 @@ def dp_obstruction_b(g):
     tube_ok = [False] * (full + 1)
     nontube_ok = [False] * (full + 1)
     for s in range(1, full + 1):
-        if popcount(s) >= 2:
+        if s.bit_count() >= 2:
             if induced_connected(g, s):
                 tube_ok[s] = True
             else:
