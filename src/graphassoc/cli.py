@@ -3,7 +3,8 @@ and enumerate moduli data.
 
 Exit codes: 0 computed (whatever the answer), 1 usage or parse error,
 argparse's own errors and conflicting inputs included, 2 internal invariant
-failure (a cross-check that should always pass failed).
+failure (a cross-check that should always pass failed: a `verify` check, a
+`fan` that is not smooth and complete, or any FanError).
 """
 
 from __future__ import annotations
@@ -158,14 +159,15 @@ def cmd_fan(args) -> int:
         results["f_vector"] = list(f_vector(f))
     if args.json_fan:
         results["fan"] = fan_to_json(f)
+    ok = results["smooth"] and results["complete"]
     report = {
         "command": "fan",
         "input": graph_echo(args.graph, g),
         "results": results,
-        "status": "pass",
+        "status": "pass" if ok else "fail",
     }
     emit(report, args.format)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _verify_one(g: Graph) -> dict:
@@ -356,12 +358,13 @@ def main(argv=None) -> int:
             parser.error("--max-vertices bounds stable trees, not --divisors")
     try:
         return args.func(args)
-    except (GraphError, FanError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except (FanError, RuntimeError) as exc:
+        # a broken invariant of the fan or of a cross-check, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (GraphError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 which the tests compare it against, and helpers of the acceptance
 criteria.  The package itself calls none of them."""
 
+from itertools import combinations
+
 from graphassoc import Fan, Graph, GraphError, StableTree, WeightVector, bits_of
 from graphassoc.graphs import cliques, from_edges, induced_connected, subsets_by_size
 from graphassoc.moduli import Label, _label_key, _vertex_stable, enumerate_stable_trees
@@ -69,14 +71,33 @@ def enumerate_tubings(g: Graph, size: int) -> list[tuple[int, ...]]:
 # -- fans ---------------------------------------------------------------------
 
 
+def face_counts(f: Fan) -> tuple[int, ...]:
+    """(f_0, ..., f_{d-1}): number of j-dimensional cones, i.e. distinct
+    (j+1)-subsets of rays occurring inside maximal cones."""
+    faces = [set() for _ in range(f.dim)]
+    for c in map(bits_of, f.max_cones):
+        for j in range(1, f.dim + 1):
+            faces[j - 1].update(combinations(c, j))
+    return tuple(len(s) for s in faces)
+
+
 def canonical_form(f: Fan):
     """Order-independent fingerprint: sorted ray coordinate vectors plus
     maximal cones rewritten in terms of sorted ray positions."""
     order = sorted(range(len(f.rays)), key=lambda i: f.rays[i].coords)
-    bit = {old: 1 << new for new, old in enumerate(order)}
+    bit = [0] * len(order)  # bit[old ray index]: the ray's bit in sorted order
+    for new, old in enumerate(order):
+        bit[old] = 1 << new
     rays = tuple(f.rays[i].coords for i in order)
-    cones = tuple(sorted(sum(bit[i] for i in bits_of(c)) for c in f.max_cones))
-    return (f.dim, rays, cones)
+    cones = []
+    for c in f.max_cones:
+        m = 0
+        while c:
+            low = c & -c
+            m |= bit[low.bit_length() - 1]
+            c ^= low
+        cones.append(m)
+    return (f.dim, rays, tuple(sorted(cones)))
 
 
 # -- stable trees -------------------------------------------------------------

@@ -120,6 +120,43 @@ def test_fan_seed_order_and_json(capsys):
     assert rays_a == rays_b
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fan_that_fails_a_check_exits_2(capsys, monkeypatch, fmt):
+    from graphassoc import cli
+
+    monkeypatch.setattr(cli, "is_complete", lambda f: False)
+    code, out, _ = run(capsys, "fan", "P4", "--format", fmt)
+    assert code == EXIT_INVARIANT
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["status"] == "fail"
+        assert report["results"]["complete"] is False
+    else:
+        assert out.startswith("fan: P4  [fail]")
+
+
+def test_fan_of_one_vertex_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "fan", "K1")
+    assert code == EXIT_USAGE
+    assert err == "error: fan construction needs at least 2 vertices\n"
+    assert out == ""
+
+
+def test_fan_error_is_an_internal_error(capsys, monkeypatch):
+    from graphassoc import cli
+    from graphassoc.fans import FanError
+
+    def broken(*args, **kwargs):
+        raise FanError("rays (0, 1) do not span a cone of the fan")
+
+    monkeypatch.setattr(cli, "build_graph_fan", broken)
+    for argv in (["fan", "P4"], ["verify", "P4"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVARIANT
+        assert err == "internal error: rays (0, 1) do not span a cone of the fan\n"
+        assert out == ""
+
+
 def test_verify_single(capsys):
     code, report, _ = run_json(capsys, "verify", "cone(D3)")
     assert code == EXIT_OK

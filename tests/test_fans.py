@@ -23,8 +23,8 @@ from graphassoc import (
     proper_tubes,
 )
 from graphassoc import fans
-from graphassoc.fans import _det, _laminar_unimodular, _primitive_sum, _subdivide, _support, fan_to_json
-from oracles import canonical_form
+from graphassoc.fans import _det, _primitive_sum, _subdivide, _support, fan_to_json
+from oracles import canonical_form, face_counts
 
 
 def catalan(n):
@@ -122,9 +122,10 @@ def test_tube_ray_coordinates():
 
 
 def test_build_graph_fan_rejects():
-    with pytest.raises(FanError):
-        build_graph_fan(parse_graph("K1"))
     from graphassoc import GraphError, from_edges
+
+    with pytest.raises(GraphError, match="at least 2 vertices"):
+        build_graph_fan(parse_graph("K1"))
 
     with pytest.raises(GraphError):
         build_graph_fan(from_edges(4, [(0, 1)]))
@@ -208,20 +209,20 @@ def test_is_smooth_mixed_sign_ray_takes_bareiss(det_calls):
     assert len(det_calls) == 2
 
 
-def test_is_smooth_matches_det_on_every_cone_of_rays():
+def test_is_smooth_matches_det_on_every_cone_of_rays(det_calls):
     # every d-subset of the rays of four graph fans, smooth or not, laminar
-    # or not, judged as a one-cone fan against the Bareiss determinant
+    # or not, judged as a one-cone fan against the Bareiss determinant; a
+    # verdict reached without a Bareiss call is a laminar one
     laminar_verdicts = set()
     for spec in ["P4", "C5", "K4", "S5"]:
         f = build_graph_fan(parse_graph(spec))
-        full = (1 << f.dim) - 1
         for c in itertools.combinations(range(len(f.rays)), f.dim):
             rows = [f.rays[i].coords for i in c]
             expected = abs(_det([list(r) for r in rows])) == 1
+            calls = len(det_calls)
             assert is_smooth(_one_cone_fan(*rows)) == expected, (spec, c)
-            laminar = _laminar_unimodular([_support(r) for r in rows], full)
-            if laminar is not None:
-                laminar_verdicts.add(laminar)
+            if len(det_calls) == calls:
+                laminar_verdicts.add(expected)
     assert laminar_verdicts == {True, False}
 
 
@@ -235,6 +236,73 @@ def test_is_complete_detects_a_facet_in_three_cones():
     # a cone listed twice puts each of its facets in three maximal cones
     f = projective_simplex_fan(2)
     assert not is_complete(Fan(2, f.rays, f.max_cones + f.max_cones[:1]))
+
+
+def _cycle_fan(*coords):
+    """2-d fan with a cone between each ray and the next, cyclically."""
+    rays = tuple(Ray(r, 1 << i) for i, r in enumerate(coords))
+    m = len(coords)
+    return Fan(2, rays, tuple(1 << i | 1 << (i + 1) % m for i in range(m)))
+
+
+def test_is_complete_rejects_the_pentagram():
+    # five steps round the origin, twice round in all; the step from (1,1)
+    # to (-1,-1) is a flat cone.  Every ray lies in two cones.
+    f = _cycle_fan((1, 0), (-1, 1), (0, -1), (1, 1), (-1, -1))
+    assert not is_complete(f)
+    assert not is_smooth(f)
+
+
+def test_is_complete_rejects_a_star_wound_twice():
+    # the {5/2} star: five full-dimensional cones, every wall with one cone
+    # on each side, yet every generic point lies in two cones
+    f = _cycle_fan((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
+    assert not is_complete(f)
+    assert f._checks.h == (2, 1, 2)
+    with pytest.raises(FanError):
+        f_vector(f)
+
+
+def test_is_complete_rejects_the_doubled_square():
+    # e1, e2, -e1, -e2, each listed twice under distinct labels, wound round
+    # twice: smooth, every wall matched, degree 2
+    f = _cycle_fan((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1))
+    assert is_smooth(f)
+    assert not is_complete(f)
+    assert f._checks.h == (2, 4, 2)
+
+
+def test_weighted_projective_plane_is_complete_not_smooth():
+    # the fan of P(1,1,2): one cone of determinant 2, taken by Bareiss
+    f = _cycle_fan((1, 0), (0, 1), (-1, -2))
+    assert is_complete(f)
+    assert not is_smooth(f)
+    assert f_vector(f) == (3, 3)
+
+
+def test_is_complete_rejects_a_flat_cone():
+    # the flat cone over (1,0) and (-1,0) puts each ray in two cones, and
+    # the lower half plane is covered by none
+    f = _cycle_fan((1, 0), (-1, 0), (0, 1))
+    assert not is_complete(f)
+
+
+def test_f_vector_of_a_fan_that_is_not_complete_raises():
+    f = projective_simplex_fan(2)
+    with pytest.raises(FanError, match="complete"):
+        f_vector(Fan(2, f.rays, f.max_cones[:-1]))
+
+
+def test_f_vector_matches_the_face_count_oracle():
+    # every connected graph on at most 6 vertices, and the discrete ones;
+    # h is palindromic with h_0 = h_d = 1 (Dehn-Sommerville)
+    graphs = [g for n in range(2, 7) for g in connected_graphs_up_to_iso(n)]
+    graphs += [parse_graph(f"D{n}") for n in range(2, 6)]
+    for g in graphs:
+        f = build_graph_fan(g)
+        assert f_vector(f) == face_counts(f), g.edges()
+        h = f._checks.h
+        assert h[0] == h[-1] == 1 and h == h[::-1], g.edges()
 
 
 def test_det():
