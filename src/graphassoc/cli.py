@@ -90,18 +90,23 @@ def _flat(v):
     return v
 
 
+def _hassett_weights(cs, g):
+    """remark_weights(cs, g); GraphError, a usage error, when they are not
+    Hassett weights for any eps."""
+    w = remark_weights(cs, g)
+    violations = is_valid(w).violations
+    if violations:
+        raise GraphError(f"weights {w} are not Hassett weights: {'; '.join(violations)}")
+    return w
+
+
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
     eps = _fraction_literal(args.eps) if args.eps is not None else None
     cs = classify_iterated_cone(g)
     results: dict = {}
     if cs is not None:
-        w = remark_weights(cs, g)
-        violations = is_valid(w).violations
-        if violations:  # invalid as symbolic weights, whatever eps is given
-            msg = "; ".join(violations)
-            print(f"error: weights {w} are not Hassett weights: {msg}", file=sys.stderr)
-            return EXIT_USAGE
+        w = _hassett_weights(cs, g)
         if eps is None:
             eps = default_eps(w.n, cs.k)
         # a + b*eps directly rather than instantiate(), so that eps <= 0
@@ -266,7 +271,7 @@ def cmd_moduli(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        w = remark_weights(cs, g)
+        w = _hassett_weights(cs, g)
         echo = graph_echo(args.graph, g)
     cap = args.max_vertices if args.max_vertices is not None else w.n - 2
     results: dict = {"weights": str(w), "n": w.n}

@@ -236,21 +236,24 @@ def parse_edge_list(text: str) -> Graph:
 # -- tubes ------------------------------------------------------------------
 
 
-def induced_connected(g: Graph, s: int) -> bool:
-    """Connectivity of the induced subgraph on the bitmask s (s nonempty)."""
-    start = s & -s
-    seen = start
-    frontier = start
+def component(g: Graph, s: int) -> int:
+    """The component of G[s] that holds the lowest vertex of s (0 for s = 0)."""
+    seen = frontier = s & -s
     while frontier:
         nxt = 0
         m = frontier
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            nxt |= g.adj[v] & s & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == s
+            nxt |= g.adj[v]
+        frontier = nxt & s & ~seen
+        seen |= frontier
+    return seen
+
+
+def induced_connected(g: Graph, s: int) -> bool:
+    """Connectivity of the induced subgraph on the bitmask s (s nonempty)."""
+    return component(g, s) == s
 
 
 def subsets_by_size(n: int, size: int) -> Iterator[int]:

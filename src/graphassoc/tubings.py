@@ -1,25 +1,17 @@
-"""Tubings: pairwise compatible sets of proper tubes.
+"""Tubings: pairwise compatible sets of proper tubes, the face structure
+of the graph associahedron (Carr-Devadoss), used as an independent oracle
+against the fan: size-j tubings must biject onto j-dimensional cones.
 
-This is the combinatorial model of the face structure of the graph
-associahedron (Carr-Devadoss), used as an independent oracle against the
-fan construction: size-j tubings must biject onto j-dimensional cones.
-
-Tubings are the cliques of a compatibility table built once per graph,
-`compat[i]` being the bitmask of tube indices compatible with tube i.
-The bijection check is facet-only: its own walk maps each tubing to the
-bitmask of its tube rays, checks that every inclusion-maximal tubing has
-d tubes (purity) and that the d-tubings map onto the maximal cones, and
-derives every lower dimension from that (the proof is in
-`verify_fan_tubing_bijection`).  No face below a maximal cone is listed.
-"""
+No tubing is listed: `tubing_counts` counts them by a recursion over
+vertex subsets, and the bijection check reads only the maximal cones."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .fans import Fan, build_graph_fan
-from .graphs import Graph, GraphError, bits_of, cliques, is_connected, tubes
+from .fans import Fan, build_graph_fan, f_vector, is_complete
+from .graphs import Graph, GraphError, bits_of, component, is_connected, tubes
 
 BIJECTION_MAX_VERTICES = 8
 
@@ -30,13 +22,9 @@ def proper_tubes(g: Graph) -> list[int]:
 
 
 def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
-    """compat[i]: bitmask of the indices of the tubes compatible with
-    all_tubes[i]: nested, or disjoint with a disconnected union, the rule
-    under which size-j tubings match the j-dimensional cones of the fan.
-
-    Two disjoint tubes are each connected, so their union is connected iff
-    some edge joins them, that is iff t2 meets `nbr`, the OR of the
-    neighbour rows over the vertices of t1; no union needs a search."""
+    """compat[i]: bitmask of the indices j with all_tubes[j] compatible with
+    all_tubes[i]: nested, or disjoint with no edge between them (t2 misses
+    `nbr`, the OR of t1's neighbour rows), so that their union is no tube."""
     compat = [0] * len(all_tubes)
     for i, t1 in enumerate(all_tubes):
         nbr = 0
@@ -54,89 +42,92 @@ def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     return compat
 
 
+def tubing_counts(g: Graph) -> tuple[int, ...]:
+    """(t_1, ..., t_{n-1}), t_j the number of j-tubings of the connected
+    graph G on n vertices.
+
+    Lemma.  Let F_T(x) sum x^|tau| over the tubings tau of G[T], T a tube.
+    The outermost tubes of tau are compatible and not nested, so disjoint
+    with no edge between them: they are the components of their union S,
+    and S != T as G[T] is connected.  Conversely, for every nonempty S
+    strictly inside T, the tubings with the components C of G[S] outermost
+    are the unions over C of {C} and a tubing of G[C].  So
+        F_T(x) = 1 + sum over S of prod over C of x F_C(x),
+    and t_j is the coefficient of x^j in F_V.  `outer[S]` is the product
+    for S, filled in increasing order of S (C and S - C are below S).
+
+    A polynomial is one int, its value at x = 2^lane: polynomials add and
+    multiply as ints.  Every coefficient of x^k met counts sets of k <= n
+    nonempty subsets of V, at most max(1, (2^n - 1)^k) < 2^(n^2) of them,
+    so lanes of n^2 bits never carry into each other."""
+    if not is_connected(g):
+        raise GraphError("tubing counts need a connected graph")
+    n = g.num_vertices
+    lane = n * n
+    full = (1 << n) - 1
+    outer = [0] * (full + 1)
+    for s in range(1, full + 1):
+        c = component(g, s)
+        if c == s:
+            total = 1
+            t = (s - 1) & s
+            while t:
+                total += outer[t]
+                t = (t - 1) & s
+            outer[s] = total << lane
+        else:
+            outer[s] = outer[c] * outer[s ^ c]
+    every = (1 << lane) - 1
+    return tuple(outer[full] >> lane * (j + 1) & every for j in range(1, n))
+
+
 @dataclass(frozen=True)
 class BijectionReport:
     passed: bool
-    counts: tuple[int, ...]  # tubings per size 1..d (equals the f-vector on pass)
+    counts: tuple[int, ...]  # tubings per size 1..n-1 (equal to the f-vector on pass)
     failure: Optional[str] = None
 
 
 def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> BijectionReport:
-    """Check that mapping a tubing to its set of tube rays is a bijection
-    from size-j tubings onto j-dimensional cones, for every j, by comparing
-    only the maximal tubings with the maximal cones.
-
-    Why that suffices:
-    - tube -> ray is injective, because a ray is looked up by its label,
-      the tube it carries; so tubing -> ray set is injective and keeps sizes;
-    - a subset of a tubing is a tubing, and a subset of a cone is a face;
-    - so if every inclusion-maximal tubing has d tubes (purity), and the
-      d-tubings map onto the set of maximal-cone bitmasks, then every
-      tubing lies in a d-tubing and maps into a face, every face lies in a
-      maximal cone and is the image of a subset of its d-tubing, and
-      tubing -> face is a bijection in every dimension.
-
-    One depth-first walk over the compatibility table carries, per tubing,
-    the OR of its ray bits and the AND of its tubes' `compat` rows, which
-    is 0 exactly when the tubing is maximal.  It counts the tubings of each
-    size 1..d and checks purity at each of them (the AND is nonzero below d
-    tubes and 0 at d) and facet membership at the d-tubings; the map being
-    injective, the d-tubings are onto the maximal cones iff they are as
-    many, and the cone left without a partner is looked for only then."""
+    """Check that tubing -> its set of tube rays is a bijection from the
+    j-tubings onto the j-dimensional cones, for every j, reading only the
+    maximal cones.  The checks: (1) the fan has dimension n - 1; (2) every
+    proper tube has a ray, looked up by its label, so the map is injective
+    and keeps sizes; (3) ANDed over the rays of each maximal cone c, ok[r]
+    (the rays of r's tube and of the tubes compatible with it, 0 for a ray
+    with no tube) gives c, so c carries a maximal tubing; (4) the fan is
+    complete and its f-vector equals `tubing_counts`.  Then every face, in
+    a maximal cone, is the image of a subset of that cone's tubing, itself
+    a tubing: the map is injective from the j-faces into the j-tubings,
+    and equal counts make it onto."""
     if g.num_vertices > BIJECTION_MAX_VERTICES:
         raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
-    if not is_connected(g):
-        raise GraphError("bijection check needs a connected graph")
+    counts = tubing_counts(g)
     f = fan if fan is not None else build_graph_fan(g)
-    d = f.dim
-
-    all_tubes = sorted(proper_tubes(g))
-    ray_index = {r.label: i for i, r in enumerate(f.rays)}
-    ray_bit = []
-    for t in all_tubes:
-        r = ray_index.get(t)
-        if r is None:
-            return BijectionReport(False, (), f"tubing {[bits_of(t)]} uses a tube with no ray")
-        ray_bit.append(1 << r)
-
-    def tubing(rays: int) -> list[list[int]]:
-        return sorted(bits_of(t) for t, b in zip(all_tubes, ray_bit) if b & rays)
-
-    facets = set(f.max_cones)
-    compat = _compatibility(g, all_tubes)
-    counts = [0] * d
-
-    def walk(k: int, cand: int, rays: int, common: int) -> Optional[str]:
-        """Visit the (k+1)-tubings that extend a k-tubing by one tube of
-        `cand`, and the tubings below them; return the first failure."""
-        counts[k] += cand.bit_count()
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            r = rays | ray_bit[i]
-            c = common & compat[i]
-            if k + 1 < d:
-                if not c:
-                    return f"maximal tubing {tubing(r)} has {k + 1} < {d} tubes"
-                nxt = cand & compat[i]
-                if nxt:
-                    failure = walk(k + 1, nxt, r, c)
-                    if failure:
-                        return failure
-            elif r not in facets:
-                return f"tubing {tubing(r)} maps to {bits_of(r)}, not a cone"
-            elif c:
-                return f"tubing {tubing(r)} of {d} tubes is not maximal"
-        return None
-
-    every = (1 << len(all_tubes)) - 1
-    failure = walk(0, every, 0, every)
-    if failure:
-        return BijectionReport(False, (), failure)
-    if counts[d - 1] != len(facets):
-        images = {sum(ray_bit[i] for i in c) for c in cliques(compat, d) if len(c) == d}
-        return BijectionReport(
-            False, tuple(counts), f"cone {bits_of(min(facets - images))} has no tubing partner"
-        )
-    return BijectionReport(True, tuple(counts))
+    if f.dim != g.num_vertices - 1:
+        return BijectionReport(False, counts, f"fan has dimension {f.dim}, not {len(counts)}")
+    labels = [r.label for r in f.rays]
+    ray_index = {t: i for i, t in enumerate(labels)}
+    tubed = 0  # the rays looked up by a tube
+    for t in sorted(proper_tubes(g)):
+        if t not in ray_index:
+            return BijectionReport(False, counts, f"tubing {[bits_of(t)]} uses a tube with no ray")
+        tubed |= 1 << ray_index[t]
+    ok = [
+        (row | 1 << i) & tubed if tubed >> i & 1 else 0
+        for i, row in enumerate(_compatibility(g, labels))
+    ]
+    for c in f.max_cones:
+        common = -1
+        m = c
+        while m:
+            low = m & -m
+            common &= ok[low.bit_length() - 1]
+            m ^= low
+        if common != c:
+            return BijectionReport(False, counts, f"cone {bits_of(c)} has no tubing partner")
+    if not is_complete(f):
+        return BijectionReport(False, counts, "fan is not complete")
+    if f_vector(f) != counts:
+        return BijectionReport(False, counts, f"f-vector {f_vector(f)} is not {counts}")
+    return BijectionReport(True, counts)

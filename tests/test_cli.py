@@ -288,6 +288,18 @@ def test_moduli_rejects_non_cone_graph(capsys):
     assert "not an iterated cone" in err
 
 
+@pytest.mark.parametrize(
+    "spec, weights",
+    [("K1", "(1, 1-2*eps, eps)"), ("D3", "(1, 1-4*eps, eps, eps, eps)")],
+)
+def test_moduli_refuses_the_weights_classify_refuses(capsys, spec, weights):
+    # the remark weights total 2 - eps, so there is no moduli space to list
+    message = f"error: weights {weights} are not Hassett weights: total 2-eps is not > 2\n"
+    for command in ("classify", "moduli"):
+        code, out, err = run(capsys, command, spec)
+        assert (code, out, err) == (EXIT_USAGE, "", message), command
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "X7")
     assert code == EXIT_USAGE

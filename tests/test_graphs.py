@@ -26,7 +26,7 @@ from graphassoc import (
     tubes,
     universal_vertices,
 )
-from graphassoc.graphs import cliques, induced_connected, is_connected, subsets_by_size
+from graphassoc.graphs import cliques, component, induced_connected, is_connected, subsets_by_size
 from oracles import is_tube, non_tubes, relabel
 
 
@@ -204,6 +204,8 @@ def test_induced_connected_matches_networkx(n, data):
     h.add_nodes_from(bits_of(s))
     h.add_edges_from((u, v) for u, v in g.edges() if (s >> u & 1) and (s >> v & 1))
     assert induced_connected(g, s) == nx.is_connected(h)
+    lowest = bits_of(s)[0]
+    assert component(g, s) == mask_of(nx.node_connected_component(h, lowest))
 
 
 def test_universal_vertices():

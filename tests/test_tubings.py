@@ -18,10 +18,15 @@ from graphassoc import (
     proper_tubes,
     verify_fan_tubing_bijection,
 )
-from graphassoc import tubings
+from graphassoc import count_stable_trees, parse_weight_vector, tubings
 from graphassoc.fans import Fan
 from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected, mask_of
-from graphassoc.tubings import BIJECTION_MAX_VERTICES, BijectionReport, _compatibility
+from graphassoc.tubings import (
+    BIJECTION_MAX_VERTICES,
+    BijectionReport,
+    _compatibility,
+    tubing_counts,
+)
 from oracles import compatible, enumerate_tubings
 
 
@@ -175,6 +180,50 @@ def test_tubings_are_pairwise_compatible():
                 assert compatible(g, t1, t2)
 
 
+def stirling2(n, k):
+    """Stirling numbers of the second kind, by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    row = [1] + [0] * k  # S(0, .)
+    for _ in range(n):
+        row = [0] + [i * row[i] + row[i - 1] for i in range(1, k + 1)]
+    return row[k]
+
+
+def test_tubing_counts_of_complete_graphs_are_ordered_set_partitions():
+    # the j-tubings of K_n are the faces of the permutohedron with j + 1
+    # ordered blocks
+    for n in range(2, 13):
+        expected = tuple(math.factorial(j + 1) * stirling2(n, j + 1) for j in range(1, n))
+        assert tubing_counts(parse_graph(f"K{n}")) == expected, n
+    assert sum(tubing_counts(parse_graph("K12"))) == 28_091_567_594
+
+
+def test_maximal_tubings_of_named_families_up_to_12_vertices():
+    for n in range(2, 13):
+        assert tubing_counts(parse_graph(f"P{n}"))[-1] == catalan(n), n
+        # stellohedron: sum over k of (n-1)!/k!
+        stellohedron = sum(math.factorial(n - 1) // math.factorial(k) for k in range(n))
+        assert tubing_counts(parse_graph(f"S{n}"))[-1] == stellohedron, n
+    for n in range(3, 13):
+        # cyclohedron
+        assert tubing_counts(parse_graph(f"C{n}"))[-1] == math.comb(2 * n - 2, n - 1), n
+    assert tubing_counts(parse_graph("P12"))[-1] == 208_012
+
+
+def test_tubing_counts_match_losev_manin_stable_trees():
+    # the toric variety of K_m's associahedron, the permutohedral variety,
+    # is Losev-Manin's space on m + 2 marks: j-tubings and stable trees of
+    # j + 1 components are counted independently
+    for m in range(2, 9):
+        trees = count_stable_trees(parse_weight_vector(",".join(["1", "1"] + ["e"] * m)), m)
+        counts = tubing_counts(parse_graph(f"K{m}"))
+        assert counts == tuple(trees[j + 1] for j in range(1, m)), m
+
+
+def test_tubing_counts_need_a_connected_graph():
+    with pytest.raises(GraphError):
+        tubing_counts(from_edges(4, [(0, 1), (2, 3)]))
+
+
 def test_bijection_on_named_graphs():
     # P7, C7, S7 and K7 run the check in dimension 6
     for spec in ["P3", "K3", "P4", "K4", "C5", "S5", "cone^2(D2)", "P7", "C7", "S7", "K7"]:
@@ -208,7 +257,7 @@ def test_bijection_fails_without_a_maximal_cone():
     tampered = dataclasses.replace(f, max_cones=f.max_cones[1:])
     rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
-    assert "not a cone" in rep.failure
+    assert rep.failure == "fan is not complete"
     assert face_subset_bijection(g, tampered).passed is False
 
 
@@ -238,22 +287,49 @@ def test_bijection_fails_on_a_cone_without_a_tubing():
     assert face_subset_bijection(g, tampered).passed is False
 
 
+def test_bijection_fails_on_a_cone_through_a_ray_with_no_tube():
+    # an extra ray labelled {0, 3}, not a tube of P4, takes the place of the
+    # ray of {0} in the first cone that uses it
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    extra = len(f.rays)
+    first = next(c for c in f.max_cones if c & 1)
+    cones = tuple(c ^ 1 | 1 << extra if c == first else c for c in f.max_cones)
+    tampered = dataclasses.replace(f, rays=f.rays + (Ray((1, 1, 0), 0b1001),), max_cones=cones)
+    rep = verify_fan_tubing_bijection(g, tampered)
+    assert rep.passed is False
+    assert rep.failure == f"cone [2, 4, {extra}] has no tubing partner"
+    assert face_subset_bijection(g, tampered).passed is False
+
+
+def test_bijection_fails_on_a_wrong_tubing_count(monkeypatch):
+    # a count off by one fails only the comparison with the f-vector
+    counts = tubings.tubing_counts
+    monkeypatch.setattr(tubings, "tubing_counts", lambda g: (counts(g)[0] + 1,) + counts(g)[1:])
+    rep = verify_fan_tubing_bijection(parse_graph("P4"))
+    assert rep.passed is False
+    assert rep.failure == "f-vector (9, 21, 14) is not (10, 21, 14)"
+
+
 def test_bijection_fails_on_a_maximal_tubing_below_dimension(monkeypatch):
-    # no graph reaches the purity branch (every graph associahedron is
-    # simple), so isolate tube {0} of P4 in its compatibility table: the
-    # tubing [[0]] is then maximal with 1 of 3 tubes
+    # no graph has a maximal tubing below the dimension (every graph
+    # associahedron is simple), so isolate tube {0} of P4 in its
+    # compatibility table: the tubing [[0]] is then maximal with 1 of 3
+    # tubes, and the first cone that holds its ray has no tubing partner
     compatibility = tubings._compatibility
 
-    def isolate_first(g, all_tubes):
+    def isolate_singleton_0(g, all_tubes):
+        i = all_tubes.index(0b0001)
         compat = compatibility(g, all_tubes)
-        return [0] + [row & ~1 for row in compat[1:]]
+        return [0 if j == i else row & ~(1 << i) for j, row in enumerate(compat)]
 
-    monkeypatch.setattr(tubings, "_compatibility", isolate_first)
+    monkeypatch.setattr(tubings, "_compatibility", isolate_singleton_0)
     g = parse_graph("P4")
-    assert sorted(proper_tubes(g))[0] == 0b0001
-    rep = verify_fan_tubing_bijection(g)
+    f = build_graph_fan(g)
+    assert f.rays[0].label == 0b0001
+    rep = verify_fan_tubing_bijection(g, f)
     assert rep.passed is False
-    assert rep.failure == "maximal tubing [[0]] has 1 < 3 tubes"
+    assert rep.failure == "cone [0, 2, 4] has no tubing partner"
 
 
 def test_bijection_fails_on_a_tubing_past_the_fan_dimension():
@@ -267,7 +343,7 @@ def test_bijection_fails_on_a_tubing_past_the_fan_dimension():
     flat = dataclasses.replace(f, dim=2, max_cones=pairs)
     rep = verify_fan_tubing_bijection(g, flat)
     assert rep.passed is False
-    assert rep.failure.endswith("of 2 tubes is not maximal")
+    assert rep.failure == "fan has dimension 2, not 3"
     assert face_subset_bijection(g, flat).passed is True
 
 
