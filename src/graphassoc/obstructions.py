@@ -6,6 +6,12 @@ A witness is an edge and a vertex detached from it, a B witness four
 vertices inducing 2K2, P4 or C4.  So the search scans edges and 4-subsets,
 and needs no cap below graphs.MAX_VERTICES.
 
+The weight system keeps only its irredundant rows: one per edge and one per
+maximal non-tube, besides the bounds and the total.  Every other tube or
+non-tube row follows from one of these and c > 0 (the lemma is in
+w1w2_system's docstring), so the solutions are the same, and the simplex
+reads about a quarter of the rows that one per subset would give.
+
 Feasibility is one exact simplex with Bland's rule, run on the homogenised
 LP of Motzkin's transposition theorem, which turns strict rows into a
 positive margin t to maximise.  It pivots fraction-free: an integer tableau
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .epsrational import _frac_str
-from .graphs import Graph, bits_of, induced_connected, subsets_by_size
+from .graphs import Graph, bits_of, component, induced_connected, subsets_by_size
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,13 @@ class LinearSystem:
     num_vars: int
     constraints: tuple[Constraint, ...]
 
+    def __post_init__(self):
+        for i, con in enumerate(self.constraints):
+            if len(con.coeffs) != self.num_vars:
+                raise ValueError(
+                    f"constraint {i} has {len(con.coeffs)} coefficients, not {self.num_vars}"
+                )
+
     def to_json(self) -> list[dict]:
         return [
             {
@@ -153,40 +166,51 @@ class LinearSystem:
 
 
 def w1w2_system(g: Graph) -> LinearSystem:
-    """Necessary weight conditions on (c_0, c_1, ..., c_{n-2}):
+    """The weight conditions on (c_0, c_1, ..., c_{n-2}), on their
+    irredundant rows: 0 < c_j <= 1 for all j; c_0 + c_a + c_b > 1 per edge
+    ab, by ascending bitmask; c_0 + sum_D c <= 1 per maximal non-tube D, by
+    decreasing size and then ascending bitmask; the total (with c_M = 1)
+    exceeding 2.  Variable 0 is c_0; variable i+1 carries graph vertex i.
 
-    0 < c_j <= 1 for all j; c_0 + sum_T c > 1 per nontrivial tube T;
-    c_0 + sum_D c <= 1 per non-tube D; total (with c_M = 1) exceeding 2.
-    Variable 0 is c_0; variable i+1 carries graph vertex i.
+    Lemma.  These rows have the solutions of the full system, which has a
+    row c_0 + sum_T c > 1 per nontrivial tube T and c_0 + sum_D c <= 1 per
+    non-tube D.  Given c > 0, which the kept bounds impose:
+    - a nontrivial tube T is connected on two or more vertices, so it holds
+      an edge ab, and c_0 + sum_T c >= c_0 + c_a + c_b > 1;
+    - adding to a non-tube, one vertex at a time, any vertex that leaves it
+      a non-tube ends at a maximal non-tube D' holding it, and
+      c_0 + sum_D c <= c_0 + sum_D' c <= 1.
+    A non-tube D is maximal, contained in no other, exactly when D + v is
+    connected for every v outside D.  Only if is plain.  If: D + v is
+    connected only when v has a neighbour in every component of G[D], so
+    in any set strictly above D each new vertex meets every component, and
+    the set is connected.  A Motzkin certificate on these rows, padded with
+    zeros, is one on the full system, and its points are the same.
     """
     n = g.num_vertices
     nv = n + 1
-    rows = []
     zero, one = Fraction(0), Fraction(1)
 
-    def unit(j):
-        return tuple(one if i == j else zero for i in range(nv))
+    def row(s):
+        return (one,) + tuple(one if s >> v & 1 else zero for v in range(n))
 
+    rows = []
     for j in range(nv):
-        rows.append(Constraint(unit(j), ">", zero))
-        rows.append(Constraint(unit(j), "<=", one))
+        unit = tuple(one if i == j else zero for i in range(nv))
+        rows.append(Constraint(unit, ">", zero))
+        rows.append(Constraint(unit, "<=", one))
 
-    def subset_row(s):
-        return tuple(
-            one if (j == 0 or (j >= 1 and s >> (j - 1) & 1)) else zero
-            for j in range(nv)
-        )
+    for b in range(n):  # edges a < b by ascending bitmask
+        for a in bits_of(g.adj[b] & ((1 << b) - 1)):
+            rows.append(Constraint(row(1 << a | 1 << b), ">", one))
 
-    tube_rows, non_tube_rows = [], []
+    connected = [component(g, s) == s for s in range(1 << n)]
     for size in range(n, 1, -1):
-        for s in subsets_by_size(n, size):
-            if induced_connected(g, s):
-                tube_rows.append(Constraint(subset_row(s), ">", one))
-            else:
-                non_tube_rows.append(Constraint(subset_row(s), "<=", one))
-    rows += tube_rows + non_tube_rows
+        for d in subsets_by_size(n, size):
+            if not connected[d] and all(connected[d | 1 << v] for v in range(n) if not d >> v & 1):
+                rows.append(Constraint(row(d), "<=", one))
 
-    rows.append(Constraint(tuple(one for _ in range(nv)), ">", one))
+    rows.append(Constraint((one,) * nv, ">", one))
     return LinearSystem(nv, tuple(rows))
 
 
@@ -314,6 +338,8 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
 
 
 def satisfies(sys: LinearSystem, point: tuple[Fraction, ...]) -> bool:
+    if len(point) != sys.num_vars:
+        raise ValueError(f"point has {len(point)} coordinates, not {sys.num_vars}")
     if unknown := {con.rel for con in sys.constraints} - _HOLDS.keys():
         raise ValueError(f"unknown relation {min(unknown)!r}")
     return all(_HOLDS[con.rel](sum(c * x for c, x in zip(con.coeffs, point)), con.rhs)

@@ -22,23 +22,29 @@ def proper_tubes(g: Graph) -> list[int]:
 
 
 def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
-    """compat[i]: bitmask of the indices j with all_tubes[j] compatible with
-    all_tubes[i]: nested, or disjoint with no edge between them (t2 misses
-    `nbr`, the OR of t1's neighbour rows), so that their union is no tube."""
-    compat = [0] * len(all_tubes)
-    for i, t1 in enumerate(all_tubes):
-        nbr = 0
-        for v in bits_of(t1):
-            nbr |= g.adj[v]
-        for j in range(i + 1, len(all_tubes)):
-            t2 = all_tubes[j]
-            if t1 & t2:
-                ok = (t1 | t2) in (t1, t2)  # overlap must be containment
+    """compat[i]: bitmask of the indices j != i with all_tubes[j] compatible
+    with all_tubes[i] = t: nested, or disjoint with no edge between them, so
+    that their union is no tube.  From holds[v], the indices of the tubes
+    holding vertex v: the tubes above t are those holding every vertex of t,
+    the tubes inside t those holding none outside t, and the tubes apart
+    those holding none of t and its neighbours."""
+    holds = [0] * g.num_vertices
+    for i, t in enumerate(all_tubes):
+        for v in bits_of(t):
+            holds[v] |= 1 << i
+    every = (1 << len(all_tubes)) - 1
+    compat = []
+    for i, t in enumerate(all_tubes):
+        above, outside, near = every, 0, 0
+        for v, h in enumerate(holds):
+            if t >> v & 1:
+                above &= h
+                near |= h
             else:
-                ok = not nbr & t2
-            if ok:
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+                outside |= h
+                if g.adj[v] & t:
+                    near |= h
+        compat.append((above | every & ~outside | every & ~near) & ~(1 << i))
     return compat
 
 

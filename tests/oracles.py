@@ -2,11 +2,13 @@
 which the tests compare it against, and helpers of the acceptance
 criteria.  The package itself calls none of them."""
 
+from fractions import Fraction
 from itertools import combinations
 
 from graphassoc import Fan, Graph, GraphError, StableTree, WeightVector, bits_of
 from graphassoc.graphs import cliques, from_edges, induced_connected, subsets_by_size
 from graphassoc.moduli import Label, _label_key, _vertex_stable, enumerate_stable_trees
+from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
 
 # -- graphs and tubings -------------------------------------------------------
@@ -66,6 +68,47 @@ def enumerate_tubings(g: Graph, size: int) -> list[tuple[int, ...]]:
         for chosen in cliques(_compatibility(g, all_tubes), size)
         if len(chosen) == size
     ]
+
+
+# -- the weight system --------------------------------------------------------
+
+
+def full_w1w2_system(g: Graph) -> LinearSystem:
+    """The weight conditions with a row for every subset of size >= 2:
+
+    0 < c_j <= 1 for all j; c_0 + sum_T c > 1 per nontrivial tube T;
+    c_0 + sum_D c <= 1 per non-tube D; total (with c_M = 1) exceeding 2.
+    Variable 0 is c_0; variable i+1 carries graph vertex i.
+    """
+    n = g.num_vertices
+    nv = n + 1
+    rows = []
+    zero, one = Fraction(0), Fraction(1)
+
+    def unit(j):
+        return tuple(one if i == j else zero for i in range(nv))
+
+    for j in range(nv):
+        rows.append(Constraint(unit(j), ">", zero))
+        rows.append(Constraint(unit(j), "<=", one))
+
+    def subset_row(s):
+        return tuple(
+            one if (j == 0 or (j >= 1 and s >> (j - 1) & 1)) else zero
+            for j in range(nv)
+        )
+
+    tube_rows, non_tube_rows = [], []
+    for size in range(n, 1, -1):
+        for s in subsets_by_size(n, size):
+            if induced_connected(g, s):
+                tube_rows.append(Constraint(subset_row(s), ">", one))
+            else:
+                non_tube_rows.append(Constraint(subset_row(s), "<=", one))
+    rows += tube_rows + non_tube_rows
+
+    rows.append(Constraint(tuple(one for _ in range(nv)), ">", one))
+    return LinearSystem(nv, tuple(rows))
 
 
 # -- fans ---------------------------------------------------------------------

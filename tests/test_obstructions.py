@@ -8,6 +8,7 @@ import itertools
 import json
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,9 +25,9 @@ from graphassoc import (
     w1w2_system,
 )
 from graphassoc import obstructions
-from graphassoc.graphs import induced_connected, subsets_by_size, tubes
+from graphassoc.graphs import induced_connected, subsets_by_size
 from graphassoc.obstructions import Constraint, LinearSystem, ObstructionWitness, satisfies
-from oracles import non_tubes
+from oracles import full_w1w2_system, non_tubes
 
 
 # -- obstruction A ------------------------------------------------------------
@@ -306,47 +307,88 @@ def test_w1w2_system_shape():
     sys_ = w1w2_system(g)
     assert sys_.num_vars == 4  # c_0 plus one variable per vertex
     rels = [c.rel for c in sys_.constraints]
-    # 4 positivity, 4 unit bounds, 3 tubes, 1 non-tube, 1 validity row
-    assert rels.count(">") == 4 + 3 + 1
+    # 4 positivity, 4 unit bounds, 2 edges, 1 maximal non-tube, 1 validity row
+    assert rels.count(">") == 4 + 2 + 1
     assert rels.count("<=") == 4 + 1
-    assert len(sys_.constraints) == 13
+    assert len(sys_.constraints) == 12
+
+
+def _subset_row(n, s):
+    return (Fraction(1),) + tuple(Fraction(s >> v & 1) for v in range(n))
+
+
+def _row_subset(con):
+    return sum(1 << v for v, c in enumerate(con.coeffs[1:]) if c)
 
 
 def test_w1w2_system_rows():
     g = parse_graph("P3")
     sys_ = w1w2_system(g)
-    one = Fraction(1)
-    tube_rows = {
-        c.coeffs for c in sys_.constraints if c.rel == ">" and c.rhs == one
-    }
-    # tubes {0,1}, {1,2}, {0,1,2}; c_0 is variable 0, vertex i is variable i+1
-    assert (one, one, one, Fraction(0)) in tube_rows
-    assert (one, Fraction(0), one, one) in tube_rows
-    assert (one, one, one, one) in tube_rows
+    one, zero = Fraction(1), Fraction(0)
+    # edges {0,1}, {1,2} and the total; c_0 is variable 0, vertex i is variable i+1
+    assert [c.coeffs for c in sys_.constraints if c.rel == ">" and c.rhs == one] == [
+        (one, one, one, zero), (one, zero, one, one), (one, one, one, one)]
     nontube_rows = [
         c for c in sys_.constraints if c.rel == "<=" and sum(c.coeffs) > 1
     ]
     assert len(nontube_rows) == 1
-    assert nontube_rows[0].coeffs == (one, one, Fraction(0), one)
+    assert nontube_rows[0].coeffs == (one, one, zero, one)
 
-    # every row, in order: bounds, tubes, non-tubes, total weight
+    # every row, in order: bounds, edges by ascending bitmask, the non-tubes
+    # contained in no other, total weight
     for n in range(2, 6):
         for g in connected_graphs_up_to_iso(n):
             nv = n + 1
-
-            def row(s):
-                return (one,) + tuple(Fraction(s >> v & 1) for v in range(n))
-
             unit = [tuple(Fraction(i == j) for i in range(nv)) for j in range(nv)]
             expected = [
                 Constraint(u, rel, Fraction(rhs))
                 for u in unit
                 for rel, rhs in ((">", 0), ("<=", 1))
             ]
-            expected += [Constraint(row(t), ">", one) for t in tubes(g, 2, n)]
-            expected += [Constraint(row(d), "<=", one) for d in non_tubes(g)]
+            edges = sorted(mask_of(e) for e in g.edges())
+            expected += [Constraint(_subset_row(n, e), ">", one) for e in edges]
+            nt = non_tubes(g)
+            maximal = [d for d in nt if not any(d != d2 and d & d2 == d for d2 in nt)]
+            expected += [Constraint(_subset_row(n, d), "<=", one) for d in maximal]
             expected.append(Constraint((one,) * nv, ">", one))
             assert list(w1w2_system(g).constraints) == expected, g.edges()
+
+
+def _small_graphs():
+    return [g for n in range(2, 7) for g in connected_graphs_up_to_iso(n)] + [
+        parse_graph(f"D{n}") for n in range(2, 5)]
+
+
+def test_w1w2_system_rows_are_the_irredundant_full_rows():
+    """On every connected graph with <= 6 vertices and on D2-D4, the rows
+    are a subsequence of the row-per-subset oracle, and each dropped row is
+    implied, given c > 0, by a kept one: a dropped tube contains a kept
+    edge, a dropped non-tube lies inside a kept non-tube."""
+    for g in _small_graphs():
+        kept = list(w1w2_system(g).constraints)
+        full = list(full_w1w2_system(g).constraints)
+        it = iter(full)
+        assert all(row in it for row in kept), g.edges()  # a subsequence
+        bounds = 2 * (g.num_vertices + 1)
+        assert kept[:bounds] == full[:bounds] and kept[-1] == full[-1]
+        kept_tubes = [_row_subset(c) for c in kept[bounds:-1] if c.rel == ">"]
+        kept_non_tubes = [_row_subset(c) for c in kept[bounds:-1] if c.rel == "<="]
+        assert all(t.bit_count() == 2 for t in kept_tubes)
+        for row in full[bounds:-1]:
+            if row in kept:
+                continue
+            s = _row_subset(row)
+            if row.rel == ">":
+                assert any(t & s == t for t in kept_tubes), (g.edges(), bits_of(s))
+            else:
+                assert any(d & s == s for d in kept_non_tubes), (g.edges(), bits_of(s))
+
+
+def test_w1w2_system_is_as_feasible_as_the_full_rows():
+    """Same verdict and same point on both systems, for every connected
+    graph with <= 6 vertices and D2-D4."""
+    for g in _small_graphs():
+        assert feasible(w1w2_system(g)) == feasible(full_w1w2_system(g)), g.edges()
 
 
 def test_w1w2_system_json():
@@ -523,6 +565,28 @@ def test_feasible_keeps_the_fraction_simplex_points():
     assert feasible(LinearSystem(2, rows)) == (Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("num_vars, rows", [
+    (1, (Constraint(F(1, 1), ">", Fraction(1)),)),
+    (1, (Constraint(F(1, -1), ">", Fraction(1)), Constraint(F(1), "<", Fraction(0)))),
+    (2, (Constraint(F(1), ">", Fraction(1)), Constraint(F(1, 1), "<", Fraction(3)))),
+    (1, (Constraint(F(0, 1), ">", Fraction(1)),)),
+], ids=["one-var-two-coeffs", "then-a-good-row", "two-vars-one-coeff", "zero-padded"])
+def test_row_of_the_wrong_length_raises_value_error(num_vars, rows):
+    # feasible raised an internal error or ZeroDivisionError on these, and
+    # satisfies truncated the row to the point's length
+    with pytest.raises(ValueError, match=f"constraint 0 has {len(rows[0].coeffs)} "
+                                         f"coefficients, not {num_vars}"):
+        LinearSystem(num_vars, rows)
+
+
+def test_point_of_the_wrong_length_raises_value_error():
+    # zip truncated the point or the row, so (2,) passed x + y > 1
+    sys_ = LinearSystem(2, (Constraint(F(1, 1), ">", Fraction(1)),))
+    for point in (F(2), F(1, 1, -5)):
+        with pytest.raises(ValueError, match=f"point has {len(point)} coordinates, not 2"):
+            satisfies(sys_, point)
+
+
 def test_unknown_relation_raises_value_error():
     rows = (Constraint(F(1), ">", Fraction(0)), Constraint(F(1), "!=", Fraction(0)))
     sys_ = LinearSystem(1, rows)
@@ -535,6 +599,9 @@ def test_unknown_relation_raises_value_error():
 # The point feasible returns for every yes-instance on 3..6 vertices (in the
 # catalog's labelling) and for K7 and S7, as read off the Fraction simplex
 # it replaced; the integer pivots are the same, so the points must be too.
+# The last four, the other 7-vertex yes-instances in the catalog's
+# labelling, were read off the simplex on the system with a row for every
+# subset; its rows without the implied ones must give the same points.
 PINNED_POINTS = [
     (3, [(0, 1), (0, 2)], "1/3 2/3 1/3 1/3"),
     (3, "K3", "1 1 1 1"),
@@ -556,6 +623,15 @@ PINNED_POINTS = [
     (6, "K6", "1 1 1 1 1 1 1"),
     (7, "K7", "1 1 1 1 1 1 1 1"),
     (7, "S7", "1/7 6/7 1/7 1/7 1/7 1/7 1/7 1/7"),
+    (7, [(0, 5), (0, 6), (1, 5), (1, 6), (2, 5), (2, 6), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
+     "1/6 1/6 1/6 1/6 1/6 1/6 5/6 5/6"),
+    (7, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5),
+         (3, 6), (4, 5), (4, 6), (5, 6)], "1/5 1/5 1/5 1/5 4/5 4/5 4/5 1/5"),
+    (7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+         (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)], "1/4 3/4 3/4 3/4 3/4 1/4 1/4 1/4"),
+    (7, [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+         (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
+     "1/3 1/3 2/3 2/3 2/3 1/3 2/3 2/3"),
 ]
 
 
@@ -569,10 +645,25 @@ def test_feasible_pinned_points(n, edges, point):
 
 
 def test_pinned_points_cover_every_small_yes_instance():
-    yes = [g.edges() for n in range(3, 7) for g in connected_graphs_up_to_iso(n)
+    """On 3..6 vertices the pins are the catalog's yes-instances, in its
+    order and labelling; on 7 they match them up to isomorphism, as K7 and
+    S7 are pinned in their named labelling."""
+    yes = [g for n in range(3, 8) for g in connected_graphs_up_to_iso(n)
            if feasible(w1w2_system(g)) is not None]
-    pinned = [_pinned_graph(n, e).edges() for n, e, _ in PINNED_POINTS if n < 7]
-    assert yes == pinned
+    pinned = [_pinned_graph(n, e) for n, e, _ in PINNED_POINTS]
+    assert [g.edges() for g in yes if g.num_vertices < 7] == \
+        [g.edges() for g in pinned if g.num_vertices < 7]
+
+    def nx_graph(g):
+        h = nx.empty_graph(g.num_vertices)
+        h.add_edges_from(g.edges())
+        return h
+
+    yes7 = [nx_graph(g) for g in yes if g.num_vertices == 7]
+    pinned7 = [nx_graph(g) for g in pinned if g.num_vertices == 7]
+    assert len(yes7) == len(pinned7) == 6
+    for h in yes7:
+        assert sum(nx.is_isomorphic(h, p) for p in pinned7) == 1, list(h.edges())
 
 
 @settings(deadline=None, max_examples=30)
