@@ -9,9 +9,12 @@ for the ray of a vertex.  Subdivision is one scan of the cone list, and
 `build_graph_fan` keeps that list across all of its subdivisions.
 
 Smoothness, completeness and the f-vector come from one pass over the
-maximal cones, cached on the `Fan` (`_walk`).  Each ray is read as a
-signed 0/1 vector s_B 1_B.  When a cone's ray supports are laminar, the
-pass works on bitmasks alone:
+rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
+an int: the cone list is transposed into one lane mask per ray (the cones
+that hold it), and each step of the pass works on every cone at once with
+a few int operations per coordinate of the ray's support.  Each ray is
+read as a signed 0/1 vector s_B 1_B.  When a cone's ray supports are
+laminar, the pass works on bitmasks alone:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
@@ -19,11 +22,12 @@ pass works on bitmasks alone:
   lambda_B = s_B (v_r(B) - v_r(parent B)) in the cone's basis.
 Every other cone goes through a Bareiss determinant and Cramer's rule.
 The two cones at a facet F = c ^ u must lie on opposite sides of it, the
-sign of det(F, u) = det(c) (-1)^(d-1-k) for u in place k of c; with that
-wall condition the number of cones over a generic point is constant, and
-h_0 = 1 (the cones holding v) makes it one (`is_complete`).  The h-vector,
-h_k the number of cones with k negative lambda, gives the f-vector,
-f_j = sum_i C(d-i, j+1-i) h_i (`f_vector`)."""
+sign of det(F, u) = det(c) (-1)^(d-1-k) for u in place k of c: the
+facets on one side go into one set, and those on the other side must
+empty it.  With that wall condition the number of cones over a generic
+point is constant, and h_0 = 1 (the cones holding v) makes it one
+(`is_complete`).  The h-vector, h_k the number of cones with k negative
+lambda, gives the f-vector, f_j = sum_i C(d-i, j+1-i) h_i (`f_vector`)."""
 
 from __future__ import annotations
 
@@ -31,9 +35,16 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain, compress, repeat
+from operator import and_
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, GraphError, bits_of, is_connected, tubes
+
+# translate tables: a byte to b"1" if its bit p is set, else to b"0"
+_BIT_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
+_FALSE_ZERO = bytes.maketrans(b"0", b"\0")
+
 
 class FanError(ValueError):
     pass
@@ -172,48 +183,45 @@ class _Checks(NamedTuple):
     h: Optional[tuple[int, ...]]  # h-vector, None unless the walls match up
 
 
-def _walk(f: Fan) -> _Checks:
-    """One pass over the maximal cones: each cone's determinant (its size
-    for smoothness, its sign for the wall check) and the number of negative
-    coordinates of v = (1, 2, ..., d) in its basis (for the h-vector).
+def _lane_masks(cones: Sequence[int], num_rays: int) -> list[int]:
+    """The cones transposed: bit k of entry i is set when cones[k] holds ray i.
+    Each cone is a row of little-endian bytes, and a strided slice of the
+    rows, last cone first, is the column of one byte of every cone; for each
+    ray of that byte, translate turns its bit into a binary digit."""
+    width = (num_rays + 7) >> 3
+    # joined in blocks, so that no list holds a bytes object for every cone
+    rows = b"".join(
+        b"".join(map(int.to_bytes, cones[k : k + 4096], repeat(width), repeat("little")))
+        for k in range(0, len(cones), 4096)
+    )
+    out = []
+    for q in range(width):
+        column = rows[len(rows) - width + q :: -width]
+        out += (int(column.translate(t), 2) for t in _BIT_DIGITS[: num_rays - 8 * q])
+    return out
 
-    A cone's rows are its rays in rank order: by support size, then by
-    index.  Most cones are swept in that order on bitmasks alone (see
-    `is_smooth` for the rem sets): `covered` is the union of the supports
-    swept so far, the rem of a support b is b & ~covered, and `roots` holds
-    the rem coordinate of each maximal support swept so far, in the low
-    lane for a positive ray and in the lane d bits up for a negative one.
-    - The roots inside b are b's children.  For a child C,
-      lambda_C = s_C (v_r(C) - v_r(b)) (see `f_vector`) is negative for a
-      positive child with r(C) < r(b) and a negative child with
-      r(C) > r(b); `later` picks out those lane bits.  The children then
-      leave `roots` and b joins it.  A root left at the end has
-      lambda = s v_r, negative iff s < 0.
-    - Subtracting its children's rows from each row leaves e_r(b) in row b,
-      so the determinant is the product of the signs times the sign of
-      the permutation from rank order to the rem coordinates.  Its
-      inversions number sum_k (k - #{swept coordinates below r_k}); the sum
-      of k is d(d-1)/2, and the parity of the counts is that of the
-      popcount of the XOR of the masks counted, `inversions`.
-    Cones whose supports cross (read off `cross`, the rays each ray's
-    support crosses) or with a ray that is not a signed 0/1 vector go to
-    a Bareiss determinant, and Cramer's rule gives their lambda.  A cone
-    with determinant 0 is neither unimodular nor full-dimensional, so the
-    walk stops there.
-    """
-    d = f.dim
-    supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
-    every = (1 << len(supports)) - 1
+
+def _pick(cones: Sequence[int], lanes: int) -> Iterator[int]:
+    """The cones in the given lanes, in order."""
+    digits = format(lanes, f"0{len(cones)}b").encode().translate(_FALSE_ZERO)
+    return compress(cones, digits[::-1])
+
+
+def _slow_lanes(supports: list[int], lanes: list[int], d: int) -> int:
+    """The cones with a ray that is not a signed 0/1 vector (support 0) or
+    with two rays whose supports cross: they meet, and neither holds the
+    other."""
     holders = [0] * d  # holders[j]: the rays whose support holds coordinate j
     for i, b in enumerate(supports):
         for j in bits_of(b):
             holders[j] |= 1 << i
-    by_size = [0] * (d + 1)
-    info = {}
-    negative = 0
+    slow = 0
     for i, b in enumerate(supports):
+        if not b:
+            slow |= lanes[i]
+            continue
         meet = outside = 0
-        above = every
+        above = -1
         for j in range(d):
             if b >> j & 1:
                 meet |= holders[j]
@@ -221,72 +229,192 @@ def _walk(f: Fan) -> _Checks:
             else:
                 outside |= holders[j]
         # rays that meet b are nested with it if they hold all of b (above)
-        # or nothing outside it; the rest cross it
-        cross = meet & ~above & outside if b else every
-        neg = b and f.rays[i].coords[(b & -b).bit_length() - 1] < 0
-        if neg:
-            negative |= 1 << i
-        by_size[b.bit_count()] |= 1 << i
-        info[1 << i] = (b, b | b << d, d if neg else 0, cross)
-    by_size = [m for m in by_size if m]
-    units = {1 << r: ((1 << r) - 1, (1 << r) - 1 | -(1 << r) << d) for r in range(d)}
-    low_lane = (1 << d) - 1
-    pairs = d * (d - 1) // 2
+        # or nothing outside it; the later rays that cross it:
+        met = 0
+        for j in bits_of((meet & ~above & outside) >> i + 1):
+            met |= lanes[i + 1 + j]
+        slow |= lanes[i] & met
+    return slow
+
+
+def _walls_match(
+    cones: Sequence[int],
+    lanes: list[int],
+    laminar: int,
+    sides: int,
+    odd: dict[int, int],
+    facets: tuple[list[int], list[int]],
+) -> bool:
+    """Every facet lies in exactly one cone on each side: the side-0 facets
+    go into one set, which must hold them all, and the side-1 facets, as
+    many, must empty it.  In a laminar cone, ray i's facet is on the side
+    of the cone's first facet (`sides`) if i is in an even place, in the
+    cones `odd[i]` on the other; `facets` holds the other cones' facets by
+    side.  Rays that share no cone form a group, and one `_pick` per side
+    yields the cones of all of them; c & ~group is the facet, c without the
+    one ray of the group in c."""
+    groups = []  # [lanes, rays, lanes with the facet on side 1]
+    for i, o in odd.items():
+        here = lanes[i] & laminar
+        for g in groups:
+            if not g[0] & here:
+                break
+        else:
+            g = [0, 0, 0]
+            groups.append(g)
+        g[0] |= here
+        g[1] |= 1 << i
+        g[2] |= (sides ^ o) & here
+    size = len(facets[0]) + sum((held ^ one).bit_count() for held, _, one in groups)
+    if size != len(facets[1]) + sum(one.bit_count() for _, _, one in groups):
+        return False
+
+    def on_side(side: int) -> Iterator[int]:
+        return chain.from_iterable(
+            map(and_, _pick(cones, one if side else held ^ one), repeat(~rays))
+            for held, rays, one in groups
+        )
+
+    walls = set(chain(facets[0], on_side(0)))
+    if len(walls) != size:
+        return False
+    # one call, so the set shrinks once, at the end
+    walls.difference_update(chain(facets[1], on_side(1)))
+    return not walls
+
+
+def _tally(flags: Iterable[int], lanes: int, d: int) -> list[int]:
+    """h[k]: the number of the given lanes set in exactly k of the d masks
+    `flags`, read off a bit-sliced counter."""
+    planes = []  # plane p: bit p of each lane's count
+    for x in flags:
+        p = 0
+        while x and p < len(planes):
+            planes[p], x = planes[p] ^ x, planes[p] & x
+            p += 1
+        if x:
+            planes.append(x)
+    h = [0] * (d + 1)
+    for k in range(min(d + 1, 1 << len(planes))):
+        m = lanes
+        for p, plane in enumerate(planes):
+            m &= plane if k >> p & 1 else ~plane
+        h[k] = m.bit_count()
+    return h
+
+
+def _walk(f: Fan) -> _Checks:
+    """One pass over the rays for all maximal cones at once: each cone's
+    determinant (its size for smoothness, its sign for the wall check) and
+    the number of negative coordinates of v = (1, 2, ..., d) in its basis
+    (for the h-vector).
+
+    Cone k is lane k, bit k of every mask below; `_lane_masks` gives ray i
+    the cones that hold it.  A cone's rows are its rays in rank order, by
+    support size and then by index, so one sweep of all rays in that order
+    sweeps each cone in its own order.  The sweep keeps, per coordinate j,
+    the cones where
+    - `covered[j]`: a support swept so far holds j;
+    - `pos[j]`, `neg[j]`: j is the rem coordinate of a maximal support swept
+      so far (a root) of a positive or a negative ray;
+    - `lam[j]`: the support with rem coordinate j has lambda < 0.
+    In the cones holding a ray with support b:
+    - The rem of b is b & ~covered (see `is_smooth`), and `zero` gets the
+      cones where it is empty.  The rems of a cone's d rays are disjoint, so
+      if none is empty, each is one coordinate.
+    - The roots inside b are b's children.  For a child C,
+      lambda_C = s_C (v_r(C) - v_r(b)) (see `f_vector`) is negative for a
+      positive child with r(C) < r(b) and a negative child with
+      r(C) > r(b): for the child at coordinate j, the rems of b's
+      coordinates above and below j, a suffix and a prefix OR over b.  The
+      children then stop being roots and b becomes one.  A root left at the
+      end has lambda = s v_r, negative iff s < 0.  h_k counts the cones
+      whose d flags add up to k (`_tally`).
+    - Subtracting its children's rows from each row leaves e_r(b) in row b,
+      so the determinant is the product of the signs (`flips`) times the
+      sign of the permutation from rank order to the rem coordinates.  Its
+      inversions number sum_k (k - #{swept coordinates below r_k}); the sum
+      of k is d(d-1)/2, and `inversions` is the parity of the counts, a
+      prefix XOR of `covered` below each rem.
+    Cones with two crossing supports (read off each ray's crossing rays)
+    or with a ray that is not a signed 0/1 vector go to a Bareiss
+    determinant one by one, and Cramer's rule gives their lambda.  A cone
+    with determinant 0 is neither unimodular nor full-dimensional, so the
+    pass stops there.
+
+    The facet F = c ^ u with u in place k of c lies on side
+    (side of c + k) mod 2 (see `is_complete`); `odd` holds the cones in
+    which each ray is in an odd place, and `_walls_match` checks the walls.
+    """
+    d, cones = f.dim, f.max_cones
+    if not cones:
+        return _Checks(True, False, None)
+    supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
+    lanes = _lane_masks(cones, len(supports))
+    every = (1 << len(cones)) - 1
+    slow = _slow_lanes(supports, lanes, d)  # the cones that go to Bareiss
+
+    covered, pos, neg, lam = [0] * d, [0] * d, [0] * d, [0] * d
+    zero = inversions = flips = run = 0
+    odd = {}
+    rank = sorted(range(len(supports)), key=lambda i: supports[i].bit_count())
+    for i in rank:
+        here, b = lanes[i], supports[i]
+        if not (here and b):
+            continue
+        odd[i] = run & here
+        run ^= here
+        negative = f.rays[i].coords[(b & -b).bit_length() - 1] < 0
+        if negative:
+            flips ^= here
+        one = below = 0
+        rems = []
+        for j in range(b.bit_length()):
+            if b >> j & 1:
+                rem = here & ~covered[j]
+                inversions ^= rem & below
+                rems.append((j, rem, one))
+                one |= rem
+            below ^= covered[j]
+        zero |= here & ~one
+        keep = ~here
+        later = 0
+        for j, rem, earlier in reversed(rems):
+            lam[j] |= pos[j] & later | neg[j] & earlier
+            later |= rem
+            covered[j] |= here
+            if negative:
+                pos[j] &= keep
+                neg[j] = neg[j] & keep | rem
+            else:
+                pos[j] = pos[j] & keep | rem
+                neg[j] &= keep
+    laminar = every & ~slow
+    if zero & laminar:
+        return _Checks(False, False, None)  # laminar, so det 0 (see is_smooth)
 
     smooth = True
-    h = [0] * (d + 1)
-    crossing = []  # (rows, det) of the cones with crossing supports
-    seen = {}
-    get = seen.get
-    for c in f.max_cones:
-        covered = roots = negs = inversions = crossed = 0
-        facets = []
-        add = facets.append
-        try:
-            for m in by_size:
-                rest = c & m
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    b, lanes, shift, cross = info[low]
-                    rem = b & ~covered
-                    below, later = units[rem]  # KeyError: rem is not one coordinate
-                    crossed |= cross
-                    kids = roots & lanes
-                    negs |= kids & later
-                    roots ^= kids | rem << shift
-                    inversions ^= covered & below
-                    covered |= b
-                    add(c ^ low)
-            laminar = not crossed & c
-        except KeyError:
-            if not any(info[1 << i][3] & c for i in bits_of(c)):
-                # laminar, so det 0 (see is_smooth)
-                return _Checks(False, False, None)
-            laminar = False
-        if laminar:
-            h[(negs | roots & ~low_lane).bit_count()] += 1
-            side = inversions.bit_count() + pairs + (c & negative).bit_count()
-        else:
-            # rank order: a stable sort of the ascending indices by support size
-            order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
-            rows = [list(f.rays[i].coords) for i in order]
-            det = _det(rows)
-            if det == 0:
-                return _Checks(False, False, None)
-            smooth = smooth and abs(det) == 1
-            crossing.append((rows, det))
-            side = det < 0
-            facets = [c ^ (1 << i) for i in order]
-        # det(F, u) for the facet F = c ^ u, u in place k: det * (-1)^(d-1-k).
-        # One occurrence adds 3 on one side of F and 5 on the other, so a
-        # facet sums to 8 iff it occurs exactly once on each side.
-        w = 5 if (side + d - 1) & 1 else 3
-        for facet in facets:
-            seen[facet] = get(facet, 0) + w
-            w ^= 6
-    if set(seen.values()) != {8}:
+    crossing = []  # (rows, det) of the cones that go to Bareiss
+    facets = ([], [])  # their facets, by side
+    for c in _pick(cones, slow):
+        # rank order: a stable sort of the ascending indices by support size
+        order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
+        rows = [list(f.rays[i].coords) for i in order]
+        det = _det(rows)
+        if det == 0:
+            return _Checks(False, False, None)
+        smooth = smooth and abs(det) == 1
+        crossing.append((rows, det))
+        side = (det < 0) + d - 1
+        for place, i in enumerate(order):
+            facets[side + place & 1].append(c ^ 1 << i)
+
+    # the side of each laminar cone's first facet
+    sides = inversions ^ flips ^ (every if (d * (d - 1) // 2 + d - 1) & 1 else 0)
+    if not _walls_match(cones, lanes, laminar, sides, odd, facets):
         return _Checks(smooth, False, None)
+
+    h = _tally(map(int.__or__, lam, neg), laminar, d)
     for count in _crossing_negatives(crossing, d):
         h[count] += 1
     return _Checks(smooth, h[0] == 1, tuple(h))

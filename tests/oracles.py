@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from graphassoc import Fan, Graph, GraphError, StableTree, WeightVector, bits_of
+from graphassoc.fans import _Checks, _crossing_negatives, _det, _support
 from graphassoc.graphs import cliques, from_edges, induced_connected, subsets_by_size
 from graphassoc.moduli import Label, _label_key, _vertex_stable, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
@@ -122,6 +123,127 @@ def face_counts(f: Fan) -> tuple[int, ...]:
         for j in range(1, f.dim + 1):
             faces[j - 1].update(combinations(c, j))
     return tuple(len(s) for s in faces)
+
+
+def walk_per_cone(f: Fan) -> _Checks:
+    """`fans._walk` cone by cone, as it was before it swept the rays.
+    One pass over the maximal cones: each cone's determinant (its size
+    for smoothness, its sign for the wall check) and the number of negative
+    coordinates of v = (1, 2, ..., d) in its basis (for the h-vector).
+
+    A cone's rows are its rays in rank order: by support size, then by
+    index.  Most cones are swept in that order on bitmasks alone (see
+    `is_smooth` for the rem sets): `covered` is the union of the supports
+    swept so far, the rem of a support b is b & ~covered, and `roots` holds
+    the rem coordinate of each maximal support swept so far, in the low
+    lane for a positive ray and in the lane d bits up for a negative one.
+    - The roots inside b are b's children.  For a child C,
+      lambda_C = s_C (v_r(C) - v_r(b)) (see `f_vector`) is negative for a
+      positive child with r(C) < r(b) and a negative child with
+      r(C) > r(b); `later` picks out those lane bits.  The children then
+      leave `roots` and b joins it.  A root left at the end has
+      lambda = s v_r, negative iff s < 0.
+    - Subtracting its children's rows from each row leaves e_r(b) in row b,
+      so the determinant is the product of the signs times the sign of
+      the permutation from rank order to the rem coordinates.  Its
+      inversions number sum_k (k - #{swept coordinates below r_k}); the sum
+      of k is d(d-1)/2, and the parity of the counts is that of the
+      popcount of the XOR of the masks counted, `inversions`.
+    Cones whose supports cross (read off `cross`, the rays each ray's
+    support crosses) or with a ray that is not a signed 0/1 vector go to
+    a Bareiss determinant, and Cramer's rule gives their lambda.  A cone
+    with determinant 0 is neither unimodular nor full-dimensional, so the
+    walk stops there.
+    """
+    d = f.dim
+    supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
+    every = (1 << len(supports)) - 1
+    holders = [0] * d  # holders[j]: the rays whose support holds coordinate j
+    for i, b in enumerate(supports):
+        for j in bits_of(b):
+            holders[j] |= 1 << i
+    by_size = [0] * (d + 1)
+    info = {}
+    negative = 0
+    for i, b in enumerate(supports):
+        meet = outside = 0
+        above = every
+        for j in range(d):
+            if b >> j & 1:
+                meet |= holders[j]
+                above &= holders[j]
+            else:
+                outside |= holders[j]
+        # rays that meet b are nested with it if they hold all of b (above)
+        # or nothing outside it; the rest cross it
+        cross = meet & ~above & outside if b else every
+        neg = b and f.rays[i].coords[(b & -b).bit_length() - 1] < 0
+        if neg:
+            negative |= 1 << i
+        by_size[b.bit_count()] |= 1 << i
+        info[1 << i] = (b, b | b << d, d if neg else 0, cross)
+    by_size = [m for m in by_size if m]
+    units = {1 << r: ((1 << r) - 1, (1 << r) - 1 | -(1 << r) << d) for r in range(d)}
+    low_lane = (1 << d) - 1
+    pairs = d * (d - 1) // 2
+
+    smooth = True
+    h = [0] * (d + 1)
+    crossing = []  # (rows, det) of the cones with crossing supports
+    seen = {}
+    get = seen.get
+    for c in f.max_cones:
+        covered = roots = negs = inversions = crossed = 0
+        facets = []
+        add = facets.append
+        try:
+            for m in by_size:
+                rest = c & m
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    b, lanes, shift, cross = info[low]
+                    rem = b & ~covered
+                    below, later = units[rem]  # KeyError: rem is not one coordinate
+                    crossed |= cross
+                    kids = roots & lanes
+                    negs |= kids & later
+                    roots ^= kids | rem << shift
+                    inversions ^= covered & below
+                    covered |= b
+                    add(c ^ low)
+            laminar = not crossed & c
+        except KeyError:
+            if not any(info[1 << i][3] & c for i in bits_of(c)):
+                # laminar, so det 0 (see is_smooth)
+                return _Checks(False, False, None)
+            laminar = False
+        if laminar:
+            h[(negs | roots & ~low_lane).bit_count()] += 1
+            side = inversions.bit_count() + pairs + (c & negative).bit_count()
+        else:
+            # rank order: a stable sort of the ascending indices by support size
+            order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
+            rows = [list(f.rays[i].coords) for i in order]
+            det = _det(rows)
+            if det == 0:
+                return _Checks(False, False, None)
+            smooth = smooth and abs(det) == 1
+            crossing.append((rows, det))
+            side = det < 0
+            facets = [c ^ (1 << i) for i in order]
+        # det(F, u) for the facet F = c ^ u, u in place k: det * (-1)^(d-1-k).
+        # One occurrence adds 3 on one side of F and 5 on the other, so a
+        # facet sums to 8 iff it occurs exactly once on each side.
+        w = 5 if (side + d - 1) & 1 else 3
+        for facet in facets:
+            seen[facet] = get(facet, 0) + w
+            w ^= 6
+    if set(seen.values()) != {8}:
+        return _Checks(smooth, False, None)
+    for count in _crossing_negatives(crossing, d):
+        h[count] += 1
+    return _Checks(smooth, h[0] == 1, tuple(h))
 
 
 def canonical_form(f: Fan):

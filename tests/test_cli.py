@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import graphassoc
 from graphassoc.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from graphassoc.graphs import MAX_VERTICES
 
@@ -333,6 +338,18 @@ def test_help_and_version_exit_ok(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code in (None, EXIT_OK)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(graphassoc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-m", "graphassoc", "classify", "P4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == EXIT_OK, run.stderr
+    assert run.stdout.startswith("classify: P4")
 
 
 @pytest.mark.parametrize(

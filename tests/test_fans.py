@@ -24,7 +24,7 @@ from graphassoc import (
 )
 from graphassoc import fans
 from graphassoc.fans import _det, _primitive_sum, _subdivide, _support, fan_to_json
-from oracles import canonical_form, face_counts
+from oracles import canonical_form, face_counts, walk_per_cone
 
 
 def catalan(n):
@@ -303,6 +303,119 @@ def test_f_vector_matches_the_face_count_oracle():
         assert f_vector(f) == face_counts(f), g.edges()
         h = f._checks.h
         assert h[0] == h[-1] == 1 and h == h[::-1], g.edges()
+
+
+def _hand_built_fans():
+    """The hand-built fans of this file, each a corner of the walk: flat,
+    Bareiss, crossing and unimodular cones, walls that fail, and h with no
+    walls (the one-cone and the empty fans)."""
+    p2, p3 = projective_simplex_fan(2), projective_simplex_fan(3)
+    p3_rows = [(-1, -2, -2), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
+    fans_ = [
+        _cycle_fan((1, 0), (-1, 1), (0, -1), (1, 1), (-1, -1)),  # pentagram
+        _cycle_fan((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),  # {5/2} star
+        # the doubled square
+        _cycle_fan((1, 0), (0, 1), (-1, 0), (0, -1), (1, 0), (0, 1), (-1, 0), (0, -1)),
+        _cycle_fan((1, 0), (0, 1), (-1, -2)),  # P(1,1,2)
+        _cycle_fan((1, 0), (-1, 0), (0, 1)),  # flat cone
+        Fan(2, p2.rays, p2.max_cones[:-1]),  # missing cone
+        Fan(2, p2.rays, p2.max_cones + p2.max_cones[:1]),  # duplicated cone
+        # a cone of determinant 2
+        Fan(2, (Ray((1, 0), 1), Ray((1, 2), 2), Ray((-1, -1), 4)), (0b011, 0b110, 0b101)),
+        Fan(2, p2.rays, ()),
+        # the line, and the line with its negative half covered twice: the
+        # facet 0 lies once on one side and twice on the other
+        Fan(1, (Ray((1,), 1), Ray((-1,), 2)), (1, 2)),
+        Fan(1, (Ray((1,), 1), Ray((-1,), 2), Ray((-1,), 4)), (1, 2, 4)),
+        # P^3 under the basis (1,1,0), (0,1,1), (0,0,1): complete, smooth,
+        # with crossing supports in one cone and a ray (-1,-2,-2) in the rest
+        Fan(3, tuple(Ray(r, 1 << i) for i, r in enumerate(p3_rows)), p3.max_cones),
+    ]
+    rows = [
+        ((1, 1, 0), (1, 1, 1), (0, 0, 1)),
+        ((1, 1, 0), (-1, -1, 0), (0, 0, 1)),
+        ((1, 1, 0), (1, 0, 1), (0, 1, 1)),
+        ((1, 1, 0), (0, 1, 1), (0, 0, 1)),
+        ((1, -1, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, -1, 0), (1, 1, 0), (0, 0, 1)),
+    ]
+    f = build_graph_fan(parse_graph("P4"))
+    for c in itertools.combinations(range(len(f.rays)), 3):
+        rows.append(tuple(f.rays[i].coords for i in c))
+    return fans_ + [_one_cone_fan(*r) for r in rows]
+
+
+def _reordered(f, rng):
+    cones = list(f.max_cones)
+    rng.shuffle(cones)
+    return [Fan(f.dim, f.rays, f.max_cones[::-1]), Fan(f.dim, f.rays, tuple(cones))]
+
+
+def test_walk_matches_the_per_cone_walk():
+    # the ray sweep against the per-cone walk it replaced, on graph fans, on
+    # the same fans with their cones reordered, and on the hand-built fans
+    graphs = [g for n in range(2, 7) for g in connected_graphs_up_to_iso(n)]
+    graphs += [parse_graph(f"D{n}") for n in range(2, 6)]
+    rng = random.Random(15)
+    cases = _hand_built_fans()
+    for g in graphs:
+        f = build_graph_fan(g)
+        cases += [f] + _reordered(f, rng)
+    for f in cases:
+        assert fans._walk(f) == walk_per_cone(f), (f.dim, f.max_cones)
+    assert fans._walk(Fan(2, projective_simplex_fan(2).rays, ())).h is None
+
+
+def test_walk_matches_the_per_cone_walk_on_damaged_fans():
+    # graph fans with a cone dropped, doubled, or replaced by another set of
+    # d rays: walls fail, or a cone is singular or crossing, among many
+    # laminar cones
+    rng = random.Random(16)
+    for spec in ["P5", "C5", "K4", "S5", "cone^2(D2)"]:
+        f = build_graph_fan(parse_graph(spec))
+        for _ in range(6):
+            cones = list(f.max_cones)
+            k = rng.randrange(len(cones))
+            new = sum(1 << i for i in rng.sample(range(len(f.rays)), f.dim))
+            dropped, doubled = cones[:k] + cones[k + 1:], cones + [cones[k]]
+            for damaged in (dropped, doubled, cones[:k] + [new] + cones[k + 1:]):
+                g = Fan(f.dim, f.rays, tuple(damaged))
+                assert fans._walk(g) == walk_per_cone(g), (spec, damaged)
+
+
+def test_walk_matches_the_per_cone_walk_on_blown_up_fans():
+    # complete smooth fans of other shapes than graph fans: random stellar
+    # subdivisions of P^d and of (P^1)^d, whose rays (sums of signed unit
+    # vectors) are signed 0/1 vectors or not, and their negatives, where
+    # negative rays lie inside positive supports; every h is compared
+    rng = random.Random(17)
+    for d in (2, 3, 4):
+        unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+        cross = tuple(Ray(u, 1 << i) for i, u in enumerate(unit))
+        cross += tuple(Ray(tuple(-x for x in u), 1 << i) for i, u in enumerate(unit))
+        signs = itertools.product((0, d), repeat=d)
+        cross_cones = tuple(sum(1 << (i + s) for i, s in enumerate(ss)) for ss in signs)
+        for start in (projective_simplex_fan(d), Fan(d, cross, cross_cones)):
+            rays, cones = list(start.rays), list(start.max_cones)
+            for _ in range(8):
+                face = rng.sample(fans.bits_of(rng.choice(cones)), rng.randrange(2, d + 1))
+                m = sum(1 << i for i in face)
+                cones = _subdivide(cones, m, 1 << len(rays))
+                rays.append(_primitive_sum(rays, face, m))
+                f = Fan(d, tuple(rays), tuple(cones))
+                assert is_complete(f) and is_smooth(f)
+                # and its image under x -> -(x_{d-1}, ..., x_0)
+                flipped = tuple(Ray(tuple(-x for x in r.coords[::-1]), r.label) for r in rays)
+                for g in (f, Fan(d, flipped, f.max_cones)):
+                    assert fans._walk(g) == walk_per_cone(g), (d, g)
+
+
+@pytest.mark.parametrize("spec", ["P6", "C6", "S6", "K6"])
+def test_graph_fans_never_reach_bareiss(det_calls, spec):
+    f = build_graph_fan(parse_graph(spec))
+    assert is_smooth(f)
+    assert f_vector(f) == face_counts(f)
+    assert det_calls == []
 
 
 def test_det():
