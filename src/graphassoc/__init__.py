@@ -24,7 +24,6 @@ from .fans import (
     f_vector,
     is_complete,
     is_smooth,
-    projective_simplex_fan,
 )
 from .graphs import (
     ConeStructure,

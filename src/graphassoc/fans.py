@@ -1,12 +1,12 @@
-"""Simplicial lattice fans: the fan of projective space, and the graph
-associahedral fan built from it by stellar subdivision along tube cones in
-decreasing tube cardinality.
+"""Simplicial lattice fans: the graph associahedral fan, the stellar
+subdivision of the fan of projective space along tube cones in decreasing
+tube cardinality.
 
 A cone is an int bitmask over ray indices, the representation of vertex
 subsets and tubes too; cones become index lists only in `fan_to_json`.
 Each ray is labelled by the bitmask of the tube it carries, a singleton
-for the ray of a vertex.  Subdivision is one scan of the cone list, and
-`build_graph_fan` keeps that list across all of its subdivisions.
+for the ray of a vertex.  `build_graph_fan` reads the subdivisions off a
+subset recursion on the vertex rays that each cone holds (`_pieces`).
 
 Smoothness, completeness and the f-vector come from one pass over the
 rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
@@ -39,7 +39,7 @@ from itertools import chain, compress, repeat
 from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, GraphError, bits_of, is_connected, tubes
+from .graphs import Graph, GraphError, bits_of, component, is_connected, tubes
 
 # translate tables: a byte to b"1" if its bit p is set, else to b"0"
 _BIT_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
@@ -76,55 +76,32 @@ class Fan:
         return _walk(self)
 
 
-def projective_simplex_fan(d: int) -> Fan:
-    """Fan of P^d: rays u_1..u_d the standard basis, u_0 = -(u_1+...+u_d);
-    ray index i carries graph vertex i."""
-    if d < 1:
-        raise FanError("dimension must be at least 1")
-    rays = [Ray(tuple(-1 for _ in range(d)), 1)]
-    for i in range(1, d + 1):
-        rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), 1 << i))
-    full = (1 << (d + 1)) - 1
-    return Fan(d, tuple(rays), tuple(full ^ (1 << omit) for omit in range(d, -1, -1)))
-
-
-def _primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: int) -> Ray:
-    """The primitive part of the sum of the given rays' coordinates."""
-    coords = [0] * len(rays[0].coords)
-    for i in idx:
-        for j, c in enumerate(rays[i].coords):
-            coords[j] += c
-    g = math.gcd(*coords)
-    return Ray(tuple(c // g for c in coords), label)
-
-
-def _subdivide(cones: list[int], m: int, new: int) -> list[int]:
-    """Stellar subdivision of maximal cones held as ray-index bitmasks: each
-    cone c containing the face m becomes the cones (c | new) ^ low, one for
-    each bit low of m.  Raises FanError if no cone contains m."""
-    out, star = [], []
-    for c in cones:
-        if c & m == m:
-            star.append(c | new)
-        else:
-            out.append(c)
-    if not star:
-        raise FanError(f"rays {tuple(bits_of(m))} do not span a cone of the fan")
-    for i in bits_of(m):
-        low = 1 << i
-        out += [c ^ low for c in star]
-    return out
+def _tube_ray(t: int, d: int) -> Ray:
+    """The primitive sum of the rays of t's vertices: 1 on the coordinates
+    of t (coordinate j carries vertex j + 1) if vertex 0 is not in t, else
+    -1 on the coordinates off t."""
+    if t & 1:
+        return Ray(tuple(-(~t >> j & 1) for j in range(1, d + 1)), t)
+    return Ray(tuple(t >> j & 1 for j in range(1, d + 1)), t)
 
 
 def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
-    """Graph associahedral fan: subdivide the P^d fan along the cones of the
-    original rays of each tube, tube sizes d down to 2.
+    """Graph associahedral fan: the P^d fan subdivided stellarly at the cone
+    of each tube's vertex rays, tube sizes d down to 2, with the rays in
+    that order.  The order within a size class does not matter; pass an
+    rng to shuffle it (used to test exactly that).
 
-    The order within a size class does not matter; pass an rng to shuffle it
-    (used to test exactly that).  Each tube's cone must still be present when
-    its turn comes; `_subdivide` raises FanError if it is not, which would
-    indicate an ordering bug.  Original ray i carries graph vertex i, so a
-    tube's vertex bitmask is also the bitmask of its cone's rays.
+    A subdivision at a face replaces each cone that holds it by pieces of
+    that cone alone, so a cone's final pieces depend only on the vertex
+    rays O it holds and on the tubes to come.  The subdivision at tube t
+    splits the cone iff t lies in O, into a piece with O minus i and t's
+    ray for each i in t.  By induction no earlier tube lies in O, so the
+    next split is at the first tube inside O: the largest component of
+    G[O], the first in the order among those of equal size.  A cone is
+    final when G[O] has no edge.  A tube inside O lies in one component
+    of G[O], so the components split independently, and splitting first
+    at any component with an edge gives the same pieces.  The fan is the
+    union over k of the pieces of the cone V minus k (`_pieces`).
     """
     n = g.num_vertices
     if n < 2:
@@ -132,17 +109,34 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
     if not (is_connected(g) or g.is_discrete()):
         raise GraphError("unsupported: disconnected non-discrete graph")
     d = n - 1
-    f = projective_simplex_fan(d)
-    rays = list(f.rays)
-    cones = list(f.max_cones)
+    order = [1 << i for i in range(n)]
     for size in range(d, 1, -1):
-        layer = [t for t in tubes(g, size, size)]
+        layer = tubes(g, size, size)
         if rng is not None:
             rng.shuffle(layer)
-        for t in layer:
-            cones = _subdivide(cones, t, 1 << len(rays))
-            rays.append(_primitive_sum(rays, bits_of(t), t))
-    return Fan(d, tuple(rays), tuple(cones))
+        order += layer
+    ray_of = {t: i for i, t in enumerate(order)}
+    memo: dict[int, list[int]] = {}
+    cones = [c for k in range(d, -1, -1) for c in _pieces(g, ray_of, g.vertex_mask ^ 1 << k, memo)]
+    return Fan(d, tuple(_tube_ray(t, d) for t in order), tuple(cones))
+
+
+def _pieces(g: Graph, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]) -> list[int]:
+    """The final pieces of a cone whose vertex rays are o (see
+    `build_graph_fan`), memoised by o.  Module-level, so that the memo is in
+    no reference cycle and goes when the build returns."""
+    out = memo.get(o)
+    if out is None:
+        out, rest = [o], o
+        while rest:
+            c = component(g, rest)
+            rest ^= c
+            if c & c - 1:  # the first component of G[o] with an edge
+                ray = 1 << ray_of[c]
+                out = [ray | p for i in bits_of(c) for p in _pieces(g, ray_of, o ^ 1 << i, memo)]
+                break
+        memo[o] = out
+    return out
 
 
 def _det(matrix: list[list[int]]) -> int:

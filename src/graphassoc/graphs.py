@@ -226,10 +226,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"first line must be the vertex count, got {lines[0]!r}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:  # not two tokens, or a token that is no integer
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((u, v))
     return from_edges(n, edges)
 
 

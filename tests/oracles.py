@@ -2,12 +2,25 @@
 which the tests compare it against, and helpers of the acceptance
 criteria.  The package itself calls none of them."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional, Sequence
 
-from graphassoc import Fan, Graph, GraphError, StableTree, WeightVector, bits_of
+from graphassoc import (
+    Fan,
+    FanError,
+    Graph,
+    GraphError,
+    Ray,
+    StableTree,
+    WeightVector,
+    bits_of,
+)
 from graphassoc.fans import _Checks, _crossing_negatives, _det, _support
-from graphassoc.graphs import cliques, from_edges, induced_connected, subsets_by_size
+from graphassoc.graphs import cliques, from_edges, induced_connected
+from graphassoc.graphs import subsets_by_size, tubes
 from graphassoc.moduli import Label, _label_key, _vertex_stable, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
@@ -113,6 +126,65 @@ def full_w1w2_system(g: Graph) -> LinearSystem:
 
 
 # -- fans ---------------------------------------------------------------------
+
+
+def projective_simplex_fan(d: int) -> Fan:
+    """Fan of P^d: rays u_1..u_d the standard basis, u_0 = -(u_1+...+u_d);
+    ray index i carries graph vertex i."""
+    if d < 1:
+        raise FanError("dimension must be at least 1")
+    rays = [Ray(tuple(-1 for _ in range(d)), 1)]
+    for i in range(1, d + 1):
+        rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), 1 << i))
+    full = (1 << (d + 1)) - 1
+    return Fan(d, tuple(rays), tuple(full ^ (1 << omit) for omit in range(d, -1, -1)))
+
+
+def primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: int) -> Ray:
+    """The primitive part of the sum of the given rays' coordinates."""
+    coords = [0] * len(rays[0].coords)
+    for i in idx:
+        for j, c in enumerate(rays[i].coords):
+            coords[j] += c
+    g = math.gcd(*coords)
+    return Ray(tuple(c // g for c in coords), label)
+
+
+def subdivide(cones: list[int], m: int, new: int) -> list[int]:
+    """Stellar subdivision of maximal cones held as ray-index bitmasks: each
+    cone c containing the face m becomes the cones (c | new) ^ low, one for
+    each bit low of m.  Raises FanError if no cone contains m."""
+    out, star = [], []
+    for c in cones:
+        if c & m == m:
+            star.append(c | new)
+        else:
+            out.append(c)
+    if not star:
+        raise FanError(f"rays {tuple(bits_of(m))} do not span a cone of the fan")
+    for i in bits_of(m):
+        low = 1 << i
+        out += [c ^ low for c in star]
+    return out
+
+
+def scan_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
+    """`build_graph_fan` as the blowup reads, for a connected or discrete g
+    on at least 2 vertices: the P^d fan subdivided at the cone of each tube
+    in turn, tube sizes d down to 2, each subdivision a scan of the whole
+    cone list, each new ray the primitive sum of its tube's vertex rays."""
+    d = g.num_vertices - 1
+    f = projective_simplex_fan(d)
+    rays = list(f.rays)
+    cones = list(f.max_cones)
+    for size in range(d, 1, -1):
+        layer = tubes(g, size, size)
+        if rng is not None:
+            rng.shuffle(layer)
+        for t in layer:
+            cones = subdivide(cones, t, 1 << len(rays))
+            rays.append(primitive_sum(rays, bits_of(t), t))
+    return Fan(d, tuple(rays), tuple(cones))
 
 
 def face_counts(f: Fan) -> tuple[int, ...]:

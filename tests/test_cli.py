@@ -374,6 +374,15 @@ def test_conflicting_inputs_are_rejected(capsys, argv, message):
     assert out == ""
 
 
+def test_edge_list_with_a_non_integer_endpoint(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("3\n0 x\n")
+    code, out, err = run(capsys, "classify", f"@{f}")
+    assert code == EXIT_USAGE
+    assert "error: bad edge line '0 x'" in err
+    assert out == ""
+
+
 def test_unsupported_graph(capsys, tmp_path):
     f = tmp_path / "disc.txt"
     f.write_text("4\n0 1\n")

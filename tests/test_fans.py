@@ -1,6 +1,7 @@
 """Fans: projective space fan, stellar subdivision, graph associahedral
 fans, ray labels, f-vectors, smoothness, completeness, order-independence."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -19,12 +20,19 @@ from graphassoc import (
     is_complete,
     is_smooth,
     parse_graph,
-    projective_simplex_fan,
     proper_tubes,
 )
 from graphassoc import fans
-from graphassoc.fans import _det, _primitive_sum, _subdivide, _support, fan_to_json
-from oracles import canonical_form, face_counts, walk_per_cone
+from graphassoc.fans import _det, _support, fan_to_json
+from oracles import (
+    canonical_form,
+    face_counts,
+    primitive_sum,
+    projective_simplex_fan,
+    scan_graph_fan,
+    subdivide,
+    walk_per_cone,
+)
 
 
 def catalan(n):
@@ -53,25 +61,59 @@ def test_stellar_subdivide_square_example():
     # subdividing one cone of the P^2 fan yields the 4-cone fan of a
     # Hirzebruch-like blowup: one extra ray, one extra maximal cone
     f = projective_simplex_fan(2)
-    cones = _subdivide(list(f.max_cones), 0b110, 1 << 3)
-    g = Fan(2, f.rays + (_primitive_sum(f.rays, (1, 2), 0b110),), tuple(cones))
+    cones = subdivide(list(f.max_cones), 0b110, 1 << 3)
+    g = Fan(2, f.rays + (primitive_sum(f.rays, (1, 2), 0b110),), tuple(cones))
     assert len(g.rays) == 4
     assert g.rays[3].coords == (1, 1)
     assert len(g.max_cones) == 4
     assert is_smooth(g) and is_complete(g)
     with pytest.raises(FanError):
-        _subdivide(cones, 0b110, 1 << 4)  # that cone no longer exists
+        subdivide(cones, 0b110, 1 << 4)  # that cone no longer exists
 
 
 def test_stellar_subdivide_rejects_rays_spanning_no_cone():
-    # build_graph_fan relies on this check to catch a tube cone that is
-    # already gone; the rays of tubes {0,1} and {1,2} of P3 overlap
-    # without nesting, so they span no cone of its fan
+    # the scan oracle's guard against subdividing at a cone that is already
+    # gone; the rays of tubes {0,1} and {1,2} of P3 overlap without
+    # nesting, so they span no cone of its fan
     f = build_graph_fan(parse_graph("P3"))
     ray = {r.label: i for i, r in enumerate(f.rays)}
     face = 1 << ray[0b011] | 1 << ray[0b110]
     with pytest.raises(FanError, match="do not span a cone"):
-        _subdivide(list(f.max_cones), face, 1 << len(f.rays))
+        subdivide(list(f.max_cones), face, 1 << len(f.rays))
+
+
+def _differential_graphs():
+    for n in range(2, 7):
+        yield from connected_graphs_up_to_iso(n)
+    for spec in ["D2", "D3", "D4", "D5", "P8", "C8", "S8", "K7"]:
+        yield parse_graph(spec)
+
+
+def test_build_matches_the_scan_oracle():
+    # the subset recursion and the subdivision scan give the same rays, in
+    # the same order with the same labels, and the same maximal cones
+    for g in _differential_graphs():
+        for seed in (None, 11):
+            rng = None if seed is None else random.Random(seed)
+            f = build_graph_fan(g, rng=rng)
+            rng = None if seed is None else random.Random(seed)
+            oracle = scan_graph_fan(g, rng=rng)
+            assert f.dim == oracle.dim, (g, seed)
+            assert f.rays == oracle.rays, (g, seed)
+            assert sorted(f.max_cones) == sorted(oracle.max_cones), (g, seed)
+
+
+def test_build_leaves_no_cyclic_garbage():
+    # a memo reachable from a reference cycle would outlive the build until
+    # the cyclic collector ran, holding every cone list of the recursion
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in ["C6", "K5", "S6", "P7"]:
+            build_graph_fan(parse_graph(spec))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -400,8 +442,8 @@ def test_walk_matches_the_per_cone_walk_on_blown_up_fans():
             for _ in range(8):
                 face = rng.sample(fans.bits_of(rng.choice(cones)), rng.randrange(2, d + 1))
                 m = sum(1 << i for i in face)
-                cones = _subdivide(cones, m, 1 << len(rays))
-                rays.append(_primitive_sum(rays, face, m))
+                cones = subdivide(cones, m, 1 << len(rays))
+                rays.append(primitive_sum(rays, face, m))
                 f = Fan(d, tuple(rays), tuple(cones))
                 assert is_complete(f) and is_smooth(f)
                 # and its image under x -> -(x_{d-1}, ..., x_0)

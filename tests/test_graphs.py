@@ -117,8 +117,10 @@ def test_parse_edge_list():
         parse_edge_list("")
     with pytest.raises(GraphError):
         parse_edge_list("two\n0 1")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="bad edge line '0 1 2'"):
         parse_edge_list("3\n0 1 2")
+    with pytest.raises(GraphError, match="bad edge line '0 x'"):
+        parse_edge_list("3\n0 x")
 
 
 def test_subsets_by_size():
