@@ -26,7 +26,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph,
 )
-from .moduli import count_stable_trees, divisor_tube_correspondence, nodal_divisors
+from .moduli import _check_weights, count_stable_trees, divisor_tube_correspondence, nodal_divisors
 from .obstructions import feasible, obstruction_a, obstruction_b, w1w2_system
 from .tubings import BIJECTION_MAX_VERTICES, verify_fan_tubing_bijection
 from .weights import (
@@ -276,6 +276,7 @@ def cmd_moduli(args) -> int:
     cap = args.max_vertices if args.max_vertices is not None else w.n - 2
     results: dict = {"weights": str(w), "n": w.n}
     if args.divisors:
+        _check_weights(w)  # as counting the trees does
         divisors = nodal_divisors(w)
         results["num_nodal_divisors"] = len(divisors)
         results["nodal_divisors"] = [d.to_json() for d in divisors]

@@ -30,6 +30,7 @@ check and in the check that they lie in (0, 1]; the walk compares none.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -105,55 +106,56 @@ def _vertex_stable(w: WeightVector, legs: frozenset, degree: int) -> bool:
     return total > EpsRational(2)
 
 
-def _stable_cliques(
-    w: WeightVector, max_vertices: int
-) -> tuple[list[int], Iterator[tuple[int, ...]]]:
-    """The M-free sides of the nodal divisors, as bitmasks of mark labels,
-    and a walk over the cliques of pairwise compatible sides, as tuples of
-    side indices: one per stable tree of 1..max_vertices components, the
-    empty clique (the one-component tree) first.  No cliques at all when
-    the one-component tree is unstable."""
-    if not (1 <= max_vertices <= w.n - 2):
-        raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
+def _check_weights(w: WeightVector) -> None:
     zero, one = EpsRational(0), EpsRational(1)
     if not all(zero < c <= one for c in w.entries()):
         raise ValueError(f"stable trees need every weight in (0, 1], got {w}")
+
+
+def _stable_cliques(
+    w: WeightVector, max_vertices: int
+) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
+    """The M-free sides of the nodal divisors, as bitmasks of mark labels;
+    sup[i], the bitmask of the later sides that contain side i; and a walk
+    over the cliques of pairwise compatible sides, as tuples of side
+    indices: one per stable tree of 1..max_vertices components, the empty
+    clique (the one-component tree) first.  No cliques at all when the
+    one-component tree is unstable."""
+    if not (1 <= max_vertices <= w.n - 2):
+        raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
+    _check_weights(w)
     if not _vertex_stable(w, frozenset(["M", *range(w.n - 1)]), 0):
-        return [], iter(())
+        return [], [], iter(())
     sides = [mask_of(d.side) for d in nodal_divisors(w)]
     compat = [0] * len(sides)
+    sup = [0] * len(sides)
     for i, a in enumerate(sides):
         for j in range(i + 1, len(sides)):
-            if (a & sides[j]) in (0, a, sides[j]):  # disjoint or nested
+            # a side is no larger than a later one, so only a can be inside
+            both = a & sides[j]
+            if both == a:
+                sup[i] |= 1 << j
+            if both in (0, a):  # disjoint or nested
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
-    return sides, itertools.chain([()], cliques(compat, max_vertices - 1))
+    return sides, sup, itertools.chain([()], cliques(compat, max_vertices - 1))
 
 
-def _tree_of(n: int, sides: list[int]) -> StableTree:
-    """The tree whose edges split off the given compatible M-free sides,
-    listed by nondecreasing size as `nodal_divisors` orders them.  Vertex 0
-    holds M; vertex i + 1 hangs below the edge of sides[i], from the
-    smallest later side that contains it, or else from vertex 0, and keeps
-    the marks of its side that no child takes."""
-    taken = [0] * (len(sides) + 1)  # vertex -> union of its children's sides
-    edges = []
-    for i, side in enumerate(sides):
-        parent = next(
-            (j + 1 for j in range(i + 1, len(sides)) if side & ~sides[j] == 0), 0
-        )
-        edges.append((parent, i + 1))
-        taken[parent] |= side
-    legs = [frozenset(["M", *bits_of(((1 << (n - 1)) - 1) & ~taken[0])])]
-    legs += [frozenset(bits_of(side & ~taken[i + 1])) for i, side in enumerate(sides)]
-    return StableTree(tuple(legs), tuple(edges))
+def _json_sort_key():
+    """A sort key that orders trees numbered in JSON order as
+    (num_vertices, str(to_json())) does, see `enumerate_stable_trees`; it
+    makes the key of each leg set and each edge once."""
+    vertex = functools.cache(lambda legs: (*map(str, sorted(legs, key=_label_key)), "~"))
+    edge = functools.cache(lambda e: (str(e[0]), f"{e[1]}~"))
+    return lambda t: (len(t.legs), tuple(map(vertex, t.legs)), tuple(map(edge, t.edges)))
 
 
 def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
     """All stable dual trees with at most max_vertices components, up to
-    isomorphism fixing the legs, sorted by component count and then by
-    `str(to_json())`; [] when the total weight is at most 2.  Raises
-    ValueError unless every weight lies in (0, 1].
+    isomorphism fixing the legs, numbered in the vertex order of their JSON
+    and sorted by component count and then by `str(to_json())`; [] when the
+    total weight is at most 2.  Raises ValueError unless every weight lies
+    in (0, 1].
 
     For weights in (0, 1] a tree is stable iff every edge's split is a
     nodal divisor: a leaf needs its side to weigh more than 1, a vertex of
@@ -162,11 +164,54 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
     inequalities over the vertices on one side of an edge gives the
     converse.  Splits of one tree have nested or disjoint M-free sides, and
     fix the tree.  So the trees of j + 1 components are the j-cliques of
-    compatible nodal divisors, walked once and built only for output.
+    compatible nodal divisors, walked once.
+
+    Each tree is built from its clique: side i hangs from the smallest
+    side of the clique that contains it, the lowest bit of sup[i] inside
+    the clique, or else from the vertex of M.  Leg sets are disjoint, so
+    ordering vertices by their lowest leg orders them as `to_json` does;
+    legless vertices come first and are ordered by their branches.
+
+    The sort key stands in for the JSON string without building it.  A
+    vertex gives its label strings and then "~", which sorts above every
+    label as the `]` closing a leg list sorts above the `,` before a
+    further label; labels compare as strings, as in the text ('10' < '2').
+    An edge (a, b) gives (str(a), str(b) + "~"), since b is followed by
+    `]`, which sorts above a digit: the text puts [0, 1] after [0, 10],
+    where ("0", "1") would sort before ("0", "10").
     """
-    sides, walk = _stable_cliques(w, max_vertices)
-    trees = [_tree_of(w.n, [sides[i] for i in c]) for c in walk]
-    trees.sort(key=lambda t: (t.num_vertices, str(t.to_json())))
+    sides, sup, walk = _stable_cliques(w, max_vertices)
+    # Bit 0 is M and bit l + 1 is mark l, so the lowest bit of a leg set is
+    # its first label; the vertex of M has every mark for its side.
+    root = len(sides)
+    sides = [s << 1 for s in sides] + [(1 << w.n) - 1]
+    labels = ["M", *range(w.n - 1)]
+    leg_set = functools.cache(lambda m: frozenset(map(labels.__getitem__, bits_of(m))))
+    bit = [1 << i for i in range(root)]
+    trees = []
+    for c in walk:
+        clique = sum(map(bit.__getitem__, c))
+        legs = dict(zip(c, map(sides.__getitem__, c)))
+        legs[root] = sides[root]
+        parent = {}
+        for i in c:
+            above = sup[i] & clique
+            p = parent[i] = (above & -above).bit_length() - 1 if above else root
+            legs[p] &= ~sides[i]
+        order = sorted(legs, key=lambda v: legs[v] & -legs[v])
+        if len(order) > 1 and not legs[order[1]]:  # legless vertices tie
+            k = sum(not m for m in legs.values())
+            order[:k] = sorted(order[:k], key=lambda v: sorted(
+                [bits_of(sides[root] & ~sides[v])]
+                + [bits_of(sides[u]) for u in c if parent[u] == v]
+            ))
+        pos = {v: j for j, v in enumerate(order)}
+        edges = sorted(
+            (a, b) if a < b else (b, a) for a, b in ((pos[parent[i]], pos[i]) for i in c)
+        )
+        shared_legs = tuple(map(leg_set, map(legs.__getitem__, order)))
+        trees.append(StableTree(shared_legs, tuple(edges)))
+    trees.sort(key=_json_sort_key())
     return trees
 
 
@@ -187,17 +232,27 @@ class NodalDivisor:
 
 
 def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
-    """All mark bipartitions with both sides of size >= 2 and weight > 1."""
-    non_m = list(range(w.n - 1))  # labels 0..n-2
-    out = []
+    """All mark bipartitions with both sides of size >= 2 and weight > 1,
+    ordered by the size and then the labels of the M-free side.
+
+    One doubling pass weighs all 2^(n-1) M-free subsets, each with one
+    addition; the sides of each size are then compared in lexicographic
+    order, each with `> 1` and, if that holds, the M side with `> 1`.
+    These are the comparisons, in the order, of summing every side afresh,
+    so `record_comparisons` sees the same pairs."""
     one = EpsRational(1)
     whole = w.total()
+    sums = [EpsRational(0)]  # sums[s]: the weight of the marks of s
+    for l in range(w.n - 1):
+        weight = w.weight_of(l)
+        sums += [s + weight for s in sums]
+    bits = [1 << l for l in range(w.n - 1)]
+    out = []
     for r in range(2, w.n - 1):
-        for side in itertools.combinations(non_m, r):
-            total = sum(map(w.weight_of, side), EpsRational(0))
+        for side in map(sum, itertools.combinations(bits, r)):
+            total = sums[side]
             if total > one and whole - total > one:
-                out.append(NodalDivisor(frozenset(side)))
-    out.sort(key=lambda d: (len(d.side), d.labels()))
+                out.append(NodalDivisor(frozenset(bits_of(side))))
     return out
 
 
@@ -205,7 +260,7 @@ def count_stable_trees(w: WeightVector, max_vertices: int) -> dict[int, int]:
     """Component count -> number of stable trees with that many components,
     for 1..max_vertices components, by the walk of `enumerate_stable_trees`
     without building the trees."""
-    counts = Counter(len(c) + 1 for c in _stable_cliques(w, max_vertices)[1])
+    counts = Counter(len(c) + 1 for c in _stable_cliques(w, max_vertices)[2])
     return dict(sorted(counts.items()))
 
 

@@ -9,10 +9,12 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from graphassoc import (
+    EpsRational,
     Fan,
     FanError,
     Graph,
     GraphError,
+    NodalDivisor,
     Ray,
     StableTree,
     WeightVector,
@@ -21,7 +23,13 @@ from graphassoc import (
 from graphassoc.fans import _Checks, _crossing_negatives, _det, _support
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
-from graphassoc.moduli import Label, _label_key, _vertex_stable, enumerate_stable_trees
+from graphassoc.moduli import (
+    Label,
+    _label_key,
+    _stable_cliques,
+    _vertex_stable,
+    enumerate_stable_trees,
+)
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
 
@@ -338,6 +346,57 @@ def canonical_form(f: Fan):
 
 
 # -- stable trees -------------------------------------------------------------
+
+
+def tree_of(n: int, sides: list[int]) -> StableTree:
+    """The tree whose edges split off the given compatible M-free sides,
+    listed by nondecreasing size as `nodal_divisors` orders them.  Vertex 0
+    holds M; vertex i + 1 hangs below the edge of sides[i], from the
+    smallest later side that contains it, or else from vertex 0, and keeps
+    the marks of its side that no child takes."""
+    taken = [0] * (len(sides) + 1)  # vertex -> union of its children's sides
+    edges = []
+    for i, side in enumerate(sides):
+        parent = next(
+            (j + 1 for j in range(i + 1, len(sides)) if side & ~sides[j] == 0), 0
+        )
+        edges.append((parent, i + 1))
+        taken[parent] |= side
+    legs = [frozenset(["M", *bits_of(((1 << (n - 1)) - 1) & ~taken[0])])]
+    legs += [frozenset(bits_of(side & ~taken[i + 1])) for i, side in enumerate(sides)]
+    return StableTree(tuple(legs), tuple(edges))
+
+
+def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
+    """The JSON of the trees of the package's clique walk, each built by
+    `tree_of` with M on vertex 0, sorted by component count and then by
+    the JSON string."""
+    sides, _, walk = _stable_cliques(w, max_vertices)
+    items = [tree_of(w.n, [sides[i] for i in c]).to_json() for c in walk]
+    items.sort(key=lambda item: (len(item["vertices"]), str(item)))
+    return items
+
+
+def tree_from_json(item: dict) -> StableTree:
+    """The tree numbered in the vertex order of its JSON."""
+    legs = (frozenset(l if l == "M" else int(l) for l in v["legs"]) for v in item["vertices"])
+    return StableTree(tuple(legs), tuple(map(tuple, item["edges"])))
+
+
+def subset_nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
+    """All mark bipartitions with both sides of size >= 2 and weight > 1,
+    each side's weight summed afresh from its marks."""
+    non_m = list(range(w.n - 1))  # labels 0..n-2
+    out = []
+    one = EpsRational(1)
+    whole = w.total()
+    for r in range(2, w.n - 1):
+        for side in combinations(non_m, r):
+            total = sum(map(w.weight_of, side), EpsRational(0))
+            if total > one and whole - total > one:
+                out.append(NodalDivisor(frozenset(side)))
+    out.sort(key=lambda d: (len(d.side), d.labels()))
+    return out
 
 
 def degree(tree: StableTree, v: int) -> int:

@@ -247,6 +247,16 @@ def test_moduli_rejects_weights_outside_unit_interval(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("weights", ["1,1,2,e,e", "0,0,0,0"])
+def test_moduli_divisors_reject_weights_outside_unit_interval(capsys, weights):
+    # the same message and exit code with and without --divisors
+    for extra in [(), ("--divisors",)]:
+        code, out, err = run(capsys, "moduli", "--weights", weights, *extra)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: stable trees need every weight in (0, 1]")
+        assert out == ""
+
+
 def test_moduli_divisors_only(capsys):
     code, report, _ = run_json(capsys, "moduli", "--weights", "1,1,e,e,e", "--divisors")
     assert code == EXIT_OK

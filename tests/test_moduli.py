@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -27,8 +28,15 @@ from graphassoc import (
     record_comparisons,
     remark_weights,
 )
-from graphassoc.moduli import _label_key, _vertex_stable
-from oracles import chain_shape_check, enumerate_tubings, tree_stable
+from graphassoc.moduli import _json_sort_key, _label_key, _vertex_stable
+from oracles import (
+    chain_shape_check,
+    enumerate_tubings,
+    reference_tree_json,
+    subset_nodal_divisors,
+    tree_from_json,
+    tree_stable,
+)
 
 
 def lm_weights(n):
@@ -144,21 +152,102 @@ def trees_json(trees):
     return [t.to_json() for t in trees]
 
 
+CLIQUE_WEIGHTS = [
+    parse_weight_vector("1,1-3e,4e,4e,e,e"),
+    parse_weight_vector("1,1,1,e,e,e,e"),
+    *(w for _, w in iterated_cones_up_to(6)),
+    *(lm_weights(n) for n in range(5, 9)),
+]
+
+
 def test_cliques_match_the_splitting_enumerator():
     """Tree for tree and in order, and counted alike without building."""
-    weights = [
-        parse_weight_vector("1,1-3e,4e,4e,e,e"),
-        parse_weight_vector("1,1,1,e,e,e,e"),
-        *(w for _, w in iterated_cones_up_to(6)),
-        *(lm_weights(n) for n in range(5, 9)),
-    ]
-    assert len(weights) == 2 + 15 + 4
-    for w in weights:
+    assert len(CLIQUE_WEIGHTS) == 2 + 15 + 4
+    for w in CLIQUE_WEIGHTS:
         trees = enumerate_stable_trees(w, w.n - 2)
         assert trees_json(trees) == trees_json(splitting_trees(w, w.n - 2)), str(w)
         assert count_stable_trees(w, w.n - 2) == dict(
             sorted(Counter(t.num_vertices for t in trees).items())
         )
+
+
+@pytest.mark.parametrize(
+    "w, cap",
+    [
+        *((w, w.n - 2) for w in CLIQUE_WEIGHTS),
+        (parse_weight_vector("1,1,1,1,1,1,1,1"), 6),  # legless vertices tie
+        (lm_weights(12), 2),  # two-digit labels
+        (parse_weight_vector(",".join(["1"] * 13)), 2),
+    ],
+    ids=str,
+)
+def test_trees_match_the_reference_json(w, cap):
+    """Tree for tree and in order: the trees built in JSON order from their
+    cliques and sorted by `_json_sort_key` are the reference trees, built
+    with M on vertex 0, renumbered as their JSON reads and sorted by
+    `str(to_json())`."""
+    trees = enumerate_stable_trees(w, cap)
+    reference = reference_tree_json(w, cap)
+    assert trees == [tree_from_json(item) for item in reference]
+    assert trees_json(trees) == reference
+
+
+def prufer_tree(seq, n):
+    """The labelled tree on n vertices with Pruefer sequence seq, as sorted
+    (smaller, larger) edges."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append(tuple(sorted((leaf, v))))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return tuple(sorted(edges))
+
+
+def test_json_sort_key_orders_edges_as_the_json_text():
+    """On 13-vertex trees with labels up to 20 that differ only in their
+    edges, where edge ends reach 10, `_json_sort_key` orders as the JSON
+    string does, and a key without the closing "~" does not."""
+    legs = (frozenset(["M", 0, 13]),) + tuple(
+        frozenset([v, v + 13] if v + 13 <= 20 else [v]) for v in range(1, 13)
+    )
+    rng = random.Random(13)
+    trees = {
+        StableTree(legs, prufer_tree([rng.randrange(13) for _ in range(11)], 13))
+        for _ in range(2000)
+    }
+    trees = sorted(trees, key=lambda t: t.edges)  # a start not in JSON order
+    for t in trees:  # numbered in JSON order, which the key assumes
+        assert t.to_json()["edges"] == [list(e) for e in t.edges]
+    by_text = sorted(trees, key=lambda t: (t.num_vertices, str(t.to_json())))
+    assert sorted(trees, key=_json_sort_key()) == by_text
+    no_sentinel = sorted(trees, key=lambda t: [(str(a), str(b)) for a, b in t.edges])
+    assert no_sentinel != by_text
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        *(w for _, w in iterated_cones_up_to(6)),
+        *(lm_weights(n) for n in range(5, 10)),
+        parse_weight_vector("1,1-3e,4e,4e,e,e"),
+        parse_weight_vector("1,1/2,(1+e)/2,e,e"),
+    ],
+    ids=str,
+)
+def test_nodal_divisors_match_the_per_subset_reference(w):
+    """Equal divisors from the doubling pass, and the same comparisons in
+    the same order, so the eps threshold of the moduli pass is kept."""
+    with record_comparisons() as fast:
+        divisors = nodal_divisors(w)
+    with record_comparisons() as slow:
+        reference = subset_nodal_divisors(w)
+    assert divisors == reference
+    assert fast.pairs == slow.pairs
 
 
 @pytest.mark.parametrize(
