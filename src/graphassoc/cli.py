@@ -4,7 +4,8 @@ and enumerate moduli data.
 Exit codes: 0 computed (whatever the answer), 1 usage or parse error,
 argparse's own errors and conflicting inputs included, 2 internal invariant
 failure (a cross-check that should always pass failed: a `verify` check, a
-`fan` that is not smooth and complete, or any FanError).
+`fan` that is not smooth and complete, or any FanError, such as a fan cone
+that is not laminar).
 """
 
 from __future__ import annotations

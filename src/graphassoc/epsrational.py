@@ -178,6 +178,8 @@ def parse_eps_rational(text: str) -> EpsRational:
             return inner
         if not rest.startswith("/"):
             raise ValueError(f"expected '/<int>' after ')': {text!r}")
+        if not re.fullmatch(r"[+-]?[0-9]+", rest[1:]):
+            raise ValueError(f"bad EpsRational literal {text!r}")
         denom = int(rest[1:])
         if denom == 0:
             raise ValueError("division by zero")

@@ -13,14 +13,14 @@ rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
 an int: the cone list is transposed into one lane mask per ray (the cones
 that hold it), and each step of the pass works on every cone at once with
 a few int operations per coordinate of the ray's support.  Each ray is
-read as a signed 0/1 vector s_B 1_B.  When a cone's ray supports are
-laminar, the pass works on bitmasks alone:
+read as a signed 0/1 vector s_B 1_B, and a cone's ray supports must be
+laminar (pairwise nested or disjoint), as in every graph fan; the pass
+raises FanError at any other cone.  It works on bitmasks alone:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
 - v = (1, ..., d) has the coordinate
   lambda_B = s_B (v_r(B) - v_r(parent B)) in the cone's basis.
-Every other cone goes through a Bareiss determinant and Cramer's rule.
 The two cones at a facet F = c ^ u must lie on opposite sides of it, the
 sign of det(F, u) = det(c) (-1)^(d-1-k) for u in place k of c: the
 facets on one side go into one set, and those on the other side must
@@ -139,28 +139,6 @@ def _pieces(g: Graph, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]
     return out
 
 
-def _det(matrix: list[list[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _support(coords: tuple[int, ...]) -> Optional[int]:
     """Bitmask of the nonzero coordinates if they are all +1 or all -1."""
     signs = {c for c in coords if c}
@@ -201,18 +179,18 @@ def _pick(cones: Sequence[int], lanes: int) -> Iterator[int]:
     return compress(cones, digits[::-1])
 
 
-def _slow_lanes(supports: list[int], lanes: list[int], d: int) -> int:
-    """The cones with a ray that is not a signed 0/1 vector (support 0) or
-    with two rays whose supports cross: they meet, and neither holds the
-    other."""
+def _check_laminar(cones: Sequence[int], supports: list[int], lanes: list[int], d: int) -> None:
+    """Raises FanError naming the first cone that the pass cannot read: one
+    with a ray that is not a signed 0/1 vector (support 0), or with two rays
+    whose supports cross (they meet, and neither holds the other)."""
     holders = [0] * d  # holders[j]: the rays whose support holds coordinate j
     for i, b in enumerate(supports):
         for j in bits_of(b):
             holders[j] |= 1 << i
-    slow = 0
+    bad = 0
     for i, b in enumerate(supports):
         if not b:
-            slow |= lanes[i]
+            bad |= lanes[i]
             continue
         meet = outside = 0
         above = -1
@@ -227,29 +205,22 @@ def _slow_lanes(supports: list[int], lanes: list[int], d: int) -> int:
         met = 0
         for j in bits_of((meet & ~above & outside) >> i + 1):
             met |= lanes[i + 1 + j]
-        slow |= lanes[i] & met
-    return slow
+        bad |= lanes[i] & met
+    if bad:
+        raise FanError(f"cone {bits_of(cones[(bad & -bad).bit_length() - 1])} is not laminar")
 
 
-def _walls_match(
-    cones: Sequence[int],
-    lanes: list[int],
-    laminar: int,
-    sides: int,
-    odd: dict[int, int],
-    facets: tuple[list[int], list[int]],
-) -> bool:
+def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[int, int]) -> bool:
     """Every facet lies in exactly one cone on each side: the side-0 facets
     go into one set, which must hold them all, and the side-1 facets, as
-    many, must empty it.  In a laminar cone, ray i's facet is on the side
-    of the cone's first facet (`sides`) if i is in an even place, in the
-    cones `odd[i]` on the other; `facets` holds the other cones' facets by
-    side.  Rays that share no cone form a group, and one `_pick` per side
+    many, must empty it.  Ray i's facet is on the side of the cone's first
+    facet (`sides`) if i is in an even place, in the cones `odd[i]` on the
+    other.  Rays that share no cone form a group, and one `_pick` per side
     yields the cones of all of them; c & ~group is the facet, c without the
     one ray of the group in c."""
     groups = []  # [lanes, rays, lanes with the facet on side 1]
     for i, o in odd.items():
-        here = lanes[i] & laminar
+        here = lanes[i]
         for g in groups:
             if not g[0] & here:
                 break
@@ -259,8 +230,8 @@ def _walls_match(
         g[0] |= here
         g[1] |= 1 << i
         g[2] |= (sides ^ o) & here
-    size = len(facets[0]) + sum((held ^ one).bit_count() for held, _, one in groups)
-    if size != len(facets[1]) + sum(one.bit_count() for _, _, one in groups):
+    size = sum((held ^ one).bit_count() for held, _, one in groups)
+    if size != sum(one.bit_count() for _, _, one in groups):
         return False
 
     def on_side(side: int) -> Iterator[int]:
@@ -269,11 +240,11 @@ def _walls_match(
             for held, rays, one in groups
         )
 
-    walls = set(chain(facets[0], on_side(0)))
+    walls = set(on_side(0))
     if len(walls) != size:
         return False
     # one call, so the set shrinks once, at the end
-    walls.difference_update(chain(facets[1], on_side(1)))
+    walls.difference_update(on_side(1))
     return not walls
 
 
@@ -330,11 +301,12 @@ def _walk(f: Fan) -> _Checks:
       inversions number sum_k (k - #{swept coordinates below r_k}); the sum
       of k is d(d-1)/2, and `inversions` is the parity of the counts, a
       prefix XOR of `covered` below each rem.
-    Cones with two crossing supports (read off each ray's crossing rays)
-    or with a ray that is not a signed 0/1 vector go to a Bareiss
-    determinant one by one, and Cramer's rule gives their lambda.  A cone
-    with determinant 0 is neither unimodular nor full-dimensional, so the
-    pass stops there.
+    The pass reads laminar cones of signed 0/1 rays only, as every cone of
+    a graph fan is: compatible tubes are nested or disjoint, and so are
+    their rays' supports.  It raises FanError at the first cone with a ray
+    that is not a signed 0/1 vector or with two crossing supports
+    (`_check_laminar`).  A cone with an empty rem has determinant 0, so it
+    is neither unimodular nor full-dimensional, and the pass stops there.
 
     The facet F = c ^ u with u in place k of c lies on side
     (side of c + k) mod 2 (see `is_complete`); `odd` holds the cones in
@@ -345,8 +317,7 @@ def _walk(f: Fan) -> _Checks:
         return _Checks(True, False, None)
     supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
     lanes = _lane_masks(cones, len(supports))
-    every = (1 << len(cones)) - 1
-    slow = _slow_lanes(supports, lanes, d)  # the cones that go to Bareiss
+    _check_laminar(cones, supports, lanes, d)
 
     covered, pos, neg, lam = [0] * d, [0] * d, [0] * d, [0] * d
     zero = inversions = flips = run = 0
@@ -354,7 +325,7 @@ def _walk(f: Fan) -> _Checks:
     rank = sorted(range(len(supports)), key=lambda i: supports[i].bit_count())
     for i in rank:
         here, b = lanes[i], supports[i]
-        if not (here and b):
+        if not here:
             continue
         odd[i] = run & here
         run ^= here
@@ -383,58 +354,16 @@ def _walk(f: Fan) -> _Checks:
             else:
                 pos[j] = pos[j] & keep | rem
                 neg[j] &= keep
-    laminar = every & ~slow
-    if zero & laminar:
-        return _Checks(False, False, None)  # laminar, so det 0 (see is_smooth)
+    if zero:
+        return _Checks(False, False, None)  # det 0 (see is_smooth)
 
-    smooth = True
-    crossing = []  # (rows, det) of the cones that go to Bareiss
-    facets = ([], [])  # their facets, by side
-    for c in _pick(cones, slow):
-        # rank order: a stable sort of the ascending indices by support size
-        order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
-        rows = [list(f.rays[i].coords) for i in order]
-        det = _det(rows)
-        if det == 0:
-            return _Checks(False, False, None)
-        smooth = smooth and abs(det) == 1
-        crossing.append((rows, det))
-        side = (det < 0) + d - 1
-        for place, i in enumerate(order):
-            facets[side + place & 1].append(c ^ 1 << i)
-
-    # the side of each laminar cone's first facet
+    every = (1 << len(cones)) - 1
+    # the side of each cone's first facet
     sides = inversions ^ flips ^ (every if (d * (d - 1) // 2 + d - 1) & 1 else 0)
-    if not _walls_match(cones, lanes, laminar, sides, odd, facets):
-        return _Checks(smooth, False, None)
-
-    h = _tally(map(int.__or__, lam, neg), laminar, d)
-    for count in _crossing_negatives(crossing, d):
-        h[count] += 1
-    return _Checks(smooth, h[0] == 1, tuple(h))
-
-
-def _crossing_negatives(crossing: list, d: int) -> list[int]:
-    """The number of negative lambda_k = det(rows with row k replaced by v)
-    / det (Cramer's rule) for each (rows, det), with v = (1, 2, ..., d) if
-    no lambda is 0, else v = (t, t^2, ..., t^d) for the first t = 2, 3, ...
-    that makes none 0.  Expanded along row k, each numerator is a nonzero
-    polynomial in t of degree at most d, so only finitely many t fail.
-    Laminar cones need no retry: their lambda signs depend only on the order
-    of v's coordinates."""
-    v = list(range(1, d + 1))
-    t = 1
-    while True:
-        counts = []
-        for rows, det in crossing:
-            lam = [_det(rows[:k] + [v] + rows[k + 1:]) * det for k in range(d)]
-            if 0 in lam:
-                break
-            counts.append(sum(x < 0 for x in lam))
-        else:
-            return counts
-        t += 1
-        v = [t**j for j in range(1, d + 1)]
+    if not _walls_match(cones, lanes, sides, odd):
+        return _Checks(True, False, None)
+    h = _tally(map(int.__or__, lam, neg), every, d)
+    return _Checks(True, h[0] == 1, tuple(h))
 
 
 def is_smooth(f: Fan) -> bool:
@@ -458,9 +387,9 @@ def is_smooth(f: Fan) -> bool:
       their rem sets coincide, so the singletons cannot cover d coordinates.
     Hence |det| = 1 iff every rem is a singleton and together they cover all
     d coordinates, and otherwise det = 0.  A cone with a ray that is not a
-    signed 0/1 vector of one sign, or with two crossing supports, gets its
-    determinant by Bareiss elimination instead.  The work is shared with
-    `is_complete` and `f_vector` in one pass per fan, cached on the fan.
+    signed 0/1 vector of one sign, or with two crossing supports, raises
+    FanError.  The work is shared with `is_complete` and `f_vector` in one
+    pass per fan, cached on the fan.
     """
     return f._checks.smooth
 
@@ -481,7 +410,8 @@ def is_complete(f: Fan) -> bool:
       whose complement is connected for d >= 2 (for d = 1 the wall at 0
       already gives one ray on each side).  That number is h_0.
     A fan that covers R^d twice, such as a five-pointed star or a square
-    wound round twice, passes the walls check and fails the degree check."""
+    wound round twice, passes the walls check and fails the degree check.
+    Raises FanError on a cone that is not laminar (see `is_smooth`)."""
     return f._checks.complete
 
 
@@ -499,9 +429,9 @@ def f_vector(f: Fan) -> tuple[int, ...]:
     above it only, so v_r(B) = sum over A containing B of s_A lambda_A and
     lambda_B = s_B (v_r(B) - v_r(parent B)), the parent being the smallest
     support strictly containing B (v_r(parent) = 0 at a root).  v's
-    coordinates are distinct and nonzero, so no lambda is 0.  Other cones
-    get lambda by Cramer's rule.  Raises FanError on a fan that is not
-    complete."""
+    coordinates are distinct and nonzero, so no lambda is 0.  Raises
+    FanError on a fan that is not complete or has a cone that is not
+    laminar (see `is_smooth`)."""
     checks = f._checks
     if not checks.complete:
         raise FanError("the f-vector is only read off a complete fan")

@@ -127,18 +127,33 @@ def _stable_cliques(
     if not _vertex_stable(w, frozenset(["M", *range(w.n - 1)]), 0):
         return [], [], iter(())
     sides = [mask_of(d.side) for d in nodal_divisors(w)]
-    compat = [0] * len(sides)
-    sup = [0] * len(sides)
-    for i, a in enumerate(sides):
-        for j in range(i + 1, len(sides)):
-            # a side is no larger than a later one, so only a can be inside
-            both = a & sides[j]
-            if both == a:
-                sup[i] |= 1 << j
-            if both in (0, a):  # disjoint or nested
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    compat, sup = _side_tables(sides, w.n - 1)
     return sides, sup, itertools.chain([()], cliques(compat, max_vertices - 1))
+
+
+def _side_tables(sides: list[int], marks: int) -> tuple[list[int], list[int]]:
+    """compat[i], the sides other than side i = a that are nested with a or
+    disjoint from it, and sup[i], the later sides that contain a, from
+    holds[l], the sides that hold mark l: the sides above a (side i among
+    them) hold every mark of a, those inside a hold none off a, and those
+    apart hold none of a."""
+    holds = [0] * marks
+    for i, a in enumerate(sides):
+        for l in bits_of(a):
+            holds[l] |= 1 << i
+    every = (1 << len(sides)) - 1
+    compat, sup = [], []
+    for i, a in enumerate(sides):
+        above, outside, meet = every, 0, 0
+        for l, h in enumerate(holds):
+            if a >> l & 1:
+                above &= h
+                meet |= h
+            else:
+                outside |= h
+        compat.append((above | every & ~outside | every & ~meet) & ~(1 << i))
+        sup.append(above >> i + 1 << i + 1)
+    return compat, sup
 
 
 def _json_sort_key():

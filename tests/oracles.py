@@ -20,7 +20,7 @@ from graphassoc import (
     WeightVector,
     bits_of,
 )
-from graphassoc.fans import _Checks, _crossing_negatives, _det, _support
+from graphassoc.fans import _Checks, _support
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
 from graphassoc.moduli import (
@@ -205,8 +205,55 @@ def face_counts(f: Fan) -> tuple[int, ...]:
     return tuple(len(s) for s in faces)
 
 
+def det(matrix: list[list[int]]) -> int:
+    """Integer determinant by fraction-free (Bareiss) elimination."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def crossing_negatives(crossing: list, d: int) -> list[int]:
+    """The number of negative lambda_k = det(rows with row k replaced by v)
+    / det (Cramer's rule) for each (rows, det), with v = (1, 2, ..., d) if
+    no lambda is 0, else v = (t, t^2, ..., t^d) for the first t = 2, 3, ...
+    that makes none 0.  Expanded along row k, each numerator is a nonzero
+    polynomial in t of degree at most d, so only finitely many t fail.
+    Laminar cones need no retry: their lambda signs depend only on the order
+    of v's coordinates."""
+    v = list(range(1, d + 1))
+    t = 1
+    while True:
+        counts = []
+        for rows, dt in crossing:
+            lam = [det(rows[:k] + [v] + rows[k + 1:]) * dt for k in range(d)]
+            if 0 in lam:
+                break
+            counts.append(sum(x < 0 for x in lam))
+        else:
+            return counts
+        t += 1
+        v = [t**j for j in range(1, d + 1)]
+
+
 def walk_per_cone(f: Fan) -> _Checks:
-    """`fans._walk` cone by cone, as it was before it swept the rays.
+    """`fans._walk` cone by cone, as it was before it swept the rays, and
+    the reference walk of a general fan: it also reads the cones that
+    `fans._walk` refuses (see `first_non_laminar`).
     One pass over the maximal cones: each cone's determinant (its size
     for smoothness, its sign for the wall check) and the number of negative
     coordinates of v = (1, 2, ..., d) in its basis (for the h-vector).
@@ -305,12 +352,12 @@ def walk_per_cone(f: Fan) -> _Checks:
             # rank order: a stable sort of the ascending indices by support size
             order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
             rows = [list(f.rays[i].coords) for i in order]
-            det = _det(rows)
-            if det == 0:
+            dt = det(rows)
+            if dt == 0:
                 return _Checks(False, False, None)
-            smooth = smooth and abs(det) == 1
-            crossing.append((rows, det))
-            side = det < 0
+            smooth = smooth and abs(dt) == 1
+            crossing.append((rows, dt))
+            side = dt < 0
             facets = [c ^ (1 << i) for i in order]
         # det(F, u) for the facet F = c ^ u, u in place k: det * (-1)^(d-1-k).
         # One occurrence adds 3 on one side of F and 5 on the other, so a
@@ -321,9 +368,36 @@ def walk_per_cone(f: Fan) -> _Checks:
             w ^= 6
     if set(seen.values()) != {8}:
         return _Checks(smooth, False, None)
-    for count in _crossing_negatives(crossing, d):
+    for count in crossing_negatives(crossing, d):
         h[count] += 1
     return _Checks(smooth, h[0] == 1, tuple(h))
+
+
+def first_non_laminar(f: Fan) -> Optional[int]:
+    """The first maximal cone with a ray that is not a signed 0/1 vector
+    (nonzero entries all 1 or all -1) or with two rays whose supports meet
+    while neither holds the other; None when every cone is laminar."""
+
+    def support(coords: tuple[int, ...]) -> Optional[frozenset]:
+        if {c for c in coords if c} not in ({1}, {-1}):
+            return None
+        return frozenset(j for j, c in enumerate(coords) if c)
+
+    for c in f.max_cones:
+        supports = [support(f.rays[i].coords) for i in bits_of(c)]
+        if None in supports or any(
+            a & b and not (a <= b or b <= a) for a, b in combinations(supports, 2)
+        ):
+            return c
+    return None
+
+
+def crossed_p3_fan() -> Fan:
+    """P^3 under the basis (1,1,0), (0,1,1), (0,0,1): complete and smooth,
+    with crossing supports in one cone and the ray (-1,-2,-2) in the rest."""
+    rows = [(-1, -2, -2), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
+    rays = tuple(Ray(r, 1 << i) for i, r in enumerate(rows))
+    return Fan(3, rays, projective_simplex_fan(3).max_cones)
 
 
 def canonical_form(f: Fan):
@@ -375,6 +449,23 @@ def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
     items = [tree_of(w.n, [sides[i] for i in c]).to_json() for c in walk]
     items.sort(key=lambda item: (len(item["vertices"]), str(item)))
     return items
+
+
+def pairwise_side_tables(sides: list[int]) -> tuple[list[int], list[int]]:
+    """`moduli._side_tables` pair by pair: compat[i], the sides nested with
+    or disjoint from side i, and sup[i], the later sides that contain it."""
+    compat = [0] * len(sides)
+    sup = [0] * len(sides)
+    for i, a in enumerate(sides):
+        for j in range(i + 1, len(sides)):
+            # a side is no larger than a later one, so only a can be inside
+            both = a & sides[j]
+            if both == a:
+                sup[i] |= 1 << j
+            if both in (0, a):  # disjoint or nested
+                compat[i] |= 1 << j
+                compat[j] |= 1 << i
+    return compat, sup
 
 
 def tree_from_json(item: dict) -> StableTree:

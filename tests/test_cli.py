@@ -162,6 +162,20 @@ def test_fan_error_is_an_internal_error(capsys, monkeypatch):
         assert out == ""
 
 
+def test_a_cone_that_is_not_laminar_is_an_internal_error(capsys, monkeypatch):
+    # the pass reads laminar cones of signed 0/1 rays only; a fan with any
+    # other cone is a broken invariant, not a verdict
+    from graphassoc import cli
+    from oracles import crossed_p3_fan
+
+    monkeypatch.setattr(cli, "build_graph_fan", lambda *args, **kwargs: crossed_p3_fan())
+    for argv in (["fan", "P4"], ["verify", "P4"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INVARIANT
+        assert err == "internal error: cone [0, 1, 2] is not laminar\n"
+        assert out == ""
+
+
 def test_verify_single(capsys):
     code, report, _ = run_json(capsys, "verify", "cone(D3)")
     assert code == EXIT_OK
@@ -255,6 +269,14 @@ def test_moduli_divisors_reject_weights_outside_unit_interval(capsys, weights):
         assert code == EXIT_USAGE
         assert err.startswith("error: stable trees need every weight in (0, 1]")
         assert out == ""
+
+
+@pytest.mark.parametrize("weight", ["(1+e)/x", "(1+e)/2/3", "(1+e)/1_0"])
+def test_moduli_rejects_a_bad_divisor_after_a_parenthesis(capsys, weight):
+    code, out, err = run(capsys, "moduli", "--weights", f"1,{weight},e,e,e")
+    assert code == EXIT_USAGE
+    assert err == f"error: bad EpsRational literal '{weight}'\n"
+    assert out == ""
 
 
 def test_moduli_divisors_only(capsys):

@@ -89,10 +89,22 @@ def test_parse(text, expected):
     assert parse_eps_rational(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "()", "(1+e", "x", "1+", "1//2", "(1)/0"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "()", "(1+e", "x", "1+", "1//2", "(1)/0", "(1+e)/x", "(1+e)/2/3", "(1+e)/1_0", "(1)/\u0662"],
+)
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_eps_rational(bad)
+
+
+def test_parse_divisor_after_a_parenthesis():
+    # an optionally signed run of ASCII digits ("(1)/\u0662" is rejected
+    # above), and never 0
+    assert parse_eps_rational("(1+e)/-2") == parse_eps_rational("-1/2-1/2*e")
+    assert parse_eps_rational("(1+e)/+2") == parse_eps_rational("(1+e)/2")
+    with pytest.raises(ValueError, match="^division by zero$"):
+        parse_eps_rational("(1)/0")
 
 
 def test_str_roundtrip():

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -23,10 +24,13 @@ from graphassoc import (
     proper_tubes,
 )
 from graphassoc import fans
-from graphassoc.fans import _det, _support, fan_to_json
+from graphassoc.fans import _support, fan_to_json
 from oracles import (
     canonical_form,
+    crossed_p3_fan,
+    det,
     face_counts,
+    first_non_laminar,
     primitive_sum,
     projective_simplex_fan,
     scan_graph_fan,
@@ -195,14 +199,30 @@ def test_smooth_and_complete_small_sweep():
             assert is_complete(f), g.edges()
 
 
+def _not_laminar(c):
+    return re.escape(f"cone {fans.bits_of(c)} is not laminar")
+
+
+def _refused(f):
+    """The per-cone walk's checks of a fan with a cone that is not laminar,
+    which the package refuses, naming its first such cone."""
+    c = first_non_laminar(f)
+    assert c is not None
+    with pytest.raises(FanError, match=_not_laminar(c)):
+        is_smooth(f)
+    return walk_per_cone(f)
+
+
 def test_is_smooth_detects_singular_cone():
+    # a cone of determinant 2, read by the per-cone walk, since (1,2) is no
+    # signed 0/1 vector
     rays = (
         Ray((1, 0), 0b001),
         Ray((1, 2), 0b010),
         Ray((-1, -1), 0b100),
     )
     f = Fan(2, rays, (0b011, 0b110, 0b101))
-    assert not is_smooth(f)
+    assert not _refused(f).smooth
 
 
 def _one_cone_fan(*rows):
@@ -210,62 +230,47 @@ def _one_cone_fan(*rows):
     return Fan(len(rows), rays, ((1 << len(rows)) - 1,))
 
 
-@pytest.fixture
-def det_calls(monkeypatch):
-    """Records each Bareiss determinant that is_smooth falls back to."""
-    calls = []
-
-    def counting_det(matrix):
-        calls.append(matrix)
-        return _det(matrix)
-
-    monkeypatch.setattr(fans, "_det", counting_det)
-    return calls
-
-
-def test_is_smooth_singular_laminar_cone(det_calls):
+def test_is_smooth_singular_laminar_cone():
     # {0,1} inside {0,1,2}, and {2} inside it too: rem({0,1}) is not a singleton
     assert not is_smooth(_one_cone_fan((1, 1, 0), (1, 1, 1), (0, 0, 1)))
-    assert det_calls == []
 
 
-def test_is_smooth_equal_supports(det_calls):
+def test_is_smooth_equal_supports():
     # u and -u share their support, so the rows are dependent
     assert not is_smooth(_one_cone_fan((1, 1, 0), (-1, -1, 0), (0, 0, 1)))
-    assert det_calls == []
 
 
-def test_is_smooth_non_laminar_cone_takes_bareiss(det_calls):
+def test_is_smooth_non_laminar_cone_takes_bareiss():
+    # only the per-cone walk reads these, by a Bareiss determinant
     # {0,1}, {0,2}, {1,2} cross pairwise; det 2
-    assert not is_smooth(_one_cone_fan((1, 1, 0), (1, 0, 1), (0, 1, 1)))
-    assert len(det_calls) == 1
+    assert not _refused(_one_cone_fan((1, 1, 0), (1, 0, 1), (0, 1, 1))).smooth
     # {0,1} and {1,2} cross; det 1
-    assert is_smooth(_one_cone_fan((1, 1, 0), (0, 1, 1), (0, 0, 1)))
-    assert len(det_calls) == 2
+    assert _refused(_one_cone_fan((1, 1, 0), (0, 1, 1), (0, 0, 1))).smooth
 
 
-def test_is_smooth_mixed_sign_ray_takes_bareiss(det_calls):
+def test_is_smooth_mixed_sign_ray_takes_bareiss():
     assert _support((1, -1, 0)) is None
-    assert is_smooth(_one_cone_fan((1, -1, 0), (0, 1, 0), (0, 0, 1)))
-    assert not is_smooth(_one_cone_fan((1, -1, 0), (1, 1, 0), (0, 0, 1)))  # det 2
-    assert len(det_calls) == 2
+    assert _refused(_one_cone_fan((1, -1, 0), (0, 1, 0), (0, 0, 1))).smooth
+    assert not _refused(_one_cone_fan((1, -1, 0), (1, 1, 0), (0, 0, 1))).smooth  # det 2
 
 
-def test_is_smooth_matches_det_on_every_cone_of_rays(det_calls):
+def test_is_smooth_matches_det_on_every_cone_of_rays():
     # every d-subset of the rays of four graph fans, smooth or not, laminar
-    # or not, judged as a one-cone fan against the Bareiss determinant; a
-    # verdict reached without a Bareiss call is a laminar one
-    laminar_verdicts = set()
+    # or not, judged as a one-cone fan against the Bareiss determinant: by
+    # is_smooth when laminar, else by the per-cone walk, after is_smooth
+    # has refused it
+    verdicts = set()
     for spec in ["P4", "C5", "K4", "S5"]:
         f = build_graph_fan(parse_graph(spec))
         for c in itertools.combinations(range(len(f.rays)), f.dim):
             rows = [f.rays[i].coords for i in c]
-            expected = abs(_det([list(r) for r in rows])) == 1
-            calls = len(det_calls)
-            assert is_smooth(_one_cone_fan(*rows)) == expected, (spec, c)
-            if len(det_calls) == calls:
-                laminar_verdicts.add(expected)
-    assert laminar_verdicts == {True, False}
+            expected = abs(det([list(r) for r in rows])) == 1
+            g = _one_cone_fan(*rows)
+            laminar = first_non_laminar(g) is None
+            smooth = is_smooth(g) if laminar else _refused(g).smooth
+            assert smooth == expected, (spec, c)
+            verdicts.add((laminar, expected))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_is_complete_detects_missing_cone():
@@ -289,18 +294,21 @@ def _cycle_fan(*coords):
 
 def test_is_complete_rejects_the_pentagram():
     # five steps round the origin, twice round in all; the step from (1,1)
-    # to (-1,-1) is a flat cone.  Every ray lies in two cones.
-    f = _cycle_fan((1, 0), (-1, 1), (0, -1), (1, 1), (-1, -1))
-    assert not is_complete(f)
-    assert not is_smooth(f)
+    # to (-1,-1) is a flat cone.  Every ray lies in two cones.  The ray
+    # (-1,1) is no signed 0/1 vector, so only the per-cone walk reads it.
+    checks = _refused(_cycle_fan((1, 0), (-1, 1), (0, -1), (1, 1), (-1, -1)))
+    assert not checks.complete
+    assert not checks.smooth
 
 
 def test_is_complete_rejects_a_star_wound_twice():
     # the {5/2} star: five full-dimensional cones, every wall with one cone
-    # on each side, yet every generic point lies in two cones
+    # on each side, yet every generic point lies in two cones; read by the
+    # per-cone walk, as its rays are no signed 0/1 vectors
     f = _cycle_fan((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3))
-    assert not is_complete(f)
-    assert f._checks.h == (2, 1, 2)
+    checks = _refused(f)
+    assert not checks.complete
+    assert checks.h == (2, 1, 2)
     with pytest.raises(FanError):
         f_vector(f)
 
@@ -315,11 +323,12 @@ def test_is_complete_rejects_the_doubled_square():
 
 
 def test_weighted_projective_plane_is_complete_not_smooth():
-    # the fan of P(1,1,2): one cone of determinant 2, taken by Bareiss
-    f = _cycle_fan((1, 0), (0, 1), (-1, -2))
-    assert is_complete(f)
-    assert not is_smooth(f)
-    assert f_vector(f) == (3, 3)
+    # the fan of P(1,1,2): one cone of determinant 2, taken by Bareiss in
+    # the per-cone walk, since (-1,-2) is no signed 0/1 vector
+    checks = _refused(_cycle_fan((1, 0), (0, 1), (-1, -2)))
+    assert checks.complete
+    assert not checks.smooth
+    assert checks.h == (1, 1, 1)  # the f-vector (3, 3)
 
 
 def test_is_complete_rejects_a_flat_cone():
@@ -349,10 +358,10 @@ def test_f_vector_matches_the_face_count_oracle():
 
 def _hand_built_fans():
     """The hand-built fans of this file, each a corner of the walk: flat,
-    Bareiss, crossing and unimodular cones, walls that fail, and h with no
-    walls (the one-cone and the empty fans)."""
-    p2, p3 = projective_simplex_fan(2), projective_simplex_fan(3)
-    p3_rows = [(-1, -2, -2), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
+    crossing and unimodular cones, rays that are no signed 0/1 vectors,
+    walls that fail, and h with no walls (the one-cone and the empty
+    fans)."""
+    p2 = projective_simplex_fan(2)
     fans_ = [
         _cycle_fan((1, 0), (-1, 1), (0, -1), (1, 1), (-1, -1)),  # pentagram
         _cycle_fan((1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)),  # {5/2} star
@@ -369,9 +378,7 @@ def _hand_built_fans():
         # facet 0 lies once on one side and twice on the other
         Fan(1, (Ray((1,), 1), Ray((-1,), 2)), (1, 2)),
         Fan(1, (Ray((1,), 1), Ray((-1,), 2), Ray((-1,), 4)), (1, 2, 4)),
-        # P^3 under the basis (1,1,0), (0,1,1), (0,0,1): complete, smooth,
-        # with crossing supports in one cone and a ray (-1,-2,-2) in the rest
-        Fan(3, tuple(Ray(r, 1 << i) for i, r in enumerate(p3_rows)), p3.max_cones),
+        crossed_p3_fan(),
     ]
     rows = [
         ((1, 1, 0), (1, 1, 1), (0, 0, 1)),
@@ -385,6 +392,18 @@ def _hand_built_fans():
     for c in itertools.combinations(range(len(f.rays)), 3):
         rows.append(tuple(f.rays[i].coords for i in c))
     return fans_ + [_one_cone_fan(*r) for r in rows]
+
+
+def _walk_matches(f):
+    """fans._walk equals the per-cone walk on a laminar fan and refuses any
+    other fan at its first cone that is not laminar; True if f is laminar."""
+    c = first_non_laminar(f)
+    if c is None:
+        assert fans._walk(f) == walk_per_cone(f), (f.dim, f.max_cones)
+    else:
+        with pytest.raises(FanError, match=_not_laminar(c)):
+            fans._walk(f)
+    return c is None
 
 
 def _reordered(f, rng):
@@ -402,9 +421,9 @@ def test_walk_matches_the_per_cone_walk():
     cases = _hand_built_fans()
     for g in graphs:
         f = build_graph_fan(g)
+        assert first_non_laminar(f) is None, g.edges()
         cases += [f] + _reordered(f, rng)
-    for f in cases:
-        assert fans._walk(f) == walk_per_cone(f), (f.dim, f.max_cones)
+    assert {_walk_matches(f) for f in cases} == {True, False}
     assert fans._walk(Fan(2, projective_simplex_fan(2).rays, ())).h is None
 
 
@@ -413,6 +432,7 @@ def test_walk_matches_the_per_cone_walk_on_damaged_fans():
     # d rays: walls fail, or a cone is singular or crossing, among many
     # laminar cones
     rng = random.Random(16)
+    laminar = set()
     for spec in ["P5", "C5", "K4", "S5", "cone^2(D2)"]:
         f = build_graph_fan(parse_graph(spec))
         for _ in range(6):
@@ -421,51 +441,53 @@ def test_walk_matches_the_per_cone_walk_on_damaged_fans():
             new = sum(1 << i for i in rng.sample(range(len(f.rays)), f.dim))
             dropped, doubled = cones[:k] + cones[k + 1:], cones + [cones[k]]
             for damaged in (dropped, doubled, cones[:k] + [new] + cones[k + 1:]):
-                g = Fan(f.dim, f.rays, tuple(damaged))
-                assert fans._walk(g) == walk_per_cone(g), (spec, damaged)
+                laminar.add(_walk_matches(Fan(f.dim, f.rays, tuple(damaged))))
+    assert laminar == {True, False}
 
 
 def test_walk_matches_the_per_cone_walk_on_blown_up_fans():
     # complete smooth fans of other shapes than graph fans: random stellar
     # subdivisions of P^d and of (P^1)^d, whose rays (sums of signed unit
-    # vectors) are signed 0/1 vectors or not, and their negatives, where
-    # negative rays lie inside positive supports; every h is compared
-    rng = random.Random(17)
-    for d in (2, 3, 4):
-        unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-        cross = tuple(Ray(u, 1 << i) for i, u in enumerate(unit))
-        cross += tuple(Ray(tuple(-x for x in u), 1 << i) for i, u in enumerate(unit))
-        signs = itertools.product((0, d), repeat=d)
-        cross_cones = tuple(sum(1 << (i + s) for i, s in enumerate(ss)) for ss in signs)
-        for start in (projective_simplex_fan(d), Fan(d, cross, cross_cones)):
-            rays, cones = list(start.rays), list(start.max_cones)
-            for _ in range(8):
-                face = rng.sample(fans.bits_of(rng.choice(cones)), rng.randrange(2, d + 1))
-                m = sum(1 << i for i in face)
-                cones = subdivide(cones, m, 1 << len(rays))
-                rays.append(primitive_sum(rays, face, m))
-                f = Fan(d, tuple(rays), tuple(cones))
-                assert is_complete(f) and is_smooth(f)
-                # and its image under x -> -(x_{d-1}, ..., x_0)
-                flipped = tuple(Ray(tuple(-x for x in r.coords[::-1]), r.label) for r in rays)
-                for g in (f, Fan(d, flipped, f.max_cones)):
-                    assert fans._walk(g) == walk_per_cone(g), (d, g)
-
-
-@pytest.mark.parametrize("spec", ["P6", "C6", "S6", "K6"])
-def test_graph_fans_never_reach_bareiss(det_calls, spec):
-    f = build_graph_fan(parse_graph(spec))
-    assert is_smooth(f)
-    assert f_vector(f) == face_counts(f)
-    assert det_calls == []
+    # vectors) are signed 0/1 vectors or not, and their images under
+    # x -> -(x_{d-1}, ..., x_0), where negative rays lie inside positive
+    # supports; every h is compared.  The second run draws each face again
+    # until the fan stays laminar, so that the sweep reads every step.
+    laminar = []
+    for seed, stay_laminar in ((17, False), (18, True)):
+        rng = random.Random(seed)
+        for d in (2, 3, 4):
+            unit = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+            cross = tuple(Ray(u, 1 << i) for i, u in enumerate(unit))
+            cross += tuple(Ray(tuple(-x for x in u), 1 << i) for i, u in enumerate(unit))
+            signs = itertools.product((0, d), repeat=d)
+            cross_cones = tuple(sum(1 << (i + s) for i, s in enumerate(ss)) for ss in signs)
+            for start in (projective_simplex_fan(d), Fan(d, cross, cross_cones)):
+                f = start
+                for _ in range(8):
+                    for _ in range(100):
+                        c = rng.choice(f.max_cones)
+                        face = rng.sample(fans.bits_of(c), rng.randrange(2, d + 1))
+                        m = sum(1 << i for i in face)
+                        cones = subdivide(list(f.max_cones), m, 1 << len(f.rays))
+                        g = Fan(d, f.rays + (primitive_sum(f.rays, face, m),), tuple(cones))
+                        if not stay_laminar or first_non_laminar(g) is None:
+                            break
+                    f = g
+                    checks = walk_per_cone(f)
+                    assert checks.complete and checks.smooth
+                    flipped = tuple(Ray(tuple(-x for x in r.coords[::-1]), r.label) for r in f.rays)
+                    for g in (f, Fan(d, flipped, f.max_cones)):
+                        laminar.append(_walk_matches(g))
+    assert laminar.count(False) > 0 and laminar.count(True) > 48
 
 
 def test_det():
-    assert _det([[1, 0], [0, 1]]) == 1
-    assert _det([[0, 1], [1, 0]]) == -1
-    assert _det([[2, 0], [0, 3]]) == 6
-    assert _det([[1, 2], [2, 4]]) == 0
-    assert _det([[0, 1, 2], [1, 0, 3], [4, 5, 0]]) == 22  # zero pivot path
+    # the oracle's Bareiss determinant
+    assert det([[1, 0], [0, 1]]) == 1
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[2, 0], [0, 3]]) == 6
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 1, 2], [1, 0, 3], [4, 5, 0]]) == 22  # zero pivot path
 
 
 def test_fan_to_json():

@@ -28,10 +28,12 @@ from graphassoc import (
     record_comparisons,
     remark_weights,
 )
-from graphassoc.moduli import _json_sort_key, _label_key, _vertex_stable
+from graphassoc.graphs import mask_of
+from graphassoc.moduli import _json_sort_key, _label_key, _side_tables, _vertex_stable
 from oracles import (
     chain_shape_check,
     enumerate_tubings,
+    pairwise_side_tables,
     reference_tree_json,
     subset_nodal_divisors,
     tree_from_json,
@@ -169,6 +171,15 @@ def test_cliques_match_the_splitting_enumerator():
         assert count_stable_trees(w, w.n - 2) == dict(
             sorted(Counter(t.num_vertices for t in trees).items())
         )
+
+
+def test_side_tables_match_the_pairwise_tables():
+    # the holder-mask tables against the pair loop they replaced, on the
+    # clique weights and on thirteen marks of weight 1 (4,082 sides)
+    for w in [*CLIQUE_WEIGHTS, parse_weight_vector(",".join(["1"] * 13))]:
+        sides = [mask_of(d.side) for d in nodal_divisors(w)]
+        assert _side_tables(sides, w.n - 1) == pairwise_side_tables(sides), str(w)
+    assert len(sides) == 4082
 
 
 @pytest.mark.parametrize(
