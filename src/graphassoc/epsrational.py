@@ -169,8 +169,12 @@ def parse_eps_rational(text: str) -> EpsRational:
     if not s:
         raise ValueError("empty EpsRational literal")
     if s.startswith("("):
-        close = s.find(")")
-        if close < 0:
+        depth = 0  # close at the ')' that matches the first '('
+        for close, ch in enumerate(s):
+            depth += (ch == "(") - (ch == ")")
+            if not depth:
+                break
+        else:
             raise ValueError(f"unbalanced parenthesis in {text!r}")
         inner = parse_eps_rational(s[1:close])
         rest = s[close + 1:]

@@ -14,8 +14,9 @@ an int: the cone list is transposed into one lane mask per ray (the cones
 that hold it), and each step of the pass works on every cone at once with
 a few int operations per coordinate of the ray's support.  Each ray is
 read as a signed 0/1 vector s_B 1_B, and a cone's ray supports must be
-laminar (pairwise nested or disjoint), as in every graph fan; the pass
-raises FanError at any other cone.  It works on bitmasks alone:
+laminar (pairwise nested or disjoint, read off `graphs.nested_or_apart`),
+as in every graph fan; the pass raises FanError at any other cone.  It
+works on bitmasks alone:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
@@ -39,7 +40,7 @@ from itertools import chain, compress, repeat
 from operator import and_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, GraphError, bits_of, component, is_connected, tubes
+from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
 
 # translate tables: a byte to b"1" if its bit p is set, else to b"0"
 _BIT_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
@@ -182,30 +183,18 @@ def _pick(cones: Sequence[int], lanes: int) -> Iterator[int]:
 def _check_laminar(cones: Sequence[int], supports: list[int], lanes: list[int], d: int) -> None:
     """Raises FanError naming the first cone that the pass cannot read: one
     with a ray that is not a signed 0/1 vector (support 0), or with two rays
-    whose supports cross (they meet, and neither holds the other)."""
-    holders = [0] * d  # holders[j]: the rays whose support holds coordinate j
-    for i, b in enumerate(supports):
-        for j in bits_of(b):
-            holders[j] |= 1 << i
+    whose supports cross, neither nested nor disjoint
+    (`graphs.nested_or_apart`)."""
+    every = (1 << len(supports)) - 1
     bad = 0
-    for i, b in enumerate(supports):
+    for i, (b, ok) in enumerate(zip(supports, nested_or_apart(supports, d)[1])):
         if not b:
             bad |= lanes[i]
             continue
-        meet = outside = 0
-        above = -1
-        for j in range(d):
-            if b >> j & 1:
-                meet |= holders[j]
-                above &= holders[j]
-            else:
-                outside |= holders[j]
-        # rays that meet b are nested with it if they hold all of b (above)
-        # or nothing outside it; the later rays that cross it:
-        met = 0
-        for j in bits_of((meet & ~above & outside) >> i + 1):
-            met |= lanes[i + 1 + j]
-        bad |= lanes[i] & met
+        crossed = 0  # the cones of the later rays that cross ray i
+        for j in bits_of((every & ~ok) >> i + 1):
+            crossed |= lanes[i + 1 + j]
+        bad |= lanes[i] & crossed
     if bad:
         raise FanError(f"cone {bits_of(cones[(bad & -bad).bit_length() - 1])} is not laminar")
 

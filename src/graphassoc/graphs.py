@@ -1,5 +1,6 @@
-"""Simple graphs on bitmask adjacency rows, tube enumeration, and the
-iterated-cone-over-a-discrete-set classifier.
+"""Simple graphs on bitmask adjacency rows, tube enumeration, the
+iterated-cone-over-a-discrete-set classifier, and the set-family helpers
+that the other modules share (`cliques`, `nested_or_apart`).
 
 Vertex subsets are plain ints used as bitmasks throughout the package.
 """
@@ -8,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 24  # bitmask-width guard for subset enumeration
 
@@ -59,6 +60,42 @@ def cliques(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
                 yield from extend(clique, cand & compat[clique[-1]])
 
     return extend((), (1 << len(compat)) - 1 if max_size > 0 else 0)
+
+
+def nested_or_apart(
+    sets: list[int], width: int, adj: Optional[Sequence[int]] = None
+) -> tuple[list[int], list[int]]:
+    """(above, compat) over bitmasks of elements 0..width-1: above[i], the
+    sets b that contain a = sets[i] (set i among them), and compat[i], the
+    sets b other than set i that are nested with a or apart from it:
+    disjoint and, when adj is given, with no l of b such that adj[l] & a.
+    This is the compatibility of tubes (adj the graph's rows), of the
+    M-free sides of nodal divisors, and of laminar ray supports (no adj).
+
+    From holds[l], the sets that hold element l: b contains a iff b holds
+    every element of a, b lies inside a iff b holds no element off a, and
+    b is apart from a iff b holds no element of a and no element off a
+    adjacent to a.  So above[i] is the AND of holds over a, and compat[i]
+    the union of above[i] and the complements of the two ORs."""
+    holds = [0] * width
+    for i, a in enumerate(sets):
+        for l in bits_of(a):
+            holds[l] |= 1 << i
+    every = (1 << len(sets)) - 1
+    above, compat = [], []
+    for i, a in enumerate(sets):
+        up, outside, near = every, 0, 0
+        for l, h in enumerate(holds):
+            if a >> l & 1:
+                up &= h
+                near |= h
+            else:
+                outside |= h
+                if adj is not None and adj[l] & a:
+                    near |= h
+        above.append(up)
+        compat.append((up | every & ~outside | every & ~near) & ~(1 << i))
+    return above, compat
 
 
 @dataclass(frozen=True)

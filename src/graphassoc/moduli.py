@@ -23,9 +23,10 @@ deg(v) + w(legs(v)) > 2.
 A stable tree is determined by its splits, since every vertex of degree at
 most 2 carries a leg.  So the stable trees with j + 1 components are
 exactly the j-cliques of the compatibility graph on `nodal_divisors(w)`,
-walked by `graphs.cliques`; only the one-component tree needs its own
-check, total weight > 2.  Weights are compared in `nodal_divisors`, in that
-check and in the check that they lie in (0, 1]; the walk compares none.
+read off `graphs.nested_or_apart` and walked by `graphs.cliques`; only
+the one-component tree needs its own check, total weight > 2.  Weights are
+compared in `nodal_divisors`, in that check and in the check that they lie
+in (0, 1]; the walk compares none.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterator, Optional, Union
 
 from .epsrational import EpsRational
 from .fans import Fan, build_graph_fan
-from .graphs import Graph, bits_of, classify_iterated_cone, cliques, mask_of, tubes
+from .graphs import Graph, bits_of, classify_iterated_cone, cliques, mask_of, nested_or_apart, tubes
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
 Label = Union[str, int]  # "M" or 0..n-2
@@ -132,28 +133,11 @@ def _stable_cliques(
 
 
 def _side_tables(sides: list[int], marks: int) -> tuple[list[int], list[int]]:
-    """compat[i], the sides other than side i = a that are nested with a or
-    disjoint from it, and sup[i], the later sides that contain a, from
-    holds[l], the sides that hold mark l: the sides above a (side i among
-    them) hold every mark of a, those inside a hold none off a, and those
-    apart hold none of a."""
-    holds = [0] * marks
-    for i, a in enumerate(sides):
-        for l in bits_of(a):
-            holds[l] |= 1 << i
-    every = (1 << len(sides)) - 1
-    compat, sup = [], []
-    for i, a in enumerate(sides):
-        above, outside, meet = every, 0, 0
-        for l, h in enumerate(holds):
-            if a >> l & 1:
-                above &= h
-                meet |= h
-            else:
-                outside |= h
-        compat.append((above | every & ~outside | every & ~meet) & ~(1 << i))
-        sup.append(above >> i + 1 << i + 1)
-    return compat, sup
+    """compat[i], the sides other than side i that are nested with it or
+    disjoint from it, and sup[i], the later sides that contain it, read off
+    `graphs.nested_or_apart` over the marks."""
+    above, compat = nested_or_apart(sides, marks)
+    return compat, [up >> i + 1 << i + 1 for i, up in enumerate(above)]
 
 
 def _json_sort_key():

@@ -1,6 +1,7 @@
 """Tubings: pairwise compatible sets of proper tubes, the face structure
 of the graph associahedron (Carr-Devadoss), used as an independent oracle
 against the fan: size-j tubings must biject onto j-dimensional cones.
+Compatibility is read off `graphs.nested_or_apart`.
 
 No tubing is listed: `tubing_counts` counts them by a recursion over
 vertex subsets, and the bijection check reads only the maximal cones."""
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fans import Fan, build_graph_fan, f_vector, is_complete
-from .graphs import Graph, GraphError, bits_of, component, is_connected, tubes
+from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
 
 BIJECTION_MAX_VERTICES = 8
 
@@ -23,29 +24,9 @@ def proper_tubes(g: Graph) -> list[int]:
 
 def _compatibility(g: Graph, all_tubes: list[int]) -> list[int]:
     """compat[i]: bitmask of the indices j != i with all_tubes[j] compatible
-    with all_tubes[i] = t: nested, or disjoint with no edge between them, so
-    that their union is no tube.  From holds[v], the indices of the tubes
-    holding vertex v: the tubes above t are those holding every vertex of t,
-    the tubes inside t those holding none outside t, and the tubes apart
-    those holding none of t and its neighbours."""
-    holds = [0] * g.num_vertices
-    for i, t in enumerate(all_tubes):
-        for v in bits_of(t):
-            holds[v] |= 1 << i
-    every = (1 << len(all_tubes)) - 1
-    compat = []
-    for i, t in enumerate(all_tubes):
-        above, outside, near = every, 0, 0
-        for v, h in enumerate(holds):
-            if t >> v & 1:
-                above &= h
-                near |= h
-            else:
-                outside |= h
-                if g.adj[v] & t:
-                    near |= h
-        compat.append((above | every & ~outside | every & ~near) & ~(1 << i))
-    return compat
+    with all_tubes[i]: nested, or disjoint with no edge between them, so
+    that their union is no tube (`graphs.nested_or_apart`)."""
+    return nested_or_apart(all_tubes, g.num_vertices, g.adj)[1]
 
 
 def tubing_counts(g: Graph) -> tuple[int, ...]:

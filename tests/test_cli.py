@@ -279,6 +279,14 @@ def test_moduli_rejects_a_bad_divisor_after_a_parenthesis(capsys, weight):
     assert out == ""
 
 
+def test_moduli_reads_nested_parentheses(capsys):
+    # the group closes at the ')' that matches the first '(', not the first ')'
+    code, out, err = run(capsys, "moduli", "--weights", "1,((1+e)/2)/2,e,e,e")
+    assert code == EXIT_OK
+    assert "  weights: (1, 1/4+1/4*eps, eps, eps, eps)\n" in out
+    assert err == ""
+
+
 def test_moduli_divisors_only(capsys):
     code, report, _ = run_json(capsys, "moduli", "--weights", "1,1,e,e,e", "--divisors")
     assert code == EXIT_OK

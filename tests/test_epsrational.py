@@ -83,6 +83,8 @@ def test_instantiate():
         ("(1+e)/2", EpsRational(Fraction(1, 2), Fraction(1, 2))),
         ("(1-e)/2", EpsRational(Fraction(1, 2), Fraction(-1, 2))),
         ("-e", EpsRational(0, -1)),
+        ("((1+e)/2)/2", EpsRational(Fraction(1, 4), Fraction(1, 4))),
+        ("((1+e))", EpsRational(1, 1)),
     ],
 )
 def test_parse(text, expected):
@@ -91,7 +93,8 @@ def test_parse(text, expected):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "()", "(1+e", "x", "1+", "1//2", "(1)/0", "(1+e)/x", "(1+e)/2/3", "(1+e)/1_0", "(1)/\u0662"],
+    ["", "()", "(1+e", "x", "1+", "1//2", "(1)/0", "(1+e)/x", "(1+e)/2/3", "(1+e)/1_0", "(1)/\u0662",
+     "((1+e)", "(1+e))"],
 )
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Graph families, bitmask subroutines, tube enumeration, and the
 iterated-cone classifier."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +28,14 @@ from graphassoc import (
     tubes,
     universal_vertices,
 )
-from graphassoc.graphs import cliques, component, induced_connected, is_connected, subsets_by_size
+from graphassoc.graphs import (
+    cliques,
+    component,
+    induced_connected,
+    is_connected,
+    nested_or_apart,
+    subsets_by_size,
+)
 from oracles import is_tube, non_tubes, relabel
 
 
@@ -140,6 +149,52 @@ def test_cliques():
     assert [c for c in cliques(compat, 2) if len(c) == 2] == [(0, 1), (0, 2), (1, 2), (2, 3)]
     assert list(cliques(compat, 0)) == []
     assert list(cliques([], 3)) == []
+
+
+def _random_adjacency(rng, width):
+    adj = [0] * width
+    for u in range(width):
+        for v in range(u + 1, width):
+            if rng.random() < 0.4:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+@pytest.mark.parametrize("with_adj", [False, True])
+def test_nested_or_apart_matches_the_pairwise_definition(with_adj):
+    rng = random.Random(19 + with_adj)
+    for trial in range(300):
+        width = rng.randint(0, 8)
+        full = (1 << width) - 1
+        sets = [rng.randint(0, full) for _ in range(rng.randint(0, 12))]
+        sets += [0, full] * (trial % 2)
+        sets += rng.choices(sets, k=min(len(sets), 3))  # repeated sets
+        rng.shuffle(sets)
+        adj = _random_adjacency(rng, width) if with_adj else None
+        above, compat = nested_or_apart(sets, width, adj)
+        for i, a in enumerate(sets):
+            assert above[i] == mask_of(j for j, b in enumerate(sets) if a & ~b == 0)
+            assert compat[i] == mask_of(
+                j
+                for j, b in enumerate(sets)
+                if j != i
+                and (
+                    a & ~b == 0
+                    or b & ~a == 0
+                    or a & b == 0 and (adj is None or all(adj[l] & a == 0 for l in bits_of(b)))
+                )
+            )
+
+
+def test_nested_or_apart_on_a_path():
+    # P3: {0} and {2} are apart, {0} and {1} are disjoint but adjacent
+    sets = [0b001, 0b010, 0b100, 0b011, 0b111]
+    assert nested_or_apart(sets, 3) == (
+        [0b11001, 0b11010, 0b10100, 0b11000, 0b10000],
+        [0b11110, 0b11101, 0b11011, 0b10111, 0b01111],
+    )
+    assert nested_or_apart(sets, 3, path(3).adj)[1] == [0b11100, 0b11000, 0b10001, 0b10011, 0b01111]
 
 
 def test_tubes_order_and_content():
