@@ -10,13 +10,14 @@ subset recursion on the vertex rays that each cone holds (`_pieces`).
 
 Smoothness, completeness and the f-vector come from one pass over the
 rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
-an int: the cone list is transposed into one lane mask per ray (the cones
-that hold it), and each step of the pass works on every cone at once with
-a few int operations per coordinate of the ray's support.  Each ray is
-read as a signed 0/1 vector s_B 1_B, and a cone's ray supports must be
-laminar (pairwise nested or disjoint, read off `graphs.nested_or_apart`),
-as in every graph fan; the pass raises FanError at any other cone.  It
-works on bitmasks alone:
+an int: the cone list is transposed once per fan into one lane mask per
+ray (`Fan._lanes`, the cones that hold it), and each step of the pass
+works on every cone at once with a few int operations per coordinate of
+the ray's support.  Each ray is read as a signed 0/1 vector s_B 1_B, and
+a cone's ray supports must be laminar (pairwise nested or disjoint), as
+in every graph fan; the pass raises FanError at any other cone, found by
+the clash pass over the lanes that the tubing bijection shares
+(`first_clash`).  It works on bitmasks alone:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
@@ -71,6 +72,10 @@ class Fan:
     dim: int
     rays: tuple[Ray, ...]
     max_cones: tuple[int, ...]
+
+    @cached_property
+    def _lanes(self) -> list[int]:
+        return _lane_masks(self.max_cones, len(self.rays))
 
     @cached_property
     def _checks(self) -> _Checks:
@@ -161,6 +166,8 @@ def _lane_masks(cones: Sequence[int], num_rays: int) -> list[int]:
     Each cone is a row of little-endian bytes, and a strided slice of the
     rows, last cone first, is the column of one byte of every cone; for each
     ray of that byte, translate turns its bit into a binary digit."""
+    if not cones:
+        return [0] * num_rays
     width = (num_rays + 7) >> 3
     # joined in blocks, so that no list holds a bytes object for every cone
     rows = b"".join(
@@ -180,23 +187,23 @@ def _pick(cones: Sequence[int], lanes: int) -> Iterator[int]:
     return compress(cones, digits[::-1])
 
 
-def _check_laminar(cones: Sequence[int], supports: list[int], lanes: list[int], d: int) -> None:
-    """Raises FanError naming the first cone that the pass cannot read: one
-    with a ray that is not a signed 0/1 vector (support 0), or with two rays
-    whose supports cross, neither nested nor disjoint
-    (`graphs.nested_or_apart`)."""
-    every = (1 << len(supports)) - 1
+def first_clash(f: Fan, valid: int, compat: Sequence[int]) -> Optional[int]:
+    """The first maximal cone, in order, with a ray outside the bitmask
+    `valid` or two rays i < j with j not in compat[i], else None.  compat
+    is symmetric, as `graphs.nested_or_apart`'s tables are, so each ray ORs
+    the lanes of the later rays it clashes with; the lowest bad lane wins."""
+    lanes = f._lanes
+    every = (1 << len(lanes)) - 1
     bad = 0
-    for i, (b, ok) in enumerate(zip(supports, nested_or_apart(supports, d)[1])):
-        if not b:
-            bad |= lanes[i]
-            continue
-        crossed = 0  # the cones of the later rays that cross ray i
-        for j in bits_of((every & ~ok) >> i + 1):
-            crossed |= lanes[i + 1 + j]
-        bad |= lanes[i] & crossed
-    if bad:
-        raise FanError(f"cone {bits_of(cones[(bad & -bad).bit_length() - 1])} is not laminar")
+    for i, (here, ok) in enumerate(zip(lanes, compat)):
+        if not valid >> i & 1:
+            bad |= here
+        elif here:
+            clashing = 0
+            for j in bits_of((every & ~ok) >> i + 1):
+                clashing |= lanes[i + 1 + j]
+            bad |= here & clashing
+    return f.max_cones[(bad & -bad).bit_length() - 1] if bad else None
 
 
 def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[int, int]) -> bool:
@@ -263,7 +270,7 @@ def _walk(f: Fan) -> _Checks:
     the number of negative coordinates of v = (1, 2, ..., d) in its basis
     (for the h-vector).
 
-    Cone k is lane k, bit k of every mask below; `_lane_masks` gives ray i
+    Cone k is lane k, bit k of every mask below; `f._lanes` gives ray i
     the cones that hold it.  A cone's rows are its rays in rank order, by
     support size and then by index, so one sweep of all rays in that order
     sweeps each cone in its own order.  The sweep keeps, per coordinate j,
@@ -294,7 +301,7 @@ def _walk(f: Fan) -> _Checks:
     a graph fan is: compatible tubes are nested or disjoint, and so are
     their rays' supports.  It raises FanError at the first cone with a ray
     that is not a signed 0/1 vector or with two crossing supports
-    (`_check_laminar`).  A cone with an empty rem has determinant 0, so it
+    (`first_clash`).  A cone with an empty rem has determinant 0, so it
     is neither unimodular nor full-dimensional, and the pass stops there.
 
     The facet F = c ^ u with u in place k of c lies on side
@@ -305,8 +312,11 @@ def _walk(f: Fan) -> _Checks:
     if not cones:
         return _Checks(True, False, None)
     supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
-    lanes = _lane_masks(cones, len(supports))
-    _check_laminar(cones, supports, lanes, d)
+    valid = sum(1 << i for i, b in enumerate(supports) if b)
+    crossed = first_clash(f, valid, nested_or_apart(supports, d)[1])
+    if crossed is not None:
+        raise FanError(f"cone {bits_of(crossed)} is not laminar")
+    lanes = f._lanes
 
     covered, pos, neg, lam = [0] * d, [0] * d, [0] * d, [0] * d
     zero = inversions = flips = run = 0

@@ -60,14 +60,11 @@ class StableTree:
     def num_vertices(self) -> int:
         return len(self.legs)
 
-    def _branch_legs(self, v: int) -> list:
-        """The sorted label keys of the legs beyond each edge at v, sorted.
-        These partition the marks differently at each vertex, so they tell
-        the legless vertices of a stable tree apart."""
-        nbrs: dict[int, list[int]] = {u: [] for u in range(self.num_vertices)}
-        for a, b in self.edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
+    def _branch_legs(self, nbrs: list[list[int]], v: int) -> list:
+        """The sorted label keys of the legs beyond each edge at v, sorted,
+        with nbrs[u] the neighbours of u.  These partition the marks
+        differently at each vertex, so they tell the legless vertices of a
+        stable tree apart."""
         branches = []
         for start in nbrs[v]:
             seen, stack, keys = {v, start}, [start], []
@@ -89,7 +86,10 @@ class StableTree:
         )
         if len(order) > 1 and not self.legs[order[1]]:  # legless vertices tie
             k = sum(not legs for legs in self.legs)
-            order[:k] = sorted(order[:k], key=self._branch_legs)
+            nbrs = [[] for _ in order]  # the neighbours of each vertex
+            for a, b in [*self.edges, *((b, a) for a, b in self.edges)]:
+                nbrs[a].append(b)
+            order[:k] = sorted(order[:k], key=lambda v: self._branch_legs(nbrs, v))
         pos = {old: new for new, old in enumerate(order)}
         return {
             "vertices": [

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .fans import Fan, build_graph_fan, f_vector, is_complete
+from .fans import Fan, build_graph_fan, f_vector, first_clash, is_complete
 from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
 
 BIJECTION_MAX_VERTICES = 8
@@ -80,9 +80,9 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     j-tubings onto the j-dimensional cones, for every j, reading only the
     maximal cones.  The checks: (1) the fan has dimension n - 1; (2) every
     proper tube has a ray, looked up by its label, so the map is injective
-    and keeps sizes; (3) ANDed over the rays of each maximal cone c, ok[r]
-    (the rays of r's tube and of the tubes compatible with it, 0 for a ray
-    with no tube) gives c, so c carries a maximal tubing; (4) the fan is
+    and keeps sizes; (3) no lane holds an untubed ray or two incompatible
+    rays (`fans.first_clash`, on the fan's lane masks), so each maximal
+    cone carries a tubing: compatibility is pairwise; (4) the fan is
     complete and its f-vector equals `tubing_counts`.  Then every face, in
     a maximal cone, is the image of a subset of that cone's tubing, itself
     a tubing: the map is injective from the j-faces into the j-tubings,
@@ -100,19 +100,9 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
         if t not in ray_index:
             return BijectionReport(False, counts, f"tubing {[bits_of(t)]} uses a tube with no ray")
         tubed |= 1 << ray_index[t]
-    ok = [
-        (row | 1 << i) & tubed if tubed >> i & 1 else 0
-        for i, row in enumerate(_compatibility(g, labels))
-    ]
-    for c in f.max_cones:
-        common = -1
-        m = c
-        while m:
-            low = m & -m
-            common &= ok[low.bit_length() - 1]
-            m ^= low
-        if common != c:
-            return BijectionReport(False, counts, f"cone {bits_of(c)} has no tubing partner")
+    c = first_clash(f, tubed, _compatibility(g, labels))
+    if c is not None:
+        return BijectionReport(False, counts, f"cone {bits_of(c)} has no tubing partner")
     if not is_complete(f):
         return BijectionReport(False, counts, "fan is not complete")
     if f_vector(f) != counts:

@@ -63,7 +63,7 @@ class WeightVector:
 
 def parse_weight_vector(text: str) -> WeightVector:
     """Comma-separated EpsRational entries, e.g. '1,1-3e,4e,4e,e,e'."""
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if len(parts) < 3:
         raise ValueError(f"weight vector needs at least 3 entries: {text!r}")
     vals = [parse_eps_rational(p) for p in parts]

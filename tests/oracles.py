@@ -392,6 +392,28 @@ def first_non_laminar(f: Fan) -> Optional[int]:
     return None
 
 
+def first_clash_per_cone(f: Fan, valid: int, compat: Sequence[int]) -> Optional[int]:
+    """`fans.first_clash` cone by cone, the per-cone AND loop that the
+    tubing bijection ran before the clash pass: ok[r] is r and the rays
+    compatible with it, all in `valid`, or 0 for a ray outside `valid`, and
+    ANDed over the rays of a symmetric table's cone it holds the cone iff
+    each ray is valid and each two are compatible.  (The loop asked for
+    the cone itself, also saying that no other valid ray is compatible with
+    all of the cone's; the bijection does not need that, as every face lies
+    in a maximal cone and the f-vector is compared with the tubing counts.)"""
+    ok = [(row | 1 << i) & valid if valid >> i & 1 else 0 for i, row in enumerate(compat)]
+    for c in f.max_cones:
+        common = -1
+        m = c
+        while m:
+            low = m & -m
+            common &= ok[low.bit_length() - 1]
+            m ^= low
+        if c & ~common:
+            return c
+    return None
+
+
 def crossed_p3_fan() -> Fan:
     """P^3 under the basis (1,1,0), (0,1,1), (0,0,1): complete and smooth,
     with crossing supports in one cone and the ray (-1,-2,-2) in the rest."""

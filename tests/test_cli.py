@@ -279,6 +279,15 @@ def test_moduli_rejects_a_bad_divisor_after_a_parenthesis(capsys, weight):
     assert out == ""
 
 
+@pytest.mark.parametrize("weights", ["1,1,,e,e,e", ",1,1,e,e,e", "1,1,e,e,e,"])
+def test_moduli_rejects_an_empty_weight(capsys, weights):
+    # an interior, a leading and a trailing empty entry; none is dropped
+    code, out, err = run(capsys, "moduli", "--weights", weights)
+    assert code == EXIT_USAGE
+    assert err == "error: empty EpsRational literal\n"
+    assert out == ""
+
+
 def test_moduli_reads_nested_parentheses(capsys):
     # the group closes at the ')' that matches the first '(', not the first ')'
     code, out, err = run(capsys, "moduli", "--weights", "1,((1+e)/2)/2,e,e,e")

@@ -3,6 +3,7 @@ fan bijection check."""
 
 import dataclasses
 import math
+import random
 from collections import Counter
 from itertools import combinations
 from typing import Optional
@@ -19,7 +20,7 @@ from graphassoc import (
     verify_fan_tubing_bijection,
 )
 from graphassoc import count_stable_trees, parse_weight_vector, tubings
-from graphassoc.fans import Fan
+from graphassoc.fans import Fan, first_clash
 from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected, mask_of
 from graphassoc.tubings import (
     BIJECTION_MAX_VERTICES,
@@ -27,7 +28,7 @@ from graphassoc.tubings import (
     _compatibility,
     tubing_counts,
 )
-from oracles import compatible, enumerate_tubings
+from oracles import compatible, enumerate_tubings, first_clash_per_cone
 
 
 def catalan(n):
@@ -352,3 +353,109 @@ def test_bijection_guards():
         verify_fan_tubing_bijection(parse_graph("P9"))
     with pytest.raises(GraphError):
         verify_fan_tubing_bijection(from_edges(4, [(0, 1)]))
+
+
+def _isolate_singleton_0(g, all_tubes):
+    """The compatibility table with tube {0} compatible with no tube."""
+    i = all_tubes.index(0b0001)
+    return [0 if j == i else row & ~(1 << i) for j, row in enumerate(_compatibility(g, all_tubes))]
+
+
+def _damaged_fans():
+    """(name, graph, fan, compatibility table): the P4 fan intact, first, so
+    that the damaged fans after it share its rays but not its cones; the
+    damaged fans of the bijection tests above and two more; and fans with
+    some cones broken, of C6 and K5, whose bad cones are many."""
+    g = parse_graph("P4")
+    f = build_graph_fan(g)
+    ray = {r.label: i for i, r in enumerate(f.rays)}
+    relabelled = list(f.rays)
+    relabelled[ray[0b0110]] = Ray(relabelled[ray[0b0110]].coords, 0b1001)
+    crossing = mask_of(ray[t] for t in (0b0011, 0b0110, 0b1000))
+    extra = len(f.rays)
+    first = next(c for c in f.max_cones if c & 1)
+    untubed = tuple(c ^ 1 | 1 << extra if c == first else c for c in f.max_cones)
+    pairs = tuple(mask_of(ray[t] for t in tb) for tb in enumerate_tubings(g, 2))
+    cut = f.max_cones[0] & f.max_cones[0] - 1  # a tubing, not a maximal one
+    damaged = {
+        "a maximal cone left out": dict(max_cones=f.max_cones[1:]),
+        "no cones": dict(max_cones=()),
+        "a cone of 2 rays": dict(max_cones=(cut,) + f.max_cones[1:]),
+        "a tube without a ray": dict(rays=tuple(relabelled)),
+        "crossing tubes last": dict(max_cones=f.max_cones + (crossing,)),
+        "crossing tubes first": dict(max_cones=(crossing,) + f.max_cones),
+        "a ray with no tube": dict(rays=f.rays + (Ray((1, 1, 0), 0b1001),), max_cones=untubed),
+        "tubings past the dimension": dict(dim=2, max_cones=pairs),
+    }
+    cases = [("P4", g, f, _compatibility)]
+    cases += [
+        (name, g, dataclasses.replace(f, **kw), _compatibility) for name, kw in damaged.items()
+    ]
+    cases.append(("tube {0} compatible with none", g, f, _isolate_singleton_0))
+    rng = random.Random(20)
+    for spec in ["C6", "K5"]:
+        h = build_graph_fan(parse_graph(spec))
+        cones = list(h.max_cones)
+        for k in range(3, len(cones), 7):  # swap a ray of every 7th cone for another
+            cones[k] ^= 1 << rng.choice(bits_of(cones[k])) | 1 << rng.randrange(len(h.rays))
+        broken = dataclasses.replace(h, max_cones=tuple(cones))
+        cases.append((spec + " broken", parse_graph(spec), broken, _compatibility))
+    return cases
+
+
+def _report_pair(monkeypatch, g, f, table):
+    """(passed, counts, failure) of f by the clash pass and by the per-cone
+    reference in its place, with the given compatibility table."""
+    out = []
+    for clash in [first_clash, first_clash_per_cone]:
+        with monkeypatch.context() as m:
+            m.setattr(tubings, "first_clash", clash)
+            m.setattr(tubings, "_compatibility", table)
+            out.append(dataclasses.astuple(verify_fan_tubing_bijection(g, f)))
+    return out
+
+
+def test_clash_pass_matches_the_per_cone_reference_on_small_graphs(monkeypatch):
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            rep, ref = _report_pair(monkeypatch, g, build_graph_fan(g), _compatibility)
+            assert rep == ref, g.edges()
+            assert rep[0] is True, (g.edges(), rep)
+
+
+def test_clash_pass_matches_the_per_cone_reference_on_damaged_fans(monkeypatch):
+    failures = set()
+    for name, g, f, table in _damaged_fans():
+        rep, ref = _report_pair(monkeypatch, g, f, table)
+        assert rep == ref, name
+        failures.add(rep[2])
+    # the intact fan passes, and the damaged ones fail in each of the ways
+    assert None in failures
+    assert "fan is not complete" in failures
+    assert "fan has dimension 2, not 3" in failures
+    assert sum("no tubing partner" in str(x) for x in failures) >= 5, failures
+
+
+@pytest.mark.parametrize("spec", ["P5", "C5", "K4", "S5", "cone^2(D2)"])
+def test_clash_pass_names_the_first_cone_of_the_reference_on_random_tables(spec):
+    # symmetric tables: the graph's, with a few pairs flipped, and random
+    # valid masks, over the fan and its cones shuffled
+    rng = random.Random(20)
+    g = parse_graph(spec)
+    f = build_graph_fan(g)
+    shuffled = dataclasses.replace(f, max_cones=tuple(rng.sample(f.max_cones, len(f.max_cones))))
+    base = _compatibility(g, [r.label for r in f.rays])
+    n = len(base)
+    firsts = set()
+    for fan in [f, shuffled] * 40:
+        valid = sum(1 << i for i in range(n) if rng.random() > 0.03)
+        compat = list(base)
+        for _ in range(rng.randrange(4)):
+            i, j = rng.sample(range(n), 2)
+            compat[i] ^= 1 << j
+            compat[j] ^= 1 << i
+        got = first_clash(fan, valid, compat)
+        assert got == first_clash_per_cone(fan, valid, compat), (valid, compat)
+        firsts.add(got if got is None else fan.max_cones.index(got) > 0)
+    # no clash, a clash in the first cone, and a first clash in a later one
+    assert firsts == {None, False, True}
