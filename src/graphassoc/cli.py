@@ -19,6 +19,7 @@ from . import __version__
 from .epsrational import _fraction_literal, default_eps
 from .fans import FanError, build_graph_fan, f_vector, fan_to_json, is_complete, is_smooth
 from .graphs import (
+    CATALOG_MAX_VERTICES,
     Graph,
     GraphError,
     bits_of,
@@ -200,7 +201,7 @@ def _verify_one(g: Graph) -> dict:
         w = remark_weights(cs, g)
         out["weights_valid"] = is_valid(w).valid
         out["w1w2_check"] = check_w1_w2(g, w, marks=mark_of_vertex(cs)).passed
-        corr = divisor_tube_correspondence(g, w, fan)
+        corr = divisor_tube_correspondence(g, w)
         out["divisor_correspondence"] = corr.passed
         out["rays_vs_divisors"] = f"{corr.num_rays} = {corr.num_divisors} + {corr.k}"
 
@@ -222,8 +223,11 @@ def _verify_one(g: Graph) -> dict:
 
 def cmd_verify(args) -> int:
     if args.all_up_to is not None:
-        if not 2 <= args.all_up_to <= 7:
-            print("error: --all-up-to must be at least 2 and is capped at 7", file=sys.stderr)
+        if not 2 <= args.all_up_to <= CATALOG_MAX_VERTICES:
+            print(
+                f"error: --all-up-to must be at least 2 and is capped at {CATALOG_MAX_VERTICES}",
+                file=sys.stderr,
+            )
             return EXIT_USAGE
         failures = []
         total = 0
@@ -338,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all cross-checks")
     p.add_argument("graph", nargs="?")
     p.add_argument("--all-up-to", type=int, dest="all_up_to", metavar="M",
-                   help="sweep all connected graphs on up to M vertices (2 <= M <= 7)")
+                   help=f"sweep all connected graphs on up to M vertices (2 <= M <= {CATALOG_MAX_VERTICES})")
     common(p)
     p.set_defaults(func=cmd_verify)
 

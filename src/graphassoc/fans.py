@@ -245,8 +245,8 @@ def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[i
 
 
 def _tally(flags: Iterable[int], lanes: int, d: int) -> list[int]:
-    """h[k]: the number of the given lanes set in exactly k of the d masks
-    `flags`, read off a bit-sliced counter."""
+    """h[k], k <= d: the number of the given lanes set in exactly k of the
+    masks `flags`, read off a bit-sliced counter."""
     planes = []  # plane p: bit p of each lane's count
     for x in flags:
         p = 0
@@ -301,8 +301,10 @@ def _walk(f: Fan) -> _Checks:
     a graph fan is: compatible tubes are nested or disjoint, and so are
     their rays' supports.  It raises FanError at the first cone with a ray
     that is not a signed 0/1 vector or with two crossing supports
-    (`first_clash`).  A cone with an empty rem has determinant 0, so it
-    is neither unimodular nor full-dimensional, and the pass stops there.
+    (`first_clash`).  Then each cone must hold d rays: `_tally` over the
+    ray lanes counts them, and h[d] must be the number of cones.  A cone
+    with fewer or more rays, or with an empty rem (determinant 0), is
+    neither unimodular nor full-dimensional, and the pass stops there.
 
     The facet F = c ^ u with u in place k of c lies on side
     (side of c + k) mod 2 (see `is_complete`); `odd` holds the cones in
@@ -317,6 +319,9 @@ def _walk(f: Fan) -> _Checks:
     if crossed is not None:
         raise FanError(f"cone {bits_of(crossed)} is not laminar")
     lanes = f._lanes
+    every = (1 << len(cones)) - 1
+    if _tally(lanes, every, d)[d] != len(cones):
+        return _Checks(False, False, None)  # a cone without d rays (see is_smooth)
 
     covered, pos, neg, lam = [0] * d, [0] * d, [0] * d, [0] * d
     zero = inversions = flips = run = 0
@@ -356,7 +361,6 @@ def _walk(f: Fan) -> _Checks:
     if zero:
         return _Checks(False, False, None)  # det 0 (see is_smooth)
 
-    every = (1 << len(cones)) - 1
     # the side of each cone's first facet
     sides = inversions ^ flips ^ (every if (d * (d - 1) // 2 + d - 1) & 1 else 0)
     if not _walls_match(cones, lanes, sides, odd):
@@ -385,7 +389,8 @@ def is_smooth(f: Fan) -> bool:
     - If two supports are equal, the two rows are +-1_B, |det| = 0, and
       their rem sets coincide, so the singletons cannot cover d coordinates.
     Hence |det| = 1 iff every rem is a singleton and together they cover all
-    d coordinates, and otherwise det = 0.  A cone with a ray that is not a
+    d coordinates, and otherwise det = 0.  A cone that does not hold
+    exactly d rays is not smooth either.  A cone with a ray that is not a
     signed 0/1 vector of one sign, or with two crossing supports, raises
     FanError.  The work is shared with `is_complete` and `f_vector` in one
     pass per fan, cached on the fan.

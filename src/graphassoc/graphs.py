@@ -1,12 +1,15 @@
 """Simple graphs on bitmask adjacency rows, tube enumeration, the
-iterated-cone-over-a-discrete-set classifier, and the set-family helpers
-that the other modules share (`cliques`, `nested_or_apart`).
+iterated-cone-over-a-discrete-set classifier, the set-family helpers
+that the other modules share (`cliques`, `nested_or_apart`), and the
+catalog of connected graphs on 1 to 8 vertices up to isomorphism, read
+from the package data file catalog.txt (`connected_graphs_up_to_iso`).
 
 Vertex subsets are plain ints used as bitmasks throughout the package.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -380,21 +383,30 @@ def classify_iterated_cone(g: Graph) -> Optional[ConeStructure]:
 
 # -- small-graph catalog ----------------------------------------------------
 
+CATALOG_MAX_VERTICES = 8  # catalog.txt lists the connected graphs on 1..8 vertices
+
 
 def connected_graphs_up_to_iso(n: int) -> list[Graph]:
-    """All connected graphs on n <= 7 vertices, one per isomorphism class."""
-    if n > 7:
-        raise GraphError("isomorphism catalog only covers up to 7 vertices")
-    import networkx as nx
-    from networkx.generators.atlas import graph_atlas_g
+    """All connected graphs on n vertices, 1 <= n <= 8, one per isomorphism
+    class, read from the package's catalog.txt (written by
+    scripts/make_catalog.py).  Each line there is `n mask`, the edge set in
+    hex with bit k for the k-th pair (u, v), u < v, in lexicographic order.
+    For n <= 7 the graphs come in the order and with the vertex labels of
+    networkx's graph atlas; for n = 8 by edge count, then in the order the
+    script generated them.  The file is read on the first call for each n."""
+    if not 1 <= n <= CATALOG_MAX_VERTICES:
+        raise GraphError(f"the graph catalog covers 1 to {CATALOG_MAX_VERTICES} vertices, not {n}")
+    return list(_catalog(n))
 
-    out = []
-    for ag in graph_atlas_g():
-        if ag.number_of_nodes() != n:
-            continue
-        if n > 1 and not nx.is_connected(ag):
-            continue
-        nodes = sorted(ag.nodes())
-        index = {v: i for i, v in enumerate(nodes)}
-        out.append(from_edges(n, [(index[u], index[v]) for u, v in ag.edges()]))
-    return out
+
+@functools.cache
+def _catalog(n: int) -> tuple[Graph, ...]:
+    from importlib.resources import files
+
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = (files(__package__) / "catalog.txt").read_text().splitlines()
+    return tuple(
+        from_edges(n, [pairs[k] for k in bits_of(int(mask, 16))])
+        for size, mask in map(str.split, lines)
+        if int(size) == n
+    )

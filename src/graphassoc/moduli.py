@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .epsrational import EpsRational
-from .fans import Fan, build_graph_fan
 from .graphs import Graph, bits_of, classify_iterated_cone, cliques, mask_of, nested_or_apart, tubes
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
@@ -275,14 +274,14 @@ class CorrespondenceReport:
     detail: Optional[str] = None
 
 
-def divisor_tube_correspondence(
-    g: Graph, w: Optional[WeightVector] = None, fan: Optional[Fan] = None
-) -> CorrespondenceReport:
+def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> CorrespondenceReport:
     """For an iterated cone with its explicit weights, verify that nodal
     divisors are exactly {0} union the marks of proper tubes of sufficient
     weight, and that #rays = #divisors + k (the k independent-vertex rays
-    correspond to coincidence loci, not nodal divisors).  Pass g's fan if it
-    is already built; otherwise it is built here."""
+    correspond to coincidence loci, not nodal divisors).  The graph fan has
+    one ray per proper tube by construction, and `verify`'s bijection check
+    ties the fan's rays to the proper tubes, so the rays are counted as the
+    proper tubes and no fan is built."""
     cs = classify_iterated_cone(g)
     if cs is None:
         raise ValueError("graph is not an iterated cone over a discrete set")
@@ -291,16 +290,15 @@ def divisor_tube_correspondence(
     marks = mark_of_vertex(cs)
     one = EpsRational(1)
     expected = set()
-    for t in tubes(g, 1, g.num_vertices - 1):
+    proper = tubes(g, 1, g.num_vertices - 1)
+    for t in proper:
         total = w.c0
         for v in bits_of(t):
             total = total + w.c[marks[v] - 1]
         if total > one:
             expected.add(frozenset([0] + [marks[v] for v in bits_of(t)]))
     actual = {d.side for d in nodal_divisors(w)}
-    if fan is None:
-        fan = build_graph_fan(g)
-    num_rays = len(fan.rays)
+    num_rays = len(proper)
     report = CorrespondenceReport(
         passed=(expected == actual) and (num_rays == len(actual) + cs.k),
         num_rays=num_rays,

@@ -279,10 +279,12 @@ def walk_per_cone(f: Fan) -> _Checks:
     Cones whose supports cross (read off `cross`, the rays each ray's
     support crosses) or with a ray that is not a signed 0/1 vector go to
     a Bareiss determinant, and Cramer's rule gives their lambda.  A cone
-    with determinant 0 is neither unimodular nor full-dimensional, so the
-    walk stops there.
+    that does not hold d rays, or with determinant 0, is neither unimodular
+    nor full-dimensional, so the walk stops there.
     """
     d = f.dim
+    if any(c.bit_count() != d for c in f.max_cones):
+        return _Checks(False, False, None)  # a cone without d rays
     supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
     every = (1 << len(supports)) - 1
     holders = [0] * d  # holders[j]: the rays whose support holds coordinate j

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,18 @@ def test_verify_refuses_more_than_eight_vertices_before_building_the_fan(capsys,
     assert "error: bijection check capped at 8 vertices" in err
 
 
+def test_verify_sweep_reaches_eight_vertices(capsys, monkeypatch):
+    # the whole catalog from 2 vertices up: 995 graphs on 2 to 7 vertices
+    # and 11117 on 8, each handed to _verify_one (stubbed here, as the real
+    # sweep takes minutes)
+    from graphassoc import cli
+
+    monkeypatch.setattr(cli, "_verify_one", lambda g: {"ok": True})
+    code, report, _ = run_json(capsys, "verify", "--all-up-to", "8")
+    assert code == EXIT_OK
+    assert report["results"] == {"graphs_checked": 995 + 11117, "failures": []}
+
+
 def test_verify_sweep_cap(capsys):
     code, _, err = run(capsys, "verify", "--all-up-to", "9")
     assert code == EXIT_USAGE
@@ -387,6 +400,30 @@ def test_help_and_version_exit_ok(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code in (None, EXIT_OK)
+
+
+def test_the_cli_runs_without_networkx():
+    # networkx is a test dependency only: with its import blocked, the
+    # catalog sweep and an obstruction witness still run
+    src = str(Path(graphassoc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    blocked = 'import sys; sys.modules["networkx"] = None; from graphassoc.cli import main; sys.exit(main())'
+    for argv in (["verify", "--all-up-to", "5"], ["classify", "P4"]):
+        run = subprocess.run(
+            [sys.executable, "-c", blocked, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == EXIT_OK, (argv, run.stderr)
+        assert "networkx" not in run.stdout + run.stderr
+
+
+def test_verify_one_on_a_sample_of_eight_vertex_graphs():
+    from graphassoc.cli import _verify_one
+    from graphassoc.graphs import connected_graphs_up_to_iso
+
+    for g in random.Random(8).sample(connected_graphs_up_to_iso(8), 20):
+        assert _verify_one(g)["ok"], g.edges()
 
 
 def test_python_dash_m_runs_the_cli():

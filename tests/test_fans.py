@@ -427,6 +427,20 @@ def test_walk_matches_the_per_cone_walk():
     assert fans._walk(Fan(2, projective_simplex_fan(2).rays, ())).h is None
 
 
+def test_a_cone_without_d_rays_is_neither_smooth_nor_complete():
+    # the P4 fan with its first cone cut to two rays, each of three ways,
+    # or padded with a fourth ray laminar with its three: both walks stop
+    # at that cone
+    f = build_graph_fan(parse_graph("P4"))
+    first, rest = f.max_cones[0], f.max_cones[1:]
+    assert fans.bits_of(first) == [2, 4, 7] and f.rays[5].coords == (1, 1, 1)
+    for c in [first ^ 1 << i for i in fans.bits_of(first)] + [first | 1 << 5]:
+        damaged = Fan(f.dim, f.rays, (c,) + rest)
+        assert first_non_laminar(damaged) is None
+        assert not is_smooth(damaged) and not is_complete(damaged)
+        assert fans._walk(damaged) == walk_per_cone(damaged) == (False, False, None)
+
+
 def test_walk_matches_the_per_cone_walk_on_damaged_fans():
     # graph fans with a cone dropped, doubled, or replaced by another set of
     # d rays: walls fail, or a cone is singular or crossing, among many

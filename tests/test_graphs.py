@@ -1,6 +1,7 @@
 """Graph families, bitmask subroutines, tube enumeration, and the
 iterated-cone classifier."""
 
+import itertools
 import random
 
 import pytest
@@ -212,8 +213,6 @@ def test_tubes_order_and_content():
 
 
 def test_tubes_against_bruteforce():
-    import itertools
-
     for spec in ["P5", "C5", "S5", "K4", "Kb2,3"]:
         g = parse_graph(spec)
         n = g.num_vertices
@@ -299,8 +298,6 @@ def test_classify_unsupported():
 
 
 def test_classify_invariant_under_relabeling():
-    import itertools
-
     g = parse_graph("cone^2(D3)")
     for perm in itertools.permutations(range(5)):
         cs = classify_iterated_cone(relabel(g, list(perm)))
@@ -308,11 +305,50 @@ def test_classify_invariant_under_relabeling():
 
 
 def test_connected_catalog_counts():
-    # classical counts of connected graphs up to isomorphism
-    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+    # classical counts of connected graphs up to isomorphism (OEIS A001349)
+    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
     for n, count in expected.items():
         graphs = connected_graphs_up_to_iso(n)
         assert len(graphs) == count
-        assert all(is_connected(g) for g in graphs) or n == 1
-    with pytest.raises(GraphError):
-        connected_graphs_up_to_iso(8)
+        assert all(g.num_vertices == n and is_connected(g) for g in graphs)
+    for n in (0, 9):
+        with pytest.raises(GraphError, match="covers 1 to 8 vertices"):
+            connected_graphs_up_to_iso(n)
+
+
+def test_catalog_up_to_seven_vertices_is_the_atlas():
+    # the connected graphs of networkx's atlas, in atlas order and with the
+    # atlas labels
+    import networkx as nx
+    from networkx.generators.atlas import graph_atlas_g
+
+    for n in range(1, 8):
+        atlas = [
+            from_edges(n, g.edges()) for g in graph_atlas_g()
+            if g.number_of_nodes() == n and (n == 1 or nx.is_connected(g))
+        ]
+        assert connected_graphs_up_to_iso(n) == atlas, n
+
+
+def test_eight_vertex_catalog_sample_is_pairwise_non_isomorphic():
+    # the script checks the whole block; here a seeded sample, compared
+    # pair by pair where the degree sequences agree
+    import networkx as nx
+
+    sample = random.Random(8).sample(connected_graphs_up_to_iso(8), 300)
+    by_degrees = {}
+    for g in sample:
+        key = tuple(sorted(g.degree(v) for v in range(8)))
+        by_degrees.setdefault(key, []).append(nx.Graph(g.edges()))
+    pairs = 0
+    for graphs in by_degrees.values():
+        for a, b in itertools.combinations(graphs, 2):
+            pairs += 1
+            assert not nx.is_isomorphic(a, b), (list(a.edges()), list(b.edges()))
+    assert pairs > 0
+
+
+def test_catalog_hands_out_copies():
+    graphs = connected_graphs_up_to_iso(3)
+    graphs.clear()
+    assert len(connected_graphs_up_to_iso(3)) == 2

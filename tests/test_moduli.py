@@ -481,11 +481,17 @@ def test_correspondence_counts():
     assert (rep.num_rays, rep.num_divisors, rep.k) == (10, 7, 3)
 
 
-def test_correspondence_reuses_a_given_fan():
-    for spec in ["K4", "S4", "cone^2(D2)"]:
-        g = parse_graph(spec)
-        rep = divisor_tube_correspondence(g, fan=build_graph_fan(g))
-        assert rep == divisor_tube_correspondence(g), spec
+def test_correspondence_counts_the_rays_of_the_fan():
+    # the rays are counted as the proper tubes, with no fan built: they are
+    # as many as the graph fan's rays on every iterated cone, 1 + ... + 6 of
+    # them on 2 to 7 vertices
+    cones = [
+        g for n in range(2, 8) for g in connected_graphs_up_to_iso(n)
+        if classify_iterated_cone(g) is not None
+    ]
+    assert len(cones) == 21
+    for g in cones:
+        assert divisor_tube_correspondence(g).num_rays == len(build_graph_fan(g).rays), g.edges()
 
 
 def test_correspondence_rejects_non_cones():
