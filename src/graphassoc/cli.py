@@ -25,6 +25,7 @@ from .graphs import (
     bits_of,
     classify_iterated_cone,
     connected_graphs_up_to_iso,
+    is_connected,
     parse_edge_list,
     parse_graph,
 )
@@ -249,9 +250,11 @@ def cmd_verify(args) -> int:
         return EXIT_OK if not failures else EXIT_INVARIANT
 
     g = load_graph(args.graph)
+    # refuse before building the fan, which is most of the work
     if g.num_vertices > BIJECTION_MAX_VERTICES:
-        # refuse before building the fan, which is most of the work
         raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
+    if not is_connected(g):
+        raise GraphError("verify needs a connected graph")
     results = _verify_one(g)
     report = {
         "command": "verify",

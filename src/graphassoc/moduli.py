@@ -5,6 +5,10 @@ nodes, legs are the marks M, 0, 1, ..., n-2.  Coincidence loci (colliding
 marks) are deliberately not enumerated; the toric comparison only needs the
 nodal divisors plus the count of independent marks.
 
+A set of marks is an int bitmask: bit 0 is M and bit l + 1 is mark l, the
+order of `WeightVector.entries()`, so bit b weighs `w.entries()[b]`.  Leg
+sets and divisor sides are such masks; labels appear only in the JSON.
+
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
 a nodal divisor, and its splits are then pairwise compatible: their M-free
 sides are nested or disjoint.  Stability of a vertex v is
@@ -35,74 +39,74 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .epsrational import EpsRational
-from .graphs import Graph, bits_of, classify_iterated_cone, cliques, mask_of, nested_or_apart, tubes
+from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_apart, tubes
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
-Label = Union[str, int]  # "M" or 0..n-2
+
+def _labels(marks: int) -> list[str]:
+    """The JSON labels of a set of marks, in bit order: "M", "0", "1", ..."""
+    return ["M" if b == 0 else str(b - 1) for b in bits_of(marks)]
 
 
-def _label_key(label: Label):
-    return (0, 0) if label == "M" else (1, label)
+def _canonical_order(legs: Sequence[int], branches: Callable[[int], list[int]]) -> list[int]:
+    """The vertices of a stable tree in JSON order, legs[v] being the marks
+    on vertex v and branches(v) the marks beyond each edge at v.  Vertices
+    go by their lowest leg bit, the order of their sorted labels since leg
+    sets are disjoint, so legless vertices come first.  Those tie, and go by
+    the sorted bits of their branches: these partition the marks
+    differently at each vertex, so they tell the legless vertices apart."""
+    order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
+    k = legs.count(0)
+    if k > 1:
+        order[:k] = sorted(order[:k], key=lambda v: sorted(map(bits_of, branches(v))))
+    return order
 
 
 @dataclass(frozen=True)
 class StableTree:
-    """Dual tree: legs[v] is the frozenset of mark labels on vertex v."""
+    """Dual tree: legs[v] is the bitmask of the marks on vertex v, bit 0
+    for M and bit l + 1 for mark l."""
 
-    legs: tuple[frozenset, ...]
+    legs: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
     @property
     def num_vertices(self) -> int:
         return len(self.legs)
 
-    def _branch_legs(self, nbrs: list[list[int]], v: int) -> list:
-        """The sorted label keys of the legs beyond each edge at v, sorted,
-        with nbrs[u] the neighbours of u.  These partition the marks
-        differently at each vertex, so they tell the legless vertices of a
-        stable tree apart."""
-        branches = []
+    def _branches(self, v: int) -> list[int]:
+        """The marks beyond each edge at v, by a walk of the tree."""
+        nbrs = [[] for _ in self.legs]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        out = []
         for start in nbrs[v]:
-            seen, stack, keys = {v, start}, [start], []
+            seen, stack, marks = {v, start}, [start], 0
             while stack:
                 u = stack.pop()
-                keys += map(_label_key, self.legs[u])
+                marks |= self.legs[u]
                 stack += [x for x in nbrs[u] if x not in seen]
                 seen.update(nbrs[u])
-            branches.append(sorted(keys))
-        return sorted(branches)
+            out.append(marks)
+        return out
 
     def to_json(self) -> dict:
-        """Vertices ordered by their sorted legs, legless ones (sorted first)
-        by the legs of their branches, so the JSON does not depend on vertex
-        numbering."""
-        order = sorted(
-            range(self.num_vertices),
-            key=lambda v: sorted(_label_key(l) for l in self.legs[v]),
-        )
-        if len(order) > 1 and not self.legs[order[1]]:  # legless vertices tie
-            k = sum(not legs for legs in self.legs)
-            nbrs = [[] for _ in order]  # the neighbours of each vertex
-            for a, b in [*self.edges, *((b, a) for a, b in self.edges)]:
-                nbrs[a].append(b)
-            order[:k] = sorted(order[:k], key=lambda v: self._branch_legs(nbrs, v))
+        """Vertices in `_canonical_order`, so the JSON does not depend on
+        vertex numbering; labels appear only here."""
+        order = _canonical_order(self.legs, self._branches)
         pos = {old: new for new, old in enumerate(order)}
         return {
-            "vertices": [
-                {"legs": [str(l) for l in sorted(self.legs[v], key=_label_key)]}
-                for v in order
-            ],
+            "vertices": [{"legs": _labels(self.legs[v])} for v in order],
             "edges": sorted(sorted((pos[a], pos[b])) for a, b in self.edges),
         }
 
 
-def _vertex_stable(w: WeightVector, legs: frozenset, degree: int) -> bool:
-    total = EpsRational(degree)
-    for l in legs:
-        total = total + w.weight_of(l)
+def _vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
+    total = sum(map(w.entries().__getitem__, bits_of(legs)), EpsRational(degree))
     return total > EpsRational(2)
 
 
@@ -115,19 +119,19 @@ def _check_weights(w: WeightVector) -> None:
 def _stable_cliques(
     w: WeightVector, max_vertices: int
 ) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
-    """The M-free sides of the nodal divisors, as bitmasks of mark labels;
-    sup[i], the bitmask of the later sides that contain side i; and a walk
-    over the cliques of pairwise compatible sides, as tuples of side
-    indices: one per stable tree of 1..max_vertices components, the empty
-    clique (the one-component tree) first.  No cliques at all when the
-    one-component tree is unstable."""
+    """The M-free sides of the nodal divisors; sup[i], the bitmask of the
+    later sides that contain side i; and a walk over the cliques of
+    pairwise compatible sides, as tuples of side indices: one per stable
+    tree of 1..max_vertices components, the empty clique (the one-component
+    tree) first.  No cliques at all when the one-component tree is
+    unstable."""
     if not (1 <= max_vertices <= w.n - 2):
         raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
     _check_weights(w)
-    if not _vertex_stable(w, frozenset(["M", *range(w.n - 1)]), 0):
+    if not _vertex_stable(w, (1 << w.n) - 1, 0):
         return [], [], iter(())
-    sides = [mask_of(d.side) for d in nodal_divisors(w)]
-    compat, sup = _side_tables(sides, w.n - 1)
+    sides = [d.side for d in nodal_divisors(w)]
+    compat, sup = _side_tables(sides, w.n)
     return sides, sup, itertools.chain([()], cliques(compat, max_vertices - 1))
 
 
@@ -143,17 +147,18 @@ def _json_sort_key():
     """A sort key that orders trees numbered in JSON order as
     (num_vertices, str(to_json())) does, see `enumerate_stable_trees`; it
     makes the key of each leg set and each edge once."""
-    vertex = functools.cache(lambda legs: (*map(str, sorted(legs, key=_label_key)), "~"))
+    vertex = functools.cache(lambda legs: (*_labels(legs), "~"))
     edge = functools.cache(lambda e: (str(e[0]), f"{e[1]}~"))
     return lambda t: (len(t.legs), tuple(map(vertex, t.legs)), tuple(map(edge, t.edges)))
 
 
 def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
     """All stable dual trees with at most max_vertices components, up to
-    isomorphism fixing the legs, numbered in the vertex order of their JSON
-    and sorted by component count and then by `str(to_json())`; [] when the
-    total weight is at most 2.  Raises ValueError unless every weight lies
-    in (0, 1].
+    isomorphism fixing the legs, with leg sets as bitmasks of marks (bit 0
+    for M, bit l + 1 for mark l), numbered in the vertex order of their
+    JSON and sorted by component count and then by `str(to_json())`; []
+    when the total weight is at most 2.  Raises ValueError unless every
+    weight lies in (0, 1].
 
     For weights in (0, 1] a tree is stable iff every edge's split is a
     nodal divisor: a leaf needs its side to weigh more than 1, a vertex of
@@ -166,9 +171,9 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
 
     Each tree is built from its clique: side i hangs from the smallest
     side of the clique that contains it, the lowest bit of sup[i] inside
-    the clique, or else from the vertex of M.  Leg sets are disjoint, so
-    ordering vertices by their lowest leg orders them as `to_json` does;
-    legless vertices come first and are ordered by their branches.
+    the clique, or else from the vertex of M.  Its vertices are then put in
+    `_canonical_order`, with the branches of a vertex read off the parent
+    links.
 
     The sort key stands in for the JSON string without building it.  A
     vertex gives its label strings and then "~", which sorts above every
@@ -179,36 +184,30 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
     where ("0", "1") would sort before ("0", "10").
     """
     sides, sup, walk = _stable_cliques(w, max_vertices)
-    # Bit 0 is M and bit l + 1 is mark l, so the lowest bit of a leg set is
-    # its first label; the vertex of M has every mark for its side.
-    root = len(sides)
-    sides = [s << 1 for s in sides] + [(1 << w.n) - 1]
-    labels = ["M", *range(w.n - 1)]
-    leg_set = functools.cache(lambda m: frozenset(map(labels.__getitem__, bits_of(m))))
-    bit = [1 << i for i in range(root)]
+    every = (1 << w.n) - 1  # the marks, all on the vertex of M at first
+    bit = [1 << i for i in range(len(sides))]
     trees = []
     for c in walk:
+        # vertex j < len(c) hangs below the edge of side c[j]; the last
+        # vertex holds M
         clique = sum(map(bit.__getitem__, c))
-        legs = dict(zip(c, map(sides.__getitem__, c)))
-        legs[root] = sides[root]
-        parent = {}
+        at = {i: j for j, i in enumerate(c)}
+        legs = [*map(sides.__getitem__, c), every]
+        parent = []
         for i in c:
             above = sup[i] & clique
-            p = parent[i] = (above & -above).bit_length() - 1 if above else root
+            p = at[(above & -above).bit_length() - 1] if above else len(c)
+            parent.append(p)
             legs[p] &= ~sides[i]
-        order = sorted(legs, key=lambda v: legs[v] & -legs[v])
-        if len(order) > 1 and not legs[order[1]]:  # legless vertices tie
-            k = sum(not m for m in legs.values())
-            order[:k] = sorted(order[:k], key=lambda v: sorted(
-                [bits_of(sides[root] & ~sides[v])]
-                + [bits_of(sides[u]) for u in c if parent[u] == v]
-            ))
+        order = _canonical_order(legs, lambda v: [every & ~sides[c[v]]] + [
+            sides[c[u]] for u, p in enumerate(parent) if p == v
+        ])
         pos = {v: j for j, v in enumerate(order)}
         edges = sorted(
-            (a, b) if a < b else (b, a) for a, b in ((pos[parent[i]], pos[i]) for i in c)
+            (a, b) if a < b else (b, a)
+            for a, b in ((pos[p], pos[j]) for j, p in enumerate(parent))
         )
-        shared_legs = tuple(map(leg_set, map(legs.__getitem__, order)))
-        trees.append(StableTree(shared_legs, tuple(edges)))
+        trees.append(StableTree(tuple(map(legs.__getitem__, order)), tuple(edges)))
     trees.sort(key=_json_sort_key())
     return trees
 
@@ -218,15 +217,13 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
 
 @dataclass(frozen=True)
 class NodalDivisor:
-    """Two-component degeneration, stored as the mark side not containing M."""
+    """Two-component degeneration, stored as the marks of the side not
+    containing M: bit l + 1 for mark l, so bit 0 is never set."""
 
-    side: frozenset
-
-    def labels(self) -> list:
-        return sorted(self.side, key=_label_key)
+    side: int
 
     def to_json(self) -> list[str]:
-        return [str(l) for l in self.labels()]
+        return _labels(self.side)
 
 
 def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
@@ -240,17 +237,16 @@ def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
     so `record_comparisons` sees the same pairs."""
     one = EpsRational(1)
     whole = w.total()
-    sums = [EpsRational(0)]  # sums[s]: the weight of the marks of s
-    for l in range(w.n - 1):
-        weight = w.weight_of(l)
+    sums = [EpsRational(0)]  # sums[s >> 1]: the weight of the marks of s
+    for weight in w.entries()[1:]:
         sums += [s + weight for s in sums]
-    bits = [1 << l for l in range(w.n - 1)]
+    bits = [2 << l for l in range(w.n - 1)]
     out = []
     for r in range(2, w.n - 1):
         for side in map(sum, itertools.combinations(bits, r)):
-            total = sums[side]
+            total = sums[side >> 1]
             if total > one and whole - total > one:
-                out.append(NodalDivisor(frozenset(bits_of(side))))
+                out.append(NodalDivisor(side))
     return out
 
 
@@ -288,15 +284,13 @@ def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> C
     if w is None:
         w = remark_weights(cs, g)
     marks = mark_of_vertex(cs)
-    one = EpsRational(1)
+    one, weights = EpsRational(1), w.entries()
     expected = set()
     proper = tubes(g, 1, g.num_vertices - 1)
     for t in proper:
-        total = w.c0
-        for v in bits_of(t):
-            total = total + w.c[marks[v] - 1]
-        if total > one:
-            expected.add(frozenset([0] + [marks[v] for v in bits_of(t)]))
+        side = sum(2 << marks[v] for v in bits_of(t)) | 2  # mark 0 and the marks of t
+        if sum(map(weights.__getitem__, bits_of(side)), EpsRational(0)) > one:
+            expected.add(side)
     actual = {d.side for d in nodal_divisors(w)}
     num_rays = len(proper)
     report = CorrespondenceReport(
@@ -306,8 +300,8 @@ def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> C
         k=cs.k,
     )
     if not report.passed:
-        extra = sorted(map(sorted, actual - expected))
-        missing = sorted(map(sorted, expected - actual))
+        extra = sorted([b - 1 for b in bits_of(s)] for s in actual - expected)
+        missing = sorted([b - 1 for b in bits_of(s)] for s in expected - actual)
         report = CorrespondenceReport(
             False, num_rays, len(actual), cs.k,
             detail=f"extra divisors {extra}, missing {missing}",

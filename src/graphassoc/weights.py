@@ -4,7 +4,7 @@ validity, and the tube/non-tube inequality checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .epsrational import EpsRational, _frac_str, parse_eps_rational
 from .graphs import (
@@ -21,7 +21,8 @@ class WeightVector:
     """Weights (c_M, c_0, c_1, ..., c_{n-2}) for n marked points.
 
     c_M is the weight of the moving point, c_0 that of the torus identity,
-    and c[j] that of mark p_{j+1}.
+    and c[j] that of mark p_{j+1}.  `entries()` lists them in the bit order
+    of a set of marks: bit 0 is M and bit l + 1 is mark l.
     """
 
     n: int
@@ -37,14 +38,6 @@ class WeightVector:
 
     def entries(self) -> list[EpsRational]:
         return [self.c_m, self.c0, *self.c]
-
-    def weight_of(self, label: Union[str, int]) -> EpsRational:
-        """Weight of a mark label: 'M', 0, or 1..n-2."""
-        if label == "M":
-            return self.c_m
-        if label == 0:
-            return self.c0
-        return self.c[label - 1]
 
     def total(self) -> EpsRational:
         t = EpsRational(0)

@@ -23,13 +23,7 @@ from graphassoc import (
 from graphassoc.fans import _Checks, _support
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
-from graphassoc.moduli import (
-    Label,
-    _label_key,
-    _stable_cliques,
-    _vertex_stable,
-    enumerate_stable_trees,
-)
+from graphassoc.moduli import _stable_cliques, _vertex_stable, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
 
@@ -446,6 +440,12 @@ def canonical_form(f: Fan):
 # -- stable trees -------------------------------------------------------------
 
 
+def marks(*labels) -> int:
+    """The bitmask of the marks with these labels ("M", 0, 1, ...): bit 0
+    for M and bit l + 1 for mark l."""
+    return sum(1 if l == "M" else 2 << l for l in labels)
+
+
 def tree_of(n: int, sides: list[int]) -> StableTree:
     """The tree whose edges split off the given compatible M-free sides,
     listed by nondecreasing size as `nodal_divisors` orders them.  Vertex 0
@@ -460,8 +460,8 @@ def tree_of(n: int, sides: list[int]) -> StableTree:
         )
         edges.append((parent, i + 1))
         taken[parent] |= side
-    legs = [frozenset(["M", *bits_of(((1 << (n - 1)) - 1) & ~taken[0])])]
-    legs += [frozenset(bits_of(side & ~taken[i + 1])) for i, side in enumerate(sides)]
+    legs = [((1 << n) - 1) & ~taken[0]]
+    legs += [side & ~taken[i + 1] for i, side in enumerate(sides)]
     return StableTree(tuple(legs), tuple(edges))
 
 
@@ -494,23 +494,24 @@ def pairwise_side_tables(sides: list[int]) -> tuple[list[int], list[int]]:
 
 def tree_from_json(item: dict) -> StableTree:
     """The tree numbered in the vertex order of its JSON."""
-    legs = (frozenset(l if l == "M" else int(l) for l in v["legs"]) for v in item["vertices"])
+    legs = (marks(*(l if l == "M" else int(l) for l in v["legs"])) for v in item["vertices"])
     return StableTree(tuple(legs), tuple(map(tuple, item["edges"])))
 
 
 def subset_nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
     """All mark bipartitions with both sides of size >= 2 and weight > 1,
     each side's weight summed afresh from its marks."""
-    non_m = list(range(w.n - 1))  # labels 0..n-2
+    weights = w.entries()
+    non_m = list(range(1, w.n))  # the bits of the labels 0..n-2
     out = []
     one = EpsRational(1)
     whole = w.total()
     for r in range(2, w.n - 1):
         for side in combinations(non_m, r):
-            total = sum(map(w.weight_of, side), EpsRational(0))
+            total = sum(map(weights.__getitem__, side), EpsRational(0))
             if total > one and whole - total > one:
-                out.append(NodalDivisor(frozenset(side)))
-    out.sort(key=lambda d: (len(d.side), d.labels()))
+                out.append(NodalDivisor(sum(1 << b for b in side)))
+    out.sort(key=lambda d: (d.side.bit_count(), bits_of(d.side)))
     return out
 
 
@@ -537,8 +538,8 @@ def tree_stable(w: WeightVector, tree: StableTree) -> bool:
 def chain_shape_check(w: WeightVector) -> bool:
     """True iff every stable tree is a chain with the two heaviest marks at
     opposite ends (vacuously true for the one-component tree)."""
-    order = sorted(["M"] + list(range(w.n - 1)), key=lambda l: (_HeavyKey(w, l)))
-    h1, h2 = order[0], order[1]
+    order = sorted(range(w.n), key=lambda b: _HeavyKey(w, b))
+    h1, h2 = 1 << order[0], 1 << order[1]
     for tree in enumerate_stable_trees(w, w.n - 2):
         if tree.num_vertices == 1:
             continue
@@ -547,22 +548,22 @@ def chain_shape_check(w: WeightVector) -> bool:
         ends = end_vertices(tree)
         e1, e2 = ends[0], ends[1]
         if not (
-            (h1 in tree.legs[e1] and h2 in tree.legs[e2])
-            or (h1 in tree.legs[e2] and h2 in tree.legs[e1])
+            (h1 & tree.legs[e1] and h2 & tree.legs[e2])
+            or (h1 & tree.legs[e2] and h2 & tree.legs[e1])
         ):
             return False
     return True
 
 
 class _HeavyKey:
-    """Sort key: heavier weight first, then label order."""
+    """Sort key of a mark's bit: heavier weight first, then label order."""
 
-    def __init__(self, w: WeightVector, label: Label):
-        self.weight = w.weight_of(label)
-        self.label = _label_key(label)
+    def __init__(self, w: WeightVector, bit: int):
+        self.weight = w.entries()[bit]
+        self.bit = bit
 
     def __lt__(self, other):
         cmp = self.weight.compare(other.weight)
         if cmp != 0:
             return cmp > 0
-        return self.label < other.label
+        return self.bit < other.bit

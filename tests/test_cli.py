@@ -214,6 +214,22 @@ def test_verify_refuses_more_than_eight_vertices_before_building_the_fan(capsys,
     assert "error: bijection check capped at 8 vertices" in err
 
 
+@pytest.mark.parametrize("spec", ["D3", "Kb0,3"])
+def test_verify_refuses_a_disconnected_graph_before_building_the_fan(capsys, monkeypatch, spec):
+    # it used to build the P^2 fan and run the smooth/complete pass before
+    # the tubing count refused the graph
+    from graphassoc import cli
+
+    def no_fan(*args, **kwargs):
+        raise AssertionError("verify built the fan of a graph it refuses")
+
+    monkeypatch.setattr(cli, "build_graph_fan", no_fan)
+    code, out, err = run(capsys, "verify", spec)
+    assert code == EXIT_USAGE
+    assert "error: verify needs a connected graph" in err
+    assert out == ""
+
+
 def test_verify_sweep_reaches_eight_vertices(capsys, monkeypatch):
     # the whole catalog from 2 vertices up: 995 graphs on 2 to 7 vertices
     # and 11117 on 8, each handed to _verify_one (stubbed here, as the real
@@ -493,6 +509,10 @@ PINNED_CLI_JSON = {
     ("classify", "cone^2(D2)"): "bc27d93d6fbd45ac2c2178fbc302d6e785f32d889ebc1e8789e09047b555ba30",
     ("moduli", "S6"): "910b26e0078c16c2ff645bee506a2b28ae555fe4da32749d64bc488a59a2a74e",
     ("moduli", "--weights", "1,1,e,e,e,e,e,e,e"): "8927ce6ffabbad38ac4c36925da60bf43f3e17ac63cf90e91efb88a406a0136c",
+    # recorded before divisor sides became bitmasks of marks
+    ("moduli", "S6", "--divisors"): "e5863eaa70baa32367cd8ef095e759b340585078e2ab3bbd9bb10f6166cfc646",
+    ("moduli", "--weights", "1,1/2,(1+e)/2,e,e", "--divisors"): "99471988f767b0994e52ddbea03ef4c530fdbf1e321d6ce07bb8c7d5b8b28589",
+    ("moduli", "--weights", "1,1-3e,4e,4e,e,e", "--divisors"): "bd0ee9653c6eeea2e4b579dd4b4243fd7847e2adf36c76144d9c5c121e14b14c",
 }
 
 

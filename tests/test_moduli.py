@@ -28,11 +28,12 @@ from graphassoc import (
     record_comparisons,
     remark_weights,
 )
-from graphassoc.graphs import mask_of
-from graphassoc.moduli import _json_sort_key, _label_key, _side_tables, _vertex_stable
+from graphassoc.graphs import bits_of
+from graphassoc.moduli import _json_sort_key, _side_tables, _vertex_stable
 from oracles import (
     chain_shape_check,
     enumerate_tubings,
+    marks,
     pairwise_side_tables,
     reference_tree_json,
     subset_nodal_divisors,
@@ -70,7 +71,7 @@ def splitting_trees(w, max_vertices):
     `enumerate_stable_trees`.  Every stable tree contracts, edge by edge,
     to the one-component tree through stable trees, so splitting reaches
     everything."""
-    root = StableTree((frozenset(["M", *range(w.n - 1)]),), ())
+    root = StableTree(((1 << w.n) - 1,), ())
     if not tree_stable(w, root):
         return []
     stable = functools.cache(functools.partial(_vertex_stable, w))
@@ -93,11 +94,11 @@ def splitting_trees(w, max_vertices):
 def partition_key(tree):
     """Multiset of leg bipartitions induced by the edges; a stable tree is
     determined by it."""
-    all_legs = frozenset().union(*tree.legs)
+    all_legs = sum(tree.legs)
     parts = []
     for i, j in tree.edges:
         side = side_legs(tree, i, j)
-        parts.append(frozenset([side, all_legs - side]))
+        parts.append(frozenset([side, all_legs & ~side]))
     return (len(tree.legs), frozenset(parts))
 
 
@@ -113,14 +114,14 @@ def side_legs(tree, root, banned):
                 if u not in seen and not (v == root and u == banned):
                     seen.add(u)
                     stack.append(u)
-    return frozenset().union(*(tree.legs[v] for v in seen))
+    return sum(tree.legs[v] for v in seen)
 
 
 def splits(stable, tree):
     """All trees obtained by splitting one vertex of `tree` into two that
     pass stable(legs, degree)."""
     for v in range(tree.num_vertices):
-        legs = sorted(tree.legs[v], key=_label_key)
+        legs = [1 << b for b in bits_of(tree.legs[v])]
         incident = [e for e in tree.edges if v in e]
         items = [("leg", l) for l in legs] + [("edge", e) for e in incident]
         m = len(items)
@@ -128,8 +129,8 @@ def splits(stable, tree):
         for pick in range(1, 1 << (m - 1)):
             new_items = [items[i] for i in range(m) if pick >> i & 1]
             old_items = [items[i] for i in range(m) if not pick >> i & 1]
-            new_legs = frozenset(x for kind, x in new_items if kind == "leg")
-            old_legs = frozenset(x for kind, x in old_items if kind == "leg")
+            new_legs = sum(x for kind, x in new_items if kind == "leg")
+            old_legs = sum(x for kind, x in old_items if kind == "leg")
             new_degree = sum(1 for kind, _ in new_items if kind == "edge") + 1
             old_degree = sum(1 for kind, _ in old_items if kind == "edge") + 1
             if not (stable(new_legs, new_degree) and stable(old_legs, old_degree)):
@@ -177,8 +178,8 @@ def test_side_tables_match_the_pairwise_tables():
     # the holder-mask tables against the pair loop they replaced, on the
     # clique weights and on thirteen marks of weight 1 (4,082 sides)
     for w in [*CLIQUE_WEIGHTS, parse_weight_vector(",".join(["1"] * 13))]:
-        sides = [mask_of(d.side) for d in nodal_divisors(w)]
-        assert _side_tables(sides, w.n - 1) == pairwise_side_tables(sides), str(w)
+        sides = [d.side for d in nodal_divisors(w)]
+        assert _side_tables(sides, w.n) == pairwise_side_tables(sides), str(w)
     assert len(sides) == 4082
 
 
@@ -223,8 +224,8 @@ def test_json_sort_key_orders_edges_as_the_json_text():
     """On 13-vertex trees with labels up to 20 that differ only in their
     edges, where edge ends reach 10, `_json_sort_key` orders as the JSON
     string does, and a key without the closing "~" does not."""
-    legs = (frozenset(["M", 0, 13]),) + tuple(
-        frozenset([v, v + 13] if v + 13 <= 20 else [v]) for v in range(1, 13)
+    legs = (marks("M", 0, 13),) + tuple(
+        marks(v, v + 13) if v + 13 <= 20 else marks(v) for v in range(1, 13)
     )
     rng = random.Random(13)
     trees = {
@@ -285,7 +286,7 @@ def test_json_does_not_depend_on_vertex_numbering():
     """Two adjacent legless vertices tie on their legs and are ordered by
     the legs of their branches, so one 8-mark tree numbered two ways gives
     one JSON, with the vertex next to M first."""
-    legs = tuple(frozenset(x) for x in (["M", 0], [1, 2], [], [], [3, 4], [5, 6]))
+    legs = tuple(marks(*x) for x in (["M", 0], [1, 2], [], [], [3, 4], [5, 6]))
     a = StableTree(legs, ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)))
     b = StableTree(legs, ((0, 3), (1, 3), (3, 2), (2, 4), (2, 5)))
     assert tree_stable(parse_weight_vector("1,1,1,1,1,1,1,1"), a)
@@ -347,10 +348,10 @@ def test_preservation_threshold_of_the_moduli_pass(spec, eps0):
 
 def test_vertex_stability():
     w = lm_weights(5)
-    assert _vertex_stable(w, frozenset(["M", 0, 1]), 0)
-    assert _vertex_stable(w, frozenset(["M", 0]), 1)  # 1 + 1 + 1 > 2
-    assert not _vertex_stable(w, frozenset([1, 2]), 1)  # 1 + 2e
-    assert _vertex_stable(w, frozenset([1, 2]), 2)  # 2 + 2e
+    assert _vertex_stable(w, marks("M", 0, 1), 0)
+    assert _vertex_stable(w, marks("M", 0), 1)  # 1 + 1 + 1 > 2
+    assert not _vertex_stable(w, marks(1, 2), 1)  # 1 + 2e
+    assert _vertex_stable(w, marks(1, 2), 2)  # 2 + 2e
 
 
 def test_one_component_tree_always_first():
@@ -386,7 +387,7 @@ def test_two_component_trees_match_nodal_divisors():
         divisors = nodal_divisors(w)
         assert len(two) == len(divisors)
         tree_sides = {
-            t.legs[0] if "M" in t.legs[1] else t.legs[1] for t in two
+            t.legs[0] if t.legs[1] & marks("M") else t.legs[1] for t in two
         }
         assert tree_sides == {d.side for d in divisors}
 
@@ -423,7 +424,7 @@ def test_nodal_divisors_weigh_the_side_of_m():
     # with c_M = 1/2, the side {0, 1} weighs 2 but leaves M, 2, 3 with
     # 1/2 + 2e <= 1, so the M side rules it (and its supersets) out
     w = parse_weight_vector("1/2,1,1,e,e")
-    sides = [sorted(d.side) for d in nodal_divisors(w)]
+    sides = [[b - 1 for b in bits_of(d.side)] for d in nodal_divisors(w)]
     assert sides == [[0, 2], [0, 3], [1, 2], [1, 3], [0, 2, 3], [1, 2, 3]]
 
 

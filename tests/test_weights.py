@@ -32,9 +32,10 @@ def test_weight_vector_shape():
     assert w.c_m == EpsRational(1)
     assert w.c0 == EpsRational(1, -3)
     assert w.c == (EpsRational(0, 4),) * 2 + (EpsRational(0, 1),) * 2
-    assert w.weight_of("M") == EpsRational(1)
-    assert w.weight_of(0) == EpsRational(1, -3)
-    assert w.weight_of(3) == EpsRational(0, 1)
+    # entries() in the bit order of a set of marks: M, then marks 0, 1, ...
+    assert w.entries()[0] == EpsRational(1)
+    assert w.entries()[1] == EpsRational(1, -3)
+    assert w.entries()[3 + 1] == EpsRational(0, 1)
     assert w.total() == EpsRational(2, 7)
     with pytest.raises(ValueError):
         WeightVector(6, EpsRational(1), EpsRational(1), (EpsRational(1),))
