@@ -1,11 +1,14 @@
 """Command-line front end: classify graphs, build fans, run cross-checks,
 and enumerate moduli data.
 
+Each `cmd_*` returns `(input, results, status)`, or raises; `main` alone
+writes the report, reports errors and picks the exit code.
+
 Exit codes: 0 computed (whatever the answer), 1 usage or parse error,
 argparse's own errors and conflicting inputs included, 2 internal invariant
-failure (a cross-check that should always pass failed: a `verify` check, a
-`fan` that is not smooth and complete, or any FanError, such as a fan cone
-that is not laminar).
+failure (status `fail`: a cross-check that should always pass failed, a
+`verify` check or a `fan` that is not smooth and complete; or any FanError,
+such as a fan cone that is not laminar).
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ def _hassett_weights(cs, g):
     return w
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, dict, str]:
     g = load_graph(args.graph)
     eps = _fraction_literal(args.eps) if args.eps is not None else None
     cs = classify_iterated_cone(g)
@@ -116,12 +119,10 @@ def cmd_classify(args) -> int:
         # falls under the same check as an eps that is too large
         values = [e.a + e.b * eps for e in w.entries()]
         if not (all(0 < v <= 1 for v in values) and sum(values) > 2):
-            print(
-                f"error: eps = {eps} gives {', '.join(map(str, values))}, not Hassett "
-                "weights (each must lie in (0, 1] and the total must exceed 2)",
-                file=sys.stderr,
+            raise GraphError(
+                f"eps = {eps} gives {', '.join(map(str, values))}, not Hassett "
+                "weights (each must lie in (0, 1] and the total must exceed 2)"
             )
-            return EXIT_USAGE
         results.update(
             {
                 "is_hassett": True,
@@ -143,17 +144,10 @@ def cmd_classify(args) -> int:
         if witness is not None:
             results["obstruction"] = witness.to_json()
         status = "none"
-    report = {
-        "command": "classify",
-        "input": graph_echo(args.graph, g),
-        "results": results,
-        "status": status,
-    }
-    emit(report, args.format)
-    return EXIT_OK
+    return graph_echo(args.graph, g), results, status
 
 
-def cmd_fan(args) -> int:
+def cmd_fan(args) -> tuple[dict, dict, str]:
     g = load_graph(args.graph)
     rng = random.Random(args.seed_order) if args.seed_order is not None else None
     f = build_graph_fan(g, rng=rng)
@@ -168,14 +162,7 @@ def cmd_fan(args) -> int:
     if args.json_fan:
         results["fan"] = fan_to_json(f)
     ok = results["smooth"] and results["complete"]
-    report = {
-        "command": "fan",
-        "input": graph_echo(args.graph, g),
-        "results": results,
-        "status": "pass" if ok else "fail",
-    }
-    emit(report, args.format)
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return graph_echo(args.graph, g), results, "pass" if ok else "fail"
 
 
 def _verify_one(g: Graph) -> dict:
@@ -222,14 +209,10 @@ def _verify_one(g: Graph) -> dict:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, dict, str]:
     if args.all_up_to is not None:
         if not 2 <= args.all_up_to <= CATALOG_MAX_VERTICES:
-            print(
-                f"error: --all-up-to must be at least 2 and is capped at {CATALOG_MAX_VERTICES}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise GraphError(f"--all-up-to must be at least 2 and is capped at {CATALOG_MAX_VERTICES}")
         failures = []
         total = 0
         for n in range(2, args.all_up_to + 1):
@@ -239,34 +222,19 @@ def cmd_verify(args) -> int:
                 if not res["ok"]:
                     failures.append({"edges": [list(e) for e in g.edges()], "result": res})
         results = {"graphs_checked": total, "failures": failures}
-        status = "pass" if not failures else "fail"
-        report = {
-            "command": "verify",
-            "input": {"spec": f"--all-up-to {args.all_up_to}"},
-            "results": results,
-            "status": status,
-        }
-        emit(report, args.format)
-        return EXIT_OK if not failures else EXIT_INVARIANT
+        return {"spec": f"--all-up-to {args.all_up_to}"}, results, "fail" if failures else "pass"
 
     g = load_graph(args.graph)
     # refuse before building the fan, which is most of the work
     if g.num_vertices > BIJECTION_MAX_VERTICES:
         raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
-    if not is_connected(g):
-        raise GraphError("verify needs a connected graph")
+    if g.num_vertices < 2 or not is_connected(g):
+        raise GraphError("verify needs a connected graph on at least 2 vertices")
     results = _verify_one(g)
-    report = {
-        "command": "verify",
-        "input": graph_echo(args.graph, g),
-        "results": results,
-        "status": "pass" if results["ok"] else "fail",
-    }
-    emit(report, args.format)
-    return EXIT_OK if results["ok"] else EXIT_INVARIANT
+    return graph_echo(args.graph, g), results, "pass" if results["ok"] else "fail"
 
 
-def cmd_moduli(args) -> int:
+def cmd_moduli(args) -> tuple[dict, dict, str]:
     if args.weights is not None:
         w = parse_weight_vector(args.weights)
         echo = {"spec": f"--weights {args.weights}"}
@@ -274,11 +242,7 @@ def cmd_moduli(args) -> int:
         g = load_graph(args.graph)
         cs = classify_iterated_cone(g)
         if cs is None:
-            print(
-                f"error: {args.graph} is not an iterated cone; pass --weights instead",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise GraphError(f"{args.graph} is not an iterated cone; pass --weights instead")
         w = _hassett_weights(cs, g)
         echo = graph_echo(args.graph, g)
     cap = args.max_vertices if args.max_vertices is not None else w.n - 2
@@ -293,14 +257,7 @@ def cmd_moduli(args) -> int:
         results["max_components"] = max(by_size, default=0)
         results["tree_counts_by_components"] = {str(k): v for k, v in by_size.items()}
         results["num_nodal_divisors"] = len(nodal_divisors(w))
-    report = {
-        "command": "moduli",
-        "input": echo,
-        "results": results,
-        "status": "pass",
-    }
-    emit(report, args.format)
-    return EXIT_OK
+    return echo, results, "pass"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,7 +328,8 @@ def main(argv=None) -> int:
         if args.divisors and args.max_vertices is not None:
             parser.error("--max-vertices bounds stable trees, not --divisors")
     try:
-        return args.func(args)
+        echo, results, status = args.func(args)
+        emit({"command": args.command, "input": echo, "results": results, "status": status}, args.format)
     except (FanError, RuntimeError) as exc:
         # a broken invariant of the fan or of a cross-check, not bad input
         print(f"internal error: {exc}", file=sys.stderr)
@@ -379,6 +337,7 @@ def main(argv=None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_INVARIANT if status == "fail" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -50,6 +50,15 @@ def test_classify_rejects_eps_without_hassett_weights(capsys, eps):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "not Hassett weights" in err
     assert out == ""
+    values = {
+        "1": "1, -2, 4, 4, 1, 1",
+        "0": "1, 1, 0, 0, 0, 0",
+        "-1/10": "1, 13/10, -2/5, -2/5, -1/10, -1/10",
+    }[eps]
+    assert err == (
+        f"error: eps = {eps} gives {values}, not Hassett weights "
+        "(each must lie in (0, 1] and the total must exceed 2)\n"
+    )
 
 
 @pytest.mark.parametrize("spec", ["K1", "D2"])
@@ -141,6 +150,45 @@ def test_fan_that_fails_a_check_exits_2(capsys, monkeypatch, fmt):
         assert out.startswith("fan: P4  [fail]")
 
 
+def test_verify_that_fails_a_check_exits_2(capsys, monkeypatch):
+    from graphassoc import cli
+
+    monkeypatch.setattr(cli, "is_complete", lambda f: False)
+    code, report, _ = run_json(capsys, "verify", "P4")
+    assert code == EXIT_INVARIANT
+    assert report["status"] == "fail"
+    assert report["results"]["complete"] is False
+    assert report["results"]["ok"] is False
+
+
+def test_verify_sweep_with_failures_exits_2(capsys, monkeypatch):
+    from graphassoc import cli
+    from graphassoc.graphs import connected_graphs_up_to_iso
+
+    monkeypatch.setattr(cli, "_verify_one", lambda g: {"ok": False})
+    code, report, _ = run_json(capsys, "verify", "--all-up-to", "3")
+    assert code == EXIT_INVARIANT
+    assert report["status"] == "fail"
+    graphs = connected_graphs_up_to_iso(2) + connected_graphs_up_to_iso(3)
+    assert report["results"] == {
+        "graphs_checked": 3,
+        "failures": [{"edges": [list(e) for e in g.edges()], "result": {"ok": False}} for g in graphs],
+    }
+
+
+def test_runtime_error_is_an_internal_error(capsys, monkeypatch):
+    from graphassoc import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("x")
+
+    monkeypatch.setattr(cli, "feasible", broken)
+    code, out, err = run(capsys, "verify", "P4")
+    assert code == EXIT_INVARIANT
+    assert err == "internal error: x\n"
+    assert out == ""
+
+
 def test_fan_of_one_vertex_is_a_usage_error(capsys):
     code, out, err = run(capsys, "fan", "K1")
     assert code == EXIT_USAGE
@@ -214,7 +262,7 @@ def test_verify_refuses_more_than_eight_vertices_before_building_the_fan(capsys,
     assert "error: bijection check capped at 8 vertices" in err
 
 
-@pytest.mark.parametrize("spec", ["D3", "Kb0,3"])
+@pytest.mark.parametrize("spec", ["D3", "Kb0,3", "K1", "D1"])
 def test_verify_refuses_a_disconnected_graph_before_building_the_fan(capsys, monkeypatch, spec):
     # it used to build the P^2 fan and run the smooth/complete pass before
     # the tubing count refused the graph
@@ -243,9 +291,11 @@ def test_verify_sweep_reaches_eight_vertices(capsys, monkeypatch):
 
 
 def test_verify_sweep_cap(capsys):
-    code, _, err = run(capsys, "verify", "--all-up-to", "9")
+    code, out, err = run(capsys, "verify", "--all-up-to", "9")
     assert code == EXIT_USAGE
     assert "capped" in err
+    assert err == "error: --all-up-to must be at least 2 and is capped at 8\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("m", ["1", "0", "-3"])
@@ -254,6 +304,7 @@ def test_verify_sweep_rejects_fewer_than_two_vertices(capsys, m):
     assert code == EXIT_USAGE
     assert err.startswith("error:") and "at least 2" in err
     assert out == ""
+    assert err == "error: --all-up-to must be at least 2 and is capped at 8\n"
 
 
 def test_moduli_from_graph(capsys):
@@ -366,9 +417,11 @@ def test_moduli_rejects_zero_denominator_weight(capsys):
 
 
 def test_moduli_rejects_non_cone_graph(capsys):
-    code, _, err = run(capsys, "moduli", "P4")
+    code, out, err = run(capsys, "moduli", "P4")
     assert code == EXIT_USAGE
     assert "not an iterated cone" in err
+    assert err == "error: P4 is not an iterated cone; pass --weights instead\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize(
@@ -521,3 +574,24 @@ def test_cli_json_is_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLI_JSON[argv]
+
+
+# SHA-256 of the stdout of each command with --format text, recorded before
+# the commands returned their reports to main instead of writing them.
+PINNED_CLI_TEXT = {
+    ("classify", "cone^2(D2)"): "e1a0044f2b76465bf6f33583687d21de617dbaa753feb558239b738a1bf65c19",
+    ("classify", "P4"): "dc493473d4ce1d068c1298114a7323b16c467aa2c61abb5c0c864207e28100a9",
+    ("fan", "P7", "--f-vector"): "571b480953917a025fa6e6e343979563792353e90fd9a300c19fbc7ea58a8927",
+    ("verify", "S6"): "b2fd1725669890fa2e7e297b42105a370bdb4dba842c5a153713da107acb57e2",
+    ("verify", "--all-up-to", "5"): "02c1f9b112043ca2b9a1226129b8038507d2e77f8e6ec7d9ba4d89f89622463d",
+    ("moduli", "S6"): "d30ad1ea908c9238c469ee1cd31fc5246d24c24634e57a18030883e76e6ef0d1",
+    ("moduli", "S6", "--divisors"): "91a35428124514a79d56bf20315bd87f53c77a425b68b5cca89bed832069deef",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_CLI_TEXT), ids=" ".join)
+def test_cli_text_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == EXIT_OK
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLI_TEXT[argv]
