@@ -297,6 +297,26 @@ def induced_connected(g: Graph, s: int) -> bool:
     return component(g, s) == s
 
 
+def connected_table(g: Graph) -> list[bool]:
+    """connected[s] = induced_connected(g, s) for every bitmask s (True
+    for s = 0), by a DP over subsets: a set of two or more vertices is
+    connected iff dropping some vertex u adjacent to the rest leaves it
+    connected (a leaf of a spanning tree is such a u)."""
+    adj = g.adj
+    connected = [True] * (1 << g.num_vertices)
+    for s in range(3, len(connected)):
+        if s & (s - 1):
+            m = s
+            while m:
+                u = m & -m
+                m ^= u
+                if connected[s ^ u] and adj[u.bit_length() - 1] & s:
+                    break
+            else:
+                connected[s] = False
+    return connected
+
+
 def subsets_by_size(n: int, size: int) -> Iterator[int]:
     """All bitmasks over n bits with the given popcount, ascending."""
     if size == 0:

@@ -10,14 +10,21 @@ The weight system keeps only its irredundant rows: one per edge and one per
 maximal non-tube, besides the bounds and the total.  Every other tube or
 non-tube row follows from one of these and c > 0 (the lemma is in
 w1w2_system's docstring), so the solutions are the same, and the simplex
-reads about a quarter of the rows that one per subset would give.
+reads about a quarter of the rows that one per subset would give.  Its
+entries are ints, 0 or 1, read off one connectivity table per call.
 
 Feasibility is one exact simplex with Bland's rule, run on the homogenised
 LP of Motzkin's transposition theorem, which turns strict rows into a
-positive margin t to maximise.  It pivots fraction-free: an integer tableau
-over one common denominator, every division exact.  Both verdicts come with
-a certificate that is checked before it is returned: a point against every
-constraint, or nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.
+positive margin t to maximise.  It runs in integers throughout: a row of
+ints enters the tableau as it is, a row with Fraction entries is scaled by
+the lcm of its denominators, and the tableau pivots fraction-free over one
+common denominator, every division exact.  The rows of the free variables
+are set aside once those are basic, since they never leave the basis; the
+point is read back from them at the end.  Both verdicts come with a
+certificate that is checked before it is returned: a point against every
+constraint, in integers over the point's common denominator, or
+nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.  Constraints
+and points hold ints and Fractions only; anything else is a ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .epsrational import _frac_str
-from .graphs import Graph, bits_of, component, induced_connected, subsets_by_size
+from .graphs import Graph, bits_of, connected_table, induced_connected, subsets_by_size
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,21 @@ def obstruction_b(g: Graph) -> Optional[ObstructionWitness]:
 # -- linear system ----------------------------------------------------------
 
 
+_EXACT = (int, Fraction)
+
+
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    """coeffs . x rel rhs, every entry an int or a Fraction."""
+
+    coeffs: tuple[int | Fraction, ...]
     rel: str  # one of '<', '<=', '>', '>=', '='
-    rhs: Fraction
+    rhs: int | Fraction
+
+    def __post_init__(self):
+        for v in (*self.coeffs, self.rhs):
+            if not isinstance(v, _EXACT):
+                raise ValueError(f"constraint entry {v!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -171,6 +188,7 @@ def w1w2_system(g: Graph) -> LinearSystem:
     ab, by ascending bitmask; c_0 + sum_D c <= 1 per maximal non-tube D, by
     decreasing size and then ascending bitmask; the total (with c_M = 1)
     exceeding 2.  Variable 0 is c_0; variable i+1 carries graph vertex i.
+    Every entry is an int, 0 or 1.
 
     Lemma.  These rows have the solutions of the full system, which has a
     row c_0 + sum_T c > 1 per nontrivial tube T and c_0 + sum_D c <= 1 per
@@ -189,28 +207,27 @@ def w1w2_system(g: Graph) -> LinearSystem:
     """
     n = g.num_vertices
     nv = n + 1
-    zero, one = Fraction(0), Fraction(1)
 
     def row(s):
-        return (one,) + tuple(one if s >> v & 1 else zero for v in range(n))
+        return (1, *(s >> v & 1 for v in range(n)))
 
     rows = []
     for j in range(nv):
-        unit = tuple(one if i == j else zero for i in range(nv))
-        rows.append(Constraint(unit, ">", zero))
-        rows.append(Constraint(unit, "<=", one))
+        unit = (0,) * j + (1,) + (0,) * (n - j)
+        rows.append(Constraint(unit, ">", 0))
+        rows.append(Constraint(unit, "<=", 1))
 
     for b in range(n):  # edges a < b by ascending bitmask
         for a in bits_of(g.adj[b] & ((1 << b) - 1)):
-            rows.append(Constraint(row(1 << a | 1 << b), ">", one))
+            rows.append(Constraint(row(1 << a | 1 << b), ">", 1))
 
-    connected = [component(g, s) == s for s in range(1 << n)]
+    connected = connected_table(g)
     for size in range(n, 1, -1):
         for d in subsets_by_size(n, size):
             if not connected[d] and all(connected[d | 1 << v] for v in range(n) if not d >> v & 1):
-                rows.append(Constraint(row(d), "<=", one))
+                rows.append(Constraint(row(d), "<=", 1))
 
-    rows.append(Constraint((one,) * nv, ">", one))
+    rows.append(Constraint((1,) * nv, ">", 1))
     return LinearSystem(nv, tuple(rows))
 
 
@@ -225,17 +242,22 @@ _HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.
 
 def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[int, ...], int, int]]:
     """Each constraint as integer rows (a, b, strict), a.x < b if strict,
-    else a.x <= b, scaled by the lcm of its denominators (an equality gives
-    two).  strict is that scale on a strict row, else 0: as the coefficient
-    of the margin t in feasible's LP it keeps the unscaled rows' pivots."""
+    else a.x <= b (an equality gives two).  A row of ints is taken as it
+    is; a row with Fraction entries is scaled by the lcm of its
+    denominators.  strict is that scale on a strict row, else 0: as the
+    coefficient of the margin t in feasible's LP it keeps the unscaled
+    rows' pivots."""
     rows = []
     for con in sys.constraints:
         if con.rel not in _UPPER:
             raise ValueError(f"unknown relation {con.rel!r}")
-        scale = math.lcm(con.rhs.denominator, *(c.denominator for c in con.coeffs))
-        a = [c.numerator * (scale // c.denominator) for c in con.coeffs]
-        b = con.rhs.numerator * (scale // con.rhs.denominator)
-        rows += [(tuple(sg * v for v in a), sg * b, scale * st) for sg, st in _UPPER[con.rel]]
+        a, b, scale = con.coeffs, con.rhs, 1
+        if not (isinstance(b, int) and all(isinstance(c, int) for c in a)):
+            scale = math.lcm(b.denominator, *(c.denominator for c in a))
+            a = tuple(c.numerator * (scale // c.denominator) for c in a)
+            b = b.numerator * (scale // b.denominator)
+        for sg, st in _UPPER[con.rel]:
+            rows.append((a, b, scale * st) if sg > 0 else (tuple(-v for v in a), -b, scale * st))
     return rows
 
 
@@ -289,9 +311,15 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     a.x - b*s (+ t if strict) <= 0, with t <= s and t <= 1, and t is
     maximised over free x and s, t >= 0.  The all-zero point is feasible,
     so the free x_j are pivoted into the basis on rows with right-hand side
-    0 and never leave it.  The ratio test cross-multiplies and breaks ties by
-    the smaller basic variable.  If t* > 0, x/s solves the system and is
-    re-verified against every original constraint.  If t* = 0, the final
+    0, which stays 0.  They never leave it, and their rows are never pivot
+    rows, so those rows are set aside with the denominator d0 and the
+    nonbasic variables of that moment, and Bland's pivots update the rest
+    only; the pivots are the same either way.  The ratio test
+    cross-multiplies and breaks ties by the smaller basic variable.
+    If t* > 0, x/s solves the system: from a set-aside row a_j,
+    x_j / s = -sum_k a_jk R_k / (d0 R_s), where R are the final right-hand
+    sides (0 for a nonbasic variable), and a nonbasic x_j is 0.  The point
+    is re-verified against every original constraint.  If t* = 0, the final
     objective row holds multipliers y >= 0 of the integer rows, checked as a
     Motzkin certificate of infeasibility before None is returned.  A failed
     check raises RuntimeError.
@@ -312,12 +340,18 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
         r = next((i for i in range(m) if table[i][c] and basis[i] >= n), None)
         if r is not None:
             d = _pivot(table, basis, nonbasic, r, c, d)
+    # the basic x_j never leave the basis: their rows are set aside
+    free = [(v, row) for v, row in zip(basis, table) if v < n]
+    d0, nonbasic0 = d, nonbasic[:]
+    table = [row for v, row in zip(basis, table) if v >= n] + [table[-1]]
+    basis = [v for v in basis if v >= n]
+
     while cols := [j for j in range(n + 2) if nonbasic[j] >= n and table[-1][j] < 0]:
         c = min(cols, key=lambda j: nonbasic[j])
         r = None
-        for i in range(m + 2):
+        for i in range(len(basis)):
             a = table[i][c]
-            if a > 0 and basis[i] >= n and (r is None or (
+            if a > 0 and (r is None or (
                     (table[i][-1] * table[r][c], basis[i]) < (table[r][-1] * a, basis[r]))):
                 r = i
         if r is None:
@@ -326,7 +360,11 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
 
     if table[-1][-1] > 0:
         value = {v: row[-1] for v, row in zip(basis, table)}
-        point = tuple(Fraction(value.get(j, 0), value[n]) for j in range(n))
+        point = [Fraction(0)] * n
+        for j, row in free:
+            point[j] = Fraction(-sum(a * value.get(v, 0) for a, v in zip(row, nonbasic0)),
+                                d0 * value[n])
+        point = tuple(point)
         if not satisfies(sys, point):
             raise RuntimeError("internal error: simplex point fails re-verification")
         return point
@@ -337,10 +375,18 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     return None
 
 
-def satisfies(sys: LinearSystem, point: tuple[Fraction, ...]) -> bool:
+def satisfies(sys: LinearSystem, point: tuple[int | Fraction, ...]) -> bool:
+    """Whether the point meets every constraint, checked in integers: with
+    q > 0 the lcm of the point's denominators, a.x rel b holds iff
+    a.(qx) rel q*b.  Coordinates must be ints or Fractions."""
     if len(point) != sys.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, not {sys.num_vars}")
+    for x in point:
+        if not isinstance(x, _EXACT):
+            raise ValueError(f"point coordinate {x!r} is not an int or a Fraction")
     if unknown := {con.rel for con in sys.constraints} - _HOLDS.keys():
         raise ValueError(f"unknown relation {min(unknown)!r}")
-    return all(_HOLDS[con.rel](sum(c * x for c, x in zip(con.coeffs, point)), con.rhs)
+    q = math.lcm(*(x.denominator for x in point))
+    qx = [x.numerator * (q // x.denominator) for x in point]
+    return all(_HOLDS[con.rel](sum(map(operator.mul, con.coeffs, qx)), q * con.rhs)
                for con in sys.constraints)

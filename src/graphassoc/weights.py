@@ -11,7 +11,7 @@ from .graphs import (
     ConeStructure,
     Graph,
     bits_of,
-    induced_connected,
+    connected_table,
     subsets_by_size,
 )
 
@@ -136,28 +136,36 @@ def check_w1_w2(
 
     By default vertex i carries weight c[i]; pass `marks` (vertex -> mark
     index, e.g. from mark_of_vertex) when the vector uses another mark
-    assignment.  Scans subsets in canonical order (decreasing size,
-    ascending bitmask) and reports the first violation plus the total
-    violation count.
+    assignment.  `marks` must map the graph's vertices one-to-one onto
+    1..n-2, else ValueError.  One doubling pass weighs all subsets, each
+    with one addition, and one table gives their connectivity.  Subsets
+    are then compared in canonical order (decreasing size, ascending
+    bitmask), so `record_comparisons` sees the pairs of summing each one
+    afresh; the report holds the first violation and the violation count.
     """
-    if w.n != g.num_vertices + 2:
+    nv = g.num_vertices
+    if w.n != nv + 2:
         raise ValueError("weight vector length does not match the graph")
     if marks is None:
-        marks = {v: v + 1 for v in range(g.num_vertices)}
+        marks = {v: v + 1 for v in range(nv)}
+    if set(marks) != set(range(nv)) or set(marks.values()) != set(range(1, nv + 1)):
+        raise ValueError(f"marks must map the vertices 0..{nv - 1} one-to-one onto 1..{nv}")
+    sums = [w.c0]  # sums[s]: c_0 plus the weights of the vertices of s
+    for v in range(nv):
+        weight = w.c[marks[v] - 1]
+        sums += [t + weight for t in sums]
+    connected = connected_table(g)
     first_kind = None
     first_set = None
     violations = 0
     one = EpsRational(1)
-    for size in range(g.num_vertices, 1, -1):
-        for s in subsets_by_size(g.num_vertices, size):
-            total = w.c0
-            for v in bits_of(s):
-                total = total + w.c[marks[v] - 1]
-            if induced_connected(g, s):
-                ok = total > one
+    for size in range(nv, 1, -1):
+        for s in subsets_by_size(nv, size):
+            if connected[s]:
+                ok = sums[s] > one
                 kind = "W1"
             else:
-                ok = total <= one
+                ok = sums[s] <= one
                 kind = "W2"
             if not ok:
                 violations += 1

@@ -26,6 +26,7 @@ from graphassoc.graphs import subsets_by_size, tubes
 from graphassoc.moduli import _stable_cliques, _vertex_stable, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
+from graphassoc.weights import W1W2Report
 
 # -- graphs and tubings -------------------------------------------------------
 
@@ -125,6 +126,32 @@ def full_w1w2_system(g: Graph) -> LinearSystem:
 
     rows.append(Constraint(tuple(one for _ in range(nv)), ">", one))
     return LinearSystem(nv, tuple(rows))
+
+
+def check_w1_w2_per_subset(g: Graph, w: WeightVector, marks: dict[int, int]) -> W1W2Report:
+    """weights.check_w1_w2 summing each subset's weights afresh, in bit
+    order from c_0, and testing its connectivity on its own; subsets in
+    canonical order (decreasing size, ascending bitmask)."""
+    first_kind = None
+    first_set = None
+    violations = 0
+    one = EpsRational(1)
+    for size in range(g.num_vertices, 1, -1):
+        for s in subsets_by_size(g.num_vertices, size):
+            total = w.c0
+            for v in bits_of(s):
+                total = total + w.c[marks[v] - 1]
+            if induced_connected(g, s):
+                ok = total > one
+                kind = "W1"
+            else:
+                ok = total <= one
+                kind = "W2"
+            if not ok:
+                violations += 1
+                if first_set is None:
+                    first_kind, first_set = kind, s
+    return W1W2Report(violations == 0, first_kind, first_set, violations)
 
 
 # -- fans ---------------------------------------------------------------------

@@ -32,6 +32,7 @@ from graphassoc import (
 from graphassoc.graphs import (
     cliques,
     component,
+    connected_table,
     induced_connected,
     is_connected,
     nested_or_apart,
@@ -262,6 +263,15 @@ def test_induced_connected_matches_networkx(n, data):
     assert induced_connected(g, s) == nx.is_connected(h)
     lowest = bits_of(s)[0]
     assert component(g, s) == mask_of(nx.node_connected_component(h, lowest))
+
+
+@given(st.integers(min_value=1, max_value=8), st.booleans(), st.data())
+def test_connected_table_matches_induced_connected(n, dense, data):
+    """On random graphs, connected or not, and their complements."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
+    g = from_edges(n, set(pairs) - edges if dense else edges)
+    assert connected_table(g) == [component(g, s) == s for s in range(1 << n)]
 
 
 def test_universal_vertices():

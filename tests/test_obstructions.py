@@ -391,6 +391,12 @@ def test_w1w2_system_is_as_feasible_as_the_full_rows():
         assert feasible(w1w2_system(g)) == feasible(full_w1w2_system(g)), g.edges()
 
 
+def test_w1w2_system_entries_are_ints():
+    for spec in ["K2", "P4", "cone^2(D2)", "C5"]:
+        for con in w1w2_system(parse_graph(spec)).constraints:
+            assert all(type(v) is int and v in (0, 1) for v in (*con.coeffs, con.rhs)), con
+
+
 def test_w1w2_system_json():
     js = w1w2_system(parse_graph("K2")).to_json()
     assert all(set(row) == {"coeffs", "rel", "rhs"} for row in js)
@@ -585,6 +591,69 @@ def test_point_of_the_wrong_length_raises_value_error():
     for point in (F(2), F(1, 1, -5)):
         with pytest.raises(ValueError, match=f"point has {len(point)} coordinates, not 2"):
             satisfies(sys_, point)
+
+
+@pytest.mark.parametrize("coeffs, rhs, bad", [
+    ((0.5,), Fraction(1), "0.5"),
+    ((Fraction(1), "1"), Fraction(1), "'1'"),
+    ((Fraction(1),), 1.0, "1.0"),
+    ((Fraction(1),), "2", "'2'"),
+], ids=["float-coefficient", "str-coefficient", "float-rhs", "str-rhs"])
+def test_inexact_constraint_entry_raises_value_error(coeffs, rhs, bad):
+    # a float coefficient made feasible raise AttributeError, and satisfies
+    # answered in floats
+    with pytest.raises(ValueError, match=f"constraint entry {bad} is not an int or a Fraction"):
+        Constraint(coeffs, "<", rhs)
+
+
+def test_inexact_point_raises_value_error():
+    # 0.5 x < 1 held at x = 1.0, compared in floats
+    sys_ = LinearSystem(1, (Constraint((Fraction(1, 2),), "<", Fraction(1)),))
+    assert satisfies(sys_, (1,)) and satisfies(sys_, F(1))
+    for point, bad in (((1.0,), "1.0"), (("1",), "'1'")):
+        with pytest.raises(ValueError, match=f"point coordinate {bad} is not an int or a Fraction"):
+            satisfies(sys_, point)
+
+
+def test_int_and_fraction_rows_are_one_system():
+    rows = [(F(2, 3), "=", 7), (F(3, -1), ">", 1), (F(1, 1), "<=", 3)]
+    exact = LinearSystem(2, tuple(Constraint(a, rel, Fraction(b)) for a, rel, b in rows))
+    ints = LinearSystem(2, tuple(Constraint(tuple(map(int, a)), rel, b) for a, rel, b in rows))
+    assert exact == ints
+    assert feasible(exact) == feasible(ints) == F(2, 1)
+    assert satisfies(ints, (2, 1)) and not satisfies(ints, F(1, 1))
+
+
+# Points and pivots (pivot entry, denominator before it) of general
+# systems, as the simplex read them before the free variables' rows were
+# set aside: the set-aside rows must give the same pivots and points.
+PINNED_SYSTEMS = [
+    # 2x + 3y = 7, 3x - y > 1, x + y <= 3: free-phase pivots 2 and 11, so d0 = 11
+    (2, [(F(2, 3), "=", Fraction(7)), (F(3, -1), ">", Fraction(1)), (F(1, 1), "<=", Fraction(3))],
+     F(2, 1), [(2, 1), (11, 2), (1, 11), (3, 1), (1, 3)]),
+    # x > 0, (2/3)x + 5z < 4, z >= 1/2 over (x, y, z): y never enters the basis
+    (3, [(F(1, 0, 0), ">", Fraction(0)), ((Fraction(2, 3), 0, 5), "<", Fraction(4)),
+         (F(0, 0, 1), ">=", Fraction(1, 2))],
+     (Fraction(9, 10), 0, Fraction(1, 2)), [(-1, 1), (15, 1), (10, 15), (9, 10)]),
+    # x > 0 over (x, y)
+    (2, [(F(1, 0), ">", Fraction(0))], F(1, 0), [(-1, 1), (1, 1), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("num_vars, rows, point, pivots", PINNED_SYSTEMS,
+                         ids=["equality-d0-11", "column-never-enters", "one-of-two"])
+def test_feasible_pinned_general_systems(monkeypatch, num_vars, rows, point, pivots):
+    seen = []
+    pivot = obstructions._pivot
+
+    def spy(table, basis, nonbasic, r, c, d):
+        seen.append((table[r][c], d))
+        return pivot(table, basis, nonbasic, r, c, d)
+
+    monkeypatch.setattr(obstructions, "_pivot", spy)
+    sys_ = LinearSystem(num_vars, tuple(Constraint(*row) for row in rows))
+    assert feasible(sys_) == point
+    assert seen == pivots
 
 
 def test_unknown_relation_raises_value_error():

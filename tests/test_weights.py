@@ -10,13 +10,16 @@ from graphassoc import (
     WeightVector,
     check_w1_w2,
     classify_iterated_cone,
+    connected_graphs_up_to_iso,
     count_stable_trees,
     is_valid,
     mark_of_vertex,
     parse_graph,
     parse_weight_vector,
+    record_comparisons,
     remark_weights,
 )
+from oracles import check_w1_w2_per_subset
 
 
 def lm_weights(n):
@@ -157,3 +160,52 @@ def test_mark_of_vertex_cone_first():
     marks = mark_of_vertex(cs)
     # cone vertices (labels 2, 3) take marks 1, 2; base takes 3, 4
     assert marks == {2: 1, 3: 2, 0: 3, 1: 4}
+
+
+@pytest.mark.parametrize("marks", [
+    {2: 1, 3: 1, 0: 3, 1: 4},  # mark 2 twice, its weight never read
+    {2: 0, 3: 1, 0: 2, 1: 3},  # mark 0 would read c[-1]
+    {2: 1, 3: 2, 0: 3},  # vertex 1 has no mark
+    {2: 1, 3: 2, 0: 3, 1: 4, 4: 5},  # vertex 4 is not in the graph
+], ids=["repeated", "mark-0", "missing-vertex", "extra-vertex"])
+def test_check_w1_w2_requires_marks_to_be_a_bijection(marks):
+    g = parse_graph("cone^2(D2)")
+    w = remark_weights(classify_iterated_cone(g), g)
+    with pytest.raises(ValueError, match="one-to-one onto 1..4"):
+        check_w1_w2(g, w, marks=marks)
+
+
+def _weight_vectors(g):
+    """The weights the doubling pass is compared on: the remark weights of
+    an iterated cone (with its marks and with them reversed), Losev-Manin
+    weights (W2 fails on every non-tube), all-infinitesimal ones (W1 fails
+    on every tube) and a mixed vector that fails some of both."""
+    n = g.num_vertices
+    plain = {v: v + 1 for v in range(n)}
+    out = [(lm_weights(n + 2), plain)]
+    out.append((WeightVector(n + 2, EpsRational(1), EpsRational(0, 1),
+                             (EpsRational(0, 1),) * n), plain))
+    mixed = tuple(EpsRational(Fraction(v + 1, n + 2), -1) for v in range(n))
+    out.append((WeightVector(n + 2, EpsRational(1), EpsRational(Fraction(1, 3)), mixed), plain))
+    cs = classify_iterated_cone(g)
+    if cs is not None:
+        w, marks = remark_weights(cs, g), mark_of_vertex(cs)
+        out += [(w, marks), (w, {v: n + 1 - m for v, m in marks.items()})]
+    return out
+
+
+def test_check_w1_w2_matches_the_per_subset_sums():
+    """Same report and the same recorded comparisons, in order, as summing
+    every subset afresh, on every connected graph with <= 6 vertices."""
+    kinds = set()
+    for n in range(1, 7):
+        for g in connected_graphs_up_to_iso(n):
+            for w, marks in _weight_vectors(g):
+                with record_comparisons() as fast:
+                    got = check_w1_w2(g, w, marks=marks)
+                with record_comparisons() as slow:
+                    want = check_w1_w2_per_subset(g, w, marks)
+                assert got == want, (g.edges(), str(w), marks)
+                assert fast.pairs == slow.pairs, (g.edges(), str(w), marks)
+                kinds.add(got.witness_kind)
+    assert kinds == {None, "W1", "W2"}
