@@ -18,8 +18,12 @@ LP of Motzkin's transposition theorem, which turns strict rows into a
 positive margin t to maximise.  It runs in integers throughout: a row of
 ints enters the tableau as it is, a row with Fraction entries is scaled by
 the lcm of its denominators, and the tableau pivots fraction-free over one
-common denominator, every division exact.  The rows of the free variables
-are set aside once those are basic, since they never leave the basis; the
+common denominator, every division exact.  A pivot of absolute value
+equal to that denominator leaves each column in which the pivot row is 0
+as it was, so it rewrites only the pivot row's nonzero columns; every
+free-variable pivot of a W1/W2 system is one, -1 over d = 1 on a row whose
+only other nonzero is the margin's.  The rows of the free variables are
+set aside once those are basic, since they never leave the basis; the
 point is read back from them at the end.  Both verdicts come with a
 certificate that is checked before it is returned: a point against every
 constraint, in integers over the point's common denominator, or
@@ -33,6 +37,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .epsrational import _frac_str
@@ -252,12 +257,13 @@ def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[int, ...], int, int]]:
         if con.rel not in _UPPER:
             raise ValueError(f"unknown relation {con.rel!r}")
         a, b, scale = con.coeffs, con.rhs, 1
-        if not (isinstance(b, int) and all(isinstance(c, int) for c in a)):
+        if not (isinstance(b, int) and all(map(isinstance, a, repeat(int)))):
             scale = math.lcm(b.denominator, *(c.denominator for c in a))
             a = tuple(c.numerator * (scale // c.denominator) for c in a)
             b = b.numerator * (scale // b.denominator)
         for sg, st in _UPPER[con.rel]:
-            rows.append((a, b, scale * st) if sg > 0 else (tuple(-v for v in a), -b, scale * st))
+            rows.append((a, b, scale * st) if sg > 0 else
+                        (tuple(map(operator.neg, a)), -b, scale * st))
     return rows
 
 
@@ -268,17 +274,30 @@ def _pivot(table, basis, nonbasic, r, c, d) -> int:
     The integer tableau over d > 0 reads, row by row,
     basis[i] = (table[i][-1] - sum_j table[i][j] * nonbasic[j]) / d, with
     the objective row last.  Its entries are minors of the starting tableau
-    (Edmonds), so each division by d is exact.  A negative pivot negates
-    the whole tableau, which keeps the new denominator |p| positive.
+    (Edmonds), so each new entry (v*p - f*w) / d is exact, for v in a row
+    whose pivot-column entry is f and w in the pivot row.  A negative pivot
+    negates the whole tableau, which keeps the new denominator |p| positive.
+    When |p| = d the entry is v - f*w/d, and d divides f*w since it divides
+    v*d - f*w: a row changes only where f and w are both nonzero, so only
+    those entries are rewritten.
     """
     prow = table[r]
     p, sign = abs(prow[c]), (1 if prow[c] > 0 else -1)
     prow[:] = [sign * v for v in prow]
-    for i, row in enumerate(table):
-        f = row[c]
-        if i != r and (f or p != d):
-            row[:] = [(v * p - f * w) // d for v, w in zip(row, prow)]
-            row[c] = -sign * f
+    if p == d:
+        nonzero = [(k, w) for k, w in enumerate(prow) if w and k != c]
+        for row in table:
+            f = row[c]
+            if f and row is not prow:
+                for k, w in nonzero:
+                    row[k] -= f * w // d
+                row[c] = -sign * f
+    else:
+        for row in table:
+            f = row[c]
+            if row is not prow:
+                row[:] = [(v * p - f * w) // d for v, w in zip(row, prow)]
+                row[c] = -sign * f
     prow[c] = sign * d
     basis[r], nonbasic[c] = nonbasic[c], basis[r]
     return p
@@ -294,7 +313,7 @@ def _is_motzkin_certificate(rows, y) -> bool:
     """
     if any(v < 0 for v in y):
         return False
-    combined = [sum(v * c for v, c in zip(y, col)) for col in zip(*(a for a, _, _ in rows))]
+    combined = [sum(map(operator.mul, y, col)) for col in zip(*(a for a, _, _ in rows))]
     if any(combined):
         return False
     beta = sum(v * b for v, (_, b, _) in zip(y, rows))
@@ -311,11 +330,14 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     a.x - b*s (+ t if strict) <= 0, with t <= s and t <= 1, and t is
     maximised over free x and s, t >= 0.  The all-zero point is feasible,
     so the free x_j are pivoted into the basis on rows with right-hand side
-    0, which stays 0.  They never leave it, and their rows are never pivot
-    rows, so those rows are set aside with the denominator d0 and the
-    nonbasic variables of that moment, and Bland's pivots update the rest
-    only; the pivots are the same either way.  The ratio test
-    cross-multiplies and breaks ties by the smaller basic variable.
+    0, which stays 0.  On a W1/W2 system each such pivot is -1 over d = 1
+    on x_j's bound row -x_j + t <= 0, so _pivot's update for a pivot equal
+    to d makes it the substitution x_j = t + slack, on the t column alone.
+    The x_j never leave the basis, and their rows are never pivot rows, so
+    those rows are set aside with the denominator d0 and the nonbasic
+    variables of that moment, and Bland's pivots update the rest only; the
+    pivots are the same either way.  The ratio test cross-multiplies and
+    breaks ties by the smaller basic variable.
     If t* > 0, x/s solves the system: from a set-aside row a_j,
     x_j / s = -sum_k a_jk R_k / (d0 R_s), where R are the final right-hand
     sides (0 for a nonbasic variable), and a nonbasic x_j is 0.  The point

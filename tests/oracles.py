@@ -154,6 +154,22 @@ def check_w1_w2_per_subset(g: Graph, w: WeightVector, marks: dict[int, int]) -> 
     return W1W2Report(violations == 0, first_kind, first_set, violations)
 
 
+def pivot_dense(table, basis, nonbasic, r, c, d) -> int:
+    """obstructions._pivot rewriting every entry of each row it updates,
+    (v*p - f*w) / d throughout, with no sparse case for |p| = d."""
+    prow = table[r]
+    p, sign = abs(prow[c]), (1 if prow[c] > 0 else -1)
+    prow[:] = [sign * v for v in prow]
+    for i, row in enumerate(table):
+        f = row[c]
+        if i != r and (f or p != d):
+            row[:] = [(v * p - f * w) // d for v, w in zip(row, prow)]
+            row[c] = -sign * f
+    prow[c] = sign * d
+    basis[r], nonbasic[c] = nonbasic[c], basis[r]
+    return p
+
+
 # -- fans ---------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ multipliers.  The points it returns on the yes-instances are pinned."""
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import networkx as nx
@@ -27,7 +28,7 @@ from graphassoc import (
 from graphassoc import obstructions
 from graphassoc.graphs import induced_connected, subsets_by_size
 from graphassoc.obstructions import Constraint, LinearSystem, ObstructionWitness, satisfies
-from oracles import full_w1w2_system, non_tubes
+from oracles import full_w1w2_system, non_tubes, pivot_dense
 
 
 # -- obstruction A ------------------------------------------------------------
@@ -654,6 +655,93 @@ def test_feasible_pinned_general_systems(monkeypatch, num_vars, rows, point, piv
     sys_ = LinearSystem(num_vars, tuple(Constraint(*row) for row in rows))
     assert feasible(sys_) == point
     assert seen == pivots
+
+
+def test_pivot_matches_the_dense_update():
+    """Chains of random nonzero pivots on random integer tableaux, from
+    d = 1 so that every division is exact: after each pivot the tableau,
+    basis, nonbasic and new denominator equal the dense update's.  A pivot
+    of absolute value d is picked when the tableau has one, half of the
+    time, so that the sparse update meets every case."""
+    rng = random.Random(2514)
+    seen = set()
+    for _ in range(200):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+        table = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3)) for _ in range(cols + 1)]
+                 for _ in range(rows)]
+        basis, nonbasic, d = list(range(cols, cols + rows)), list(range(cols)), 1
+        for _ in range(6):
+            entries = [(r, c) for r in range(rows) for c in range(cols) if table[r][c]]
+            if not entries:
+                break
+            at_d = [(r, c) for r, c in entries if abs(table[r][c]) == d]
+            r, c = rng.choice(at_d if at_d and rng.random() < 0.5 else entries)
+            p = table[r][c]
+            seen.add("p = d = 1" if abs(p) == d == 1 else "p = d > 1" if abs(p) == d else "p != d")
+            if p < 0:
+                seen.add("negative pivot")
+            if any(row[c] == 0 for i, row in enumerate(table) if i != r):
+                seen.add("row with f = 0")
+            want = ([row[:] for row in table], basis[:], nonbasic[:])
+            want_d = pivot_dense(*want, r, c, d)
+            d = obstructions._pivot(table, basis, nonbasic, r, c, d)
+            assert (table, basis, nonbasic, d) == (*want, want_d)
+    assert seen == {"p = d = 1", "p = d > 1", "p != d", "negative pivot", "row with f = 0"}
+
+
+def _pivots_and_point(monkeypatch, pivot, sys_):
+    seen = []
+
+    def spy(table, basis, nonbasic, r, c, d):
+        seen.append((r, c, d))
+        return pivot(table, basis, nonbasic, r, c, d)
+
+    monkeypatch.setattr(obstructions, "_pivot", spy)
+    return seen, feasible(sys_)
+
+
+def test_feasible_matches_the_dense_pivot(monkeypatch):
+    """The same pivots (r, c, d) and the same point or None with the dense
+    update, on the W1/W2 systems of the connected graphs on up to 6
+    vertices and of D2-D4, and on the pinned general systems."""
+    systems = [w1w2_system(g) for n in range(2, 7) for g in connected_graphs_up_to_iso(n)]
+    systems += [w1w2_system(parse_graph(f"D{k}")) for k in (2, 3, 4)]
+    systems += [LinearSystem(num_vars, tuple(Constraint(*row) for row in rows))
+                for num_vars, rows, _, _ in PINNED_SYSTEMS]
+    sparse = obstructions._pivot
+    for sys_ in systems:
+        assert _pivots_and_point(monkeypatch, sparse, sys_) == \
+            _pivots_and_point(monkeypatch, pivot_dense, sys_)
+    # the path 3-0-1-2, the catalog's second graph on 4 vertices: a Bland
+    # pivot of 2 over d = 2, at row 7 and column 2, covers exact division
+    # above d = 1
+    path = connected_graphs_up_to_iso(4)[1]
+    assert path.edges() == [(0, 1), (0, 3), (1, 2)]
+    seen, point = _pivots_and_point(monkeypatch, sparse, w1w2_system(path))
+    assert point is None and (7, 2, 2) in seen
+
+
+def test_free_phase_pivots_are_unit_pivots(monkeypatch):
+    """On the W1/W2 system of each connected graph on up to 6 vertices,
+    every free-phase pivot, x_j entering, is -1 or 1 over d = 1, and the
+    pivot row's only other nonzero is the margin t's: the sparse update
+    for a pivot equal to d is what the free phase runs."""
+    pivot = obstructions._pivot
+    for n in range(2, 7):
+        for g in connected_graphs_up_to_iso(n):
+            sys_ = w1w2_system(g)
+            free = []
+
+            def spy(table, basis, nonbasic, r, c, d):
+                if nonbasic[c] < sys_.num_vars:
+                    others = [k for k, v in enumerate(table[r]) if v and k != c]
+                    free.append((abs(table[r][c]), d, others))
+                return pivot(table, basis, nonbasic, r, c, d)
+
+            monkeypatch.setattr(obstructions, "_pivot", spy)
+            feasible(sys_)
+            t = sys_.num_vars + 1
+            assert free == [(1, 1, [t])] * sys_.num_vars, g.edges()
 
 
 def test_unknown_relation_raises_value_error():
