@@ -4,20 +4,27 @@ tube cardinality.
 
 A cone is an int bitmask over ray indices, the representation of vertex
 subsets and tubes too; cones become index lists only in `fan_to_json`.
-Each ray is labelled by the bitmask of the tube it carries, a singleton
-for the ray of a vertex.  `build_graph_fan` reads the subdivisions off a
-subset recursion on the vertex rays that each cone holds (`_pieces`).
+A ray s 1_B is the triple (support B, sign s, label: the tube it
+carries), and only `fan_to_json` writes coordinates.  `build_graph_fan`
+reads the subdivisions off a subset recursion on the vertex rays that
+each cone holds (`_pieces`), and records the graph on the fan.
 
 Smoothness, completeness and the f-vector come from one pass over the
 rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
 an int: the cone list is transposed once per fan into one lane mask per
 ray (`Fan._lanes`, the cones that hold it), and each step of the pass
 works on every cone at once with a few int operations per coordinate of
-the ray's support.  Each ray is read as a signed 0/1 vector s_B 1_B, and
-a cone's ray supports must be laminar (pairwise nested or disjoint), as
-in every graph fan; the pass raises FanError at any other cone, found by
-the clash pass over the lanes that the tubing bijection shares
-(`first_clash`).  It works on bitmasks alone:
+the ray's support.  The pass needs laminar cones (supports pairwise
+nested or disjoint) and raises FanError at any other, found by a clash
+pass over the lanes (`_clash_lanes`): on the tube table, cached and
+shared with the tubing bijection (`Fan._tube_clashes`), if the fan
+carries its graph and each ray is its label's closed form (`_tube_ray`),
+else on the support table.  Compatible tubes have laminar supports: the
+support of t is t, or V - t if t holds 0, so nesting and apartness carry
+over, except that if only t1 holds 0, t2 inside t1 parts the supports
+and t2 apart from t1 nests them.  Clashing tubes can have nested
+supports (t1 holding 0 and t2 not, overlapping and covering V), so the
+support table decides after a tube clash.  On laminar cones:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
@@ -36,9 +43,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress, repeat
-from operator import and_
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
@@ -52,16 +59,12 @@ class FanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Ray:
-    coords: tuple[int, ...]
-    label: int  # vertex bitmask of the tube the ray carries
+class Ray(NamedTuple):
+    """The ray sign * 1_support, carrying the tube `label`."""
 
-    def __post_init__(self):
-        if all(c == 0 for c in self.coords):
-            raise FanError("zero ray")
-        if math.gcd(*self.coords) != 1:
-            raise FanError(f"ray {self.coords} is not primitive")
+    support: int  # bitmask of the nonzero coordinates
+    sign: int  # +1 or -1
+    label: int  # vertex bitmask of the tube the ray carries
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,7 @@ class Fan:
     dim: int
     rays: tuple[Ray, ...]
     max_cones: tuple[int, ...]
+    graph: Optional[Graph] = None  # the graph it was built from
 
     @cached_property
     def _lanes(self) -> list[int]:
@@ -81,14 +85,22 @@ class Fan:
     def _checks(self) -> _Checks:
         return _walk(self)
 
+    @cached_property
+    def _tube_table(self) -> list[int]:  # the labels' compatibility as tubes
+        labels, g = [r.label for r in self.rays], self.graph
+        return nested_or_apart(labels, g.num_vertices, g.adj)[1]
+
+    @cached_property
+    def _tube_clashes(self) -> int:
+        """The lanes where two tubes clash, for `_walk` and `first_clash`."""
+        return _clash_lanes(self._lanes, self._tube_table)
+
 
 def _tube_ray(t: int, d: int) -> Ray:
     """The primitive sum of the rays of t's vertices: 1 on the coordinates
     of t (coordinate j carries vertex j + 1) if vertex 0 is not in t, else
     -1 on the coordinates off t."""
-    if t & 1:
-        return Ray(tuple(-(~t >> j & 1) for j in range(1, d + 1)), t)
-    return Ray(tuple(t >> j & 1 for j in range(1, d + 1)), t)
+    return Ray(~t >> 1 & (1 << d) - 1, -1, t) if t & 1 else Ray(t >> 1, 1, t)
 
 
 def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
@@ -124,7 +136,7 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
     ray_of = {t: i for i, t in enumerate(order)}
     memo: dict[int, list[int]] = {}
     cones = [c for k in range(d, -1, -1) for c in _pieces(g, ray_of, g.vertex_mask ^ 1 << k, memo)]
-    return Fan(d, tuple(_tube_ray(t, d) for t in order), tuple(cones))
+    return Fan(d, tuple(_tube_ray(t, d) for t in order), tuple(cones), g)
 
 
 def _pieces(g: Graph, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]) -> list[int]:
@@ -143,14 +155,6 @@ def _pieces(g: Graph, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]
                 break
         memo[o] = out
     return out
-
-
-def _support(coords: tuple[int, ...]) -> Optional[int]:
-    """Bitmask of the nonzero coordinates if they are all +1 or all -1."""
-    signs = {c for c in coords if c}
-    if signs != {1} and signs != {-1}:
-        return None
-    return sum(1 << j for j, c in enumerate(coords) if c)
 
 
 class _Checks(NamedTuple):
@@ -181,28 +185,32 @@ def _lane_masks(cones: Sequence[int], num_rays: int) -> list[int]:
     return out
 
 
-def _pick(cones: Sequence[int], lanes: int) -> Iterator[int]:
-    """The cones in the given lanes, in order."""
-    digits = format(lanes, f"0{len(cones)}b").encode().translate(_FALSE_ZERO)
-    return compress(cones, digits[::-1])
+def _pick(items: Sequence[int], lanes: int) -> Iterator[int]:
+    """The items (cones, or the rays' lane masks) in the given lanes, in order."""
+    digits = format(lanes, f"0{len(items)}b").encode().translate(_FALSE_ZERO)
+    return compress(items, digits[::-1])
 
 
-def first_clash(f: Fan, valid: int, compat: Sequence[int]) -> Optional[int]:
-    """The first maximal cone, in order, with a ray outside the bitmask
-    `valid` or two rays i < j with j not in compat[i], else None.  compat
-    is symmetric, as `graphs.nested_or_apart`'s tables are, so each ray ORs
-    the lanes of the later rays it clashes with; the lowest bad lane wins."""
-    lanes = f._lanes
+def _clash_lanes(lanes: list[int], compat: Sequence[int]) -> int:
+    """The lanes of the cones with rays i < j, j not in compat[i].  compat
+    is symmetric (see `graphs.nested_or_apart`), so each ray ORs the lanes
+    of the later rays it clashes with, picked in C (`_pick`)."""
     every = (1 << len(lanes)) - 1
     bad = 0
     for i, (here, ok) in enumerate(zip(lanes, compat)):
-        if not valid >> i & 1:
-            bad |= here
-        elif here:
-            clashing = 0
-            for j in bits_of((every & ~ok) >> i + 1):
-                clashing |= lanes[i + 1 + j]
-            bad |= here & clashing
+        clashing = every & ~ok & -(2 << i)
+        if here and clashing:
+            bad |= here & reduce(or_, _pick(lanes, clashing), 0)
+    return bad
+
+
+def first_clash(f: Fan, valid: int, compat: Sequence[int]) -> Optional[int]:
+    """The first maximal cone with a ray outside the bitmask `valid` or two
+    rays that clash in compat (`_clash_lanes`, cached for the tube table)."""
+    lanes = f._lanes
+    cached = f.graph is not None and compat == f._tube_table
+    bad = f._tube_clashes if cached else _clash_lanes(lanes, compat)
+    bad = reduce(or_, _pick(lanes, ~valid & (1 << len(lanes)) - 1), bad)
     return f.max_cones[(bad & -bad).bit_length() - 1] if bad else None
 
 
@@ -270,11 +278,10 @@ def _walk(f: Fan) -> _Checks:
     the number of negative coordinates of v = (1, 2, ..., d) in its basis
     (for the h-vector).
 
-    Cone k is lane k, bit k of every mask below; `f._lanes` gives ray i
-    the cones that hold it.  A cone's rows are its rays in rank order, by
-    support size and then by index, so one sweep of all rays in that order
-    sweeps each cone in its own order.  The sweep keeps, per coordinate j,
-    the cones where
+    Cone k is lane k of every mask below.  A cone's rows are its rays in
+    rank order, by support size and then by index, so one sweep of all rays
+    in that order sweeps each cone in its own order.  The sweep keeps, per
+    coordinate j, the cones where
     - `covered[j]`: a support swept so far holds j;
     - `pos[j]`, `neg[j]`: j is the rem coordinate of a maximal support swept
       so far (a root) of a positive or a negative ray;
@@ -297,14 +304,11 @@ def _walk(f: Fan) -> _Checks:
       inversions number sum_k (k - #{swept coordinates below r_k}); the sum
       of k is d(d-1)/2, and `inversions` is the parity of the counts, a
       prefix XOR of `covered` below each rem.
-    The pass reads laminar cones of signed 0/1 rays only, as every cone of
-    a graph fan is: compatible tubes are nested or disjoint, and so are
-    their rays' supports.  It raises FanError at the first cone with a ray
-    that is not a signed 0/1 vector or with two crossing supports
-    (`first_clash`).  Then each cone must hold d rays: `_tally` over the
-    ray lanes counts them, and h[d] must be the number of cones.  A cone
-    with fewer or more rays, or with an empty rem (determinant 0), is
-    neither unimodular nor full-dimensional, and the pass stops there.
+    The pass first raises FanError at any cone that is not laminar.  Each
+    cone must hold d rays: `_tally` over the ray lanes counts them, and
+    h[d] must be the number of cones.  A cone with fewer or more rays, or
+    with an empty rem (determinant 0), is neither unimodular nor
+    full-dimensional, and the pass stops there.
 
     The facet F = c ^ u with u in place k of c lies on side
     (side of c + k) mod 2 (see `is_complete`); `odd` holds the cones in
@@ -313,12 +317,13 @@ def _walk(f: Fan) -> _Checks:
     d, cones = f.dim, f.max_cones
     if not cones:
         return _Checks(True, False, None)
-    supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
-    valid = sum(1 << i for i, b in enumerate(supports) if b)
-    crossed = first_clash(f, valid, nested_or_apart(supports, d)[1])
-    if crossed is not None:
-        raise FanError(f"cone {bits_of(crossed)} is not laminar")
-    lanes = f._lanes
+    rays, g, lanes = f.rays, f.graph, f._lanes
+    supports = [r.support for r in rays]
+    tube_rays = g is not None and all(r == _tube_ray(r.label, g.num_vertices - 1) for r in rays)
+    if not tube_rays or f._tube_clashes:
+        crossed = first_clash(f, -1, nested_or_apart(supports, d)[1])
+        if crossed is not None:
+            raise FanError(f"cone {bits_of(crossed)} is not laminar")
     every = (1 << len(cones)) - 1
     if _tally(lanes, every, d)[d] != len(cones):
         return _Checks(False, False, None)  # a cone without d rays (see is_smooth)
@@ -333,7 +338,7 @@ def _walk(f: Fan) -> _Checks:
             continue
         odd[i] = run & here
         run ^= here
-        negative = f.rays[i].coords[(b & -b).bit_length() - 1] < 0
+        negative = rays[i].sign < 0
         if negative:
             flips ^= here
         one = below = 0
@@ -372,13 +377,10 @@ def _walk(f: Fan) -> _Checks:
 def is_smooth(f: Fan) -> bool:
     """Every maximal cone's rays form a lattice basis (determinant +-1).
 
-    Every ray of a graph fan is +- the indicator vector 1_B of a set B of
-    coordinates, its support: u_0 = -(1, ..., 1), u_i = e_i, and a tube ray
-    is the primitive sum of some of these.  Flipping a row's sign keeps
-    |det|, so take the rows to be 1_B.  Suppose a cone's d supports form a
-    laminar family (any two are nested or disjoint), and let
-    rem(B) = B minus the union of the supports A with A a proper subset
-    of B.
+    Each ray is s 1_B, and flipping a row's sign keeps |det|, so take the
+    rows to be 1_B.  Suppose a cone's d supports form a laminar family
+    (any two are nested or disjoint), and let rem(B) = B minus the union
+    of the supports A with A a proper subset of B.
     - If the supports are distinct, the maximal proper subsets of each B are
       pairwise disjoint, so subtracting their rows from row B leaves 1_rem(B).
       Ordered by size, these row operations form a unit triangular matrix
@@ -390,10 +392,9 @@ def is_smooth(f: Fan) -> bool:
       their rem sets coincide, so the singletons cannot cover d coordinates.
     Hence |det| = 1 iff every rem is a singleton and together they cover all
     d coordinates, and otherwise det = 0.  A cone that does not hold
-    exactly d rays is not smooth either.  A cone with a ray that is not a
-    signed 0/1 vector of one sign, or with two crossing supports, raises
-    FanError.  The work is shared with `is_complete` and `f_vector` in one
-    pass per fan, cached on the fan.
+    exactly d rays is not smooth either, and one with two crossing supports
+    raises FanError.  One pass per fan, cached on it, does the work of
+    `is_smooth`, `is_complete` and `f_vector`.
     """
     return f._checks.smooth
 
@@ -453,7 +454,8 @@ def fan_to_json(f: Fan) -> dict:
     return {
         "dim": f.dim,
         "rays": [
-            {"coords": list(r.coords), "label": label_json(r.label)} for r in f.rays
+            {"coords": [r.sign * (r.support >> j & 1) for j in range(f.dim)], "label": label_json(r.label)}
+            for r in f.rays
         ],
         "max_cones": sorted(map(bits_of, f.max_cones)),
     }

@@ -1,7 +1,8 @@
 """Tubings: pairwise compatible sets of proper tubes, the face structure
 of the graph associahedron (Carr-Devadoss), used as an independent oracle
 against the fan: size-j tubings must biject onto j-dimensional cones.
-Compatibility is read off `graphs.nested_or_apart`.
+Compatibility is read off `graphs.nested_or_apart`; on a fan built from
+the same graph, the clash pass is the one its walk cached.
 
 No tubing is listed: `tubing_counts` counts them by a recursion over
 vertex subsets, and the bijection check reads only the maximal cones."""
@@ -81,12 +82,12 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     maximal cones.  The checks: (1) the fan has dimension n - 1; (2) every
     proper tube has a ray, looked up by its label, so the map is injective
     and keeps sizes; (3) no lane holds an untubed ray or two incompatible
-    rays (`fans.first_clash`, on the fan's lane masks), so each maximal
-    cone carries a tubing: compatibility is pairwise; (4) the fan is
-    complete and its f-vector equals `tubing_counts`.  Then every face, in
-    a maximal cone, is the image of a subset of that cone's tubing, itself
-    a tubing: the map is injective from the j-faces into the j-tubings,
-    and equal counts make it onto."""
+    rays (`fans.first_clash`, the pass the walk caches on a fan that
+    carries g), so each maximal cone carries a tubing: compatibility is
+    pairwise; (4) the fan is complete and its f-vector equals
+    `tubing_counts`.  Then every face, in a maximal cone, is the image of
+    a subset of that cone's tubing, itself a tubing: the map is injective
+    from the j-faces into the j-tubings, and equal counts make it onto."""
     if g.num_vertices > BIJECTION_MAX_VERTICES:
         raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
     counts = tubing_counts(g)

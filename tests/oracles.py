@@ -4,6 +4,7 @@ criteria.  The package itself calls none of them."""
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -20,7 +21,7 @@ from graphassoc import (
     WeightVector,
     bits_of,
 )
-from graphassoc.fans import _Checks, _support
+from graphassoc.fans import _Checks
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
 from graphassoc.moduli import _stable_cliques, _vertex_stable, enumerate_stable_trees
@@ -173,26 +174,66 @@ def pivot_dense(table, basis, nonbasic, r, c, d) -> int:
 # -- fans ---------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class VectorRay:
+    """A ray given by its coordinates, for the hand-built fans whose rays
+    are no signed 0/1 vectors and so no `Ray` of the package: the oracles
+    here read them, the package does not."""
+
+    coords: tuple[int, ...]
+    label: int
+
+    def __post_init__(self):
+        if all(c == 0 for c in self.coords):
+            raise FanError("zero ray")
+        if math.gcd(*self.coords) != 1:
+            raise FanError(f"ray {self.coords} is not primitive")
+
+
+def support_of(coords: Sequence[int]) -> Optional[int]:
+    """Bitmask of the nonzero coordinates if they are all +1 or all -1."""
+    signs = {c for c in coords if c}
+    if signs != {1} and signs != {-1}:
+        return None
+    return sum(1 << j for j, c in enumerate(coords) if c)
+
+
+def make_ray(coords: Sequence[int], label: int):
+    """The package's `Ray` of a signed 0/1 vector, else a `VectorRay`."""
+    b = support_of(coords)
+    if b is None:
+        return VectorRay(tuple(coords), label)
+    return Ray(b, coords[(b & -b).bit_length() - 1], label)
+
+
+def coords_of(r, d: int) -> tuple[int, ...]:
+    """The coordinates of a `Ray` or a `VectorRay` in R^d."""
+    if isinstance(r, VectorRay):
+        return r.coords
+    return tuple(r.sign if r.support >> j & 1 else 0 for j in range(d))
+
+
 def projective_simplex_fan(d: int) -> Fan:
     """Fan of P^d: rays u_1..u_d the standard basis, u_0 = -(u_1+...+u_d);
     ray index i carries graph vertex i."""
     if d < 1:
         raise FanError("dimension must be at least 1")
-    rays = [Ray(tuple(-1 for _ in range(d)), 1)]
+    rays = [Ray((1 << d) - 1, -1, 1)]
     for i in range(1, d + 1):
-        rays.append(Ray(tuple(1 if j == i - 1 else 0 for j in range(d)), 1 << i))
+        rays.append(Ray(1 << i - 1, 1, 1 << i))
     full = (1 << (d + 1)) - 1
     return Fan(d, tuple(rays), tuple(full ^ (1 << omit) for omit in range(d, -1, -1)))
 
 
-def primitive_sum(rays: Sequence[Ray], idx: Sequence[int], label: int) -> Ray:
-    """The primitive part of the sum of the given rays' coordinates."""
-    coords = [0] * len(rays[0].coords)
+def primitive_sum(rays: Sequence, d: int, idx: Sequence[int], label: int):
+    """The primitive part of the sum of the given rays' coordinates in R^d,
+    a `Ray` if it is a signed 0/1 vector (see `make_ray`)."""
+    coords = [0] * d
     for i in idx:
-        for j, c in enumerate(rays[i].coords):
+        for j, c in enumerate(coords_of(rays[i], d)):
             coords[j] += c
     g = math.gcd(*coords)
-    return Ray(tuple(c // g for c in coords), label)
+    return make_ray([c // g for c in coords], label)
 
 
 def subdivide(cones: list[int], m: int, new: int) -> list[int]:
@@ -228,7 +269,7 @@ def scan_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
             rng.shuffle(layer)
         for t in layer:
             cones = subdivide(cones, t, 1 << len(rays))
-            rays.append(primitive_sum(rays, bits_of(t), t))
+            rays.append(primitive_sum(rays, d, bits_of(t), t))
     return Fan(d, tuple(rays), tuple(cones))
 
 
@@ -290,7 +331,7 @@ def crossing_negatives(crossing: list, d: int) -> list[int]:
 def walk_per_cone(f: Fan) -> _Checks:
     """`fans._walk` cone by cone, as it was before it swept the rays, and
     the reference walk of a general fan: it also reads the cones that
-    `fans._walk` refuses (see `first_non_laminar`).
+    `fans._walk` refuses (see `first_non_laminar`), and `VectorRay`s.
     One pass over the maximal cones: each cone's determinant (its size
     for smoothness, its sign for the wall check) and the number of negative
     coordinates of v = (1, 2, ..., d) in its basis (for the h-vector).
@@ -322,7 +363,8 @@ def walk_per_cone(f: Fan) -> _Checks:
     d = f.dim
     if any(c.bit_count() != d for c in f.max_cones):
         return _Checks(False, False, None)  # a cone without d rays
-    supports = [_support(r.coords) or 0 for r in f.rays]  # 0: not signed 0/1
+    coords = [coords_of(r, d) for r in f.rays]
+    supports = [support_of(c) or 0 for c in coords]  # 0: not signed 0/1
     every = (1 << len(supports)) - 1
     holders = [0] * d  # holders[j]: the rays whose support holds coordinate j
     for i, b in enumerate(supports):
@@ -343,7 +385,7 @@ def walk_per_cone(f: Fan) -> _Checks:
         # rays that meet b are nested with it if they hold all of b (above)
         # or nothing outside it; the rest cross it
         cross = meet & ~above & outside if b else every
-        neg = b and f.rays[i].coords[(b & -b).bit_length() - 1] < 0
+        neg = b and coords[i][(b & -b).bit_length() - 1] < 0
         if neg:
             negative |= 1 << i
         by_size[b.bit_count()] |= 1 << i
@@ -390,7 +432,7 @@ def walk_per_cone(f: Fan) -> _Checks:
         else:
             # rank order: a stable sort of the ascending indices by support size
             order = sorted(bits_of(c), key=lambda i: supports[i].bit_count())
-            rows = [list(f.rays[i].coords) for i in order]
+            rows = [list(coords[i]) for i in order]
             dt = det(rows)
             if dt == 0:
                 return _Checks(False, False, None)
@@ -416,16 +458,10 @@ def first_non_laminar(f: Fan) -> Optional[int]:
     """The first maximal cone with a ray that is not a signed 0/1 vector
     (nonzero entries all 1 or all -1) or with two rays whose supports meet
     while neither holds the other; None when every cone is laminar."""
-
-    def support(coords: tuple[int, ...]) -> Optional[frozenset]:
-        if {c for c in coords if c} not in ({1}, {-1}):
-            return None
-        return frozenset(j for j, c in enumerate(coords) if c)
-
     for c in f.max_cones:
-        supports = [support(f.rays[i].coords) for i in bits_of(c)]
+        supports = [support_of(coords_of(f.rays[i], f.dim)) for i in bits_of(c)]
         if None in supports or any(
-            a & b and not (a <= b or b <= a) for a, b in combinations(supports, 2)
+            a & b and a & ~b and b & ~a for a, b in combinations(supports, 2)
         ):
             return c
     return None
@@ -457,18 +493,19 @@ def crossed_p3_fan() -> Fan:
     """P^3 under the basis (1,1,0), (0,1,1), (0,0,1): complete and smooth,
     with crossing supports in one cone and the ray (-1,-2,-2) in the rest."""
     rows = [(-1, -2, -2), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
-    rays = tuple(Ray(r, 1 << i) for i, r in enumerate(rows))
+    rays = tuple(make_ray(r, 1 << i) for i, r in enumerate(rows))
     return Fan(3, rays, projective_simplex_fan(3).max_cones)
 
 
 def canonical_form(f: Fan):
     """Order-independent fingerprint: sorted ray coordinate vectors plus
     maximal cones rewritten in terms of sorted ray positions."""
-    order = sorted(range(len(f.rays)), key=lambda i: f.rays[i].coords)
+    coords = [coords_of(r, f.dim) for r in f.rays]
+    order = sorted(range(len(f.rays)), key=coords.__getitem__)
     bit = [0] * len(order)  # bit[old ray index]: the ray's bit in sorted order
     for new, old in enumerate(order):
         bit[old] = 1 << new
-    rays = tuple(f.rays[i].coords for i in order)
+    rays = tuple(coords[i] for i in order)
     cones = []
     for c in f.max_cones:
         m = 0

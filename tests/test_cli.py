@@ -212,12 +212,13 @@ def test_fan_error_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_a_cone_that_is_not_laminar_is_an_internal_error(capsys, monkeypatch):
-    # the pass reads laminar cones of signed 0/1 rays only; a fan with any
-    # other cone is a broken invariant, not a verdict
-    from graphassoc import cli
-    from oracles import crossed_p3_fan
+    # the pass reads laminar cones only; a fan with any other cone, here
+    # one whose rays e0 + e1 and e1 + e2 cross, is a broken invariant, not
+    # a verdict
+    from graphassoc import Fan, Ray, cli
 
-    monkeypatch.setattr(cli, "build_graph_fan", lambda *args, **kwargs: crossed_p3_fan())
+    crossed = Fan(3, (Ray(0b011, 1, 1), Ray(0b110, 1, 2), Ray(0b100, 1, 4)), (0b111,))
+    monkeypatch.setattr(cli, "build_graph_fan", lambda *args, **kwargs: crossed)
     for argv in (["fan", "P4"], ["verify", "P4"]):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INVARIANT

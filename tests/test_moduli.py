@@ -428,6 +428,15 @@ def test_nodal_divisors_weigh_the_side_of_m():
     assert sides == [[0, 2], [0, 3], [1, 2], [1, 3], [0, 2, 3], [1, 2, 3]]
 
 
+def test_nodal_divisors_need_an_m_side_above_one():
+    # with c_M = 1/2 and the marks 1/2, 1, 1, 1/2, the sides {0, 1, 2} and
+    # {1, 2, 3} leave M and a mark of weight 1/2, exactly 1, so neither is
+    # a nodal divisor; the sides listed leave more than 1 on both sides
+    w = parse_weight_vector("1/2,1/2,1,1,1/2")
+    sides = [[b - 1 for b in bits_of(d.side)] for d in nodal_divisors(w)]
+    assert sides == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [0, 1, 3], [0, 2, 3]]
+
+
 def test_remark_weight_trees_for_triangle():
     w = parse_weight_vector("1,1-2e,3e,3e,e")  # triangle weights, n = 5
     assert len(nodal_divisors(w)) == 5

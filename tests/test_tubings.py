@@ -267,7 +267,7 @@ def test_bijection_fails_on_a_tube_without_a_ray():
     f = build_graph_fan(g)
     i = next(i for i, r in enumerate(f.rays) if r.label == 0b0110)
     rays = list(f.rays)
-    rays[i] = Ray(rays[i].coords, 0b1001)  # a non-tube, so no tube's label
+    rays[i] = rays[i]._replace(label=0b1001)  # a non-tube, so no tube's label
     tampered = dataclasses.replace(f, rays=tuple(rays))
     rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
@@ -296,7 +296,7 @@ def test_bijection_fails_on_a_cone_through_a_ray_with_no_tube():
     extra = len(f.rays)
     first = next(c for c in f.max_cones if c & 1)
     cones = tuple(c ^ 1 | 1 << extra if c == first else c for c in f.max_cones)
-    tampered = dataclasses.replace(f, rays=f.rays + (Ray((1, 1, 0), 0b1001),), max_cones=cones)
+    tampered = dataclasses.replace(f, rays=f.rays + (Ray(0b011, 1, 0b1001),), max_cones=cones)
     rep = verify_fan_tubing_bijection(g, tampered)
     assert rep.passed is False
     assert rep.failure == f"cone [2, 4, {extra}] has no tubing partner"
@@ -348,6 +348,34 @@ def test_bijection_fails_on_a_tubing_past_the_fan_dimension():
     assert face_subset_bijection(g, flat).passed is True
 
 
+@pytest.mark.parametrize("spec", ["P4", "C6", "K5", "S6"])
+def test_one_clash_pass_per_graph(monkeypatch, spec):
+    # the walk and the bijection share the fan's tube pass, in verify's order
+    # and in the benchmark's; a fan built without its graph takes two
+    from graphassoc import cli, fans
+
+    passes = []
+    clash_lanes = fans._clash_lanes
+
+    def spy(lanes, compat):
+        passes.append(len(compat))
+        return clash_lanes(lanes, compat)
+
+    monkeypatch.setattr(fans, "_clash_lanes", spy)
+    g = parse_graph(spec)
+    assert cli._verify_one(g)["ok"]
+    assert len(passes) == 1
+    f = build_graph_fan(g)
+    assert fans.is_smooth(f) and fans.is_complete(f)
+    assert verify_fan_tubing_bijection(g, f).passed
+    assert len(passes) == 2
+    assert verify_fan_tubing_bijection(g).passed
+    assert len(passes) == 3
+    bare = Fan(f.dim, f.rays, f.max_cones)
+    assert fans.is_smooth(bare) and verify_fan_tubing_bijection(g, bare).passed
+    assert len(passes) == 5
+
+
 def test_bijection_guards():
     with pytest.raises(GraphError):
         verify_fan_tubing_bijection(parse_graph("P9"))
@@ -370,7 +398,7 @@ def _damaged_fans():
     f = build_graph_fan(g)
     ray = {r.label: i for i, r in enumerate(f.rays)}
     relabelled = list(f.rays)
-    relabelled[ray[0b0110]] = Ray(relabelled[ray[0b0110]].coords, 0b1001)
+    relabelled[ray[0b0110]] = relabelled[ray[0b0110]]._replace(label=0b1001)
     crossing = mask_of(ray[t] for t in (0b0011, 0b0110, 0b1000))
     extra = len(f.rays)
     first = next(c for c in f.max_cones if c & 1)
@@ -384,7 +412,7 @@ def _damaged_fans():
         "a tube without a ray": dict(rays=tuple(relabelled)),
         "crossing tubes last": dict(max_cones=f.max_cones + (crossing,)),
         "crossing tubes first": dict(max_cones=(crossing,) + f.max_cones),
-        "a ray with no tube": dict(rays=f.rays + (Ray((1, 1, 0), 0b1001),), max_cones=untubed),
+        "a ray with no tube": dict(rays=f.rays + (Ray(0b011, 1, 0b1001),), max_cones=untubed),
         "tubings past the dimension": dict(dim=2, max_cones=pairs),
     }
     cases = [("P4", g, f, _compatibility)]

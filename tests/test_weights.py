@@ -142,6 +142,14 @@ def test_check_w1_w2_witnesses():
     assert rep.violations > 0
 
 
+def test_check_w1_w2_lets_a_non_tube_weigh_exactly_one():
+    # W2 is c_0 + w(N) <= 1: on P3 with c_0 = 1/2 and the vertex weights
+    # 1/4, 1, 1/4, the non-tube {0, 2} weighs 1/2 + 1/4 + 1/4 = 1 exactly,
+    # and every tube of two or three vertices weighs more than 1
+    rep = check_w1_w2(parse_graph("P3"), parse_weight_vector("1,1/2,1/4,1,1/4"))
+    assert rep.passed and rep.violations == 0
+
+
 def test_check_w1_w2_reports_first_witness_in_canonical_order():
     g = parse_graph("P4")
     rep = check_w1_w2(g, lm_weights(6))
