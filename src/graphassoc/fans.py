@@ -7,7 +7,8 @@ subsets and tubes too; cones become index lists only in `fan_to_json`.
 A ray s 1_B is the triple (support B, sign s, label: the tube it
 carries), and only `fan_to_json` writes coordinates.  `build_graph_fan`
 reads the subdivisions off a subset recursion on the vertex rays that
-each cone holds (`_pieces`), and records the graph on the fan.
+each cone holds (`_pieces`, over `graphs.component_table`), and records
+the graph on the fan.
 
 Smoothness, completeness and the f-vector come from one pass over the
 rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
@@ -16,15 +17,17 @@ ray (`Fan._lanes`, the cones that hold it), and each step of the pass
 works on every cone at once with a few int operations per coordinate of
 the ray's support.  The pass needs laminar cones (supports pairwise
 nested or disjoint) and raises FanError at any other, found by a clash
-pass over the lanes (`_clash_lanes`): on the tube table, cached and
-shared with the tubing bijection (`Fan._tube_clashes`), if the fan
+pass over the lanes (`_clash_lanes`): on the tube table, if the fan
 carries its graph and each ray is its label's closed form (`_tube_ray`),
-else on the support table.  Compatible tubes have laminar supports: the
-support of t is t, or V - t if t holds 0, so nesting and apartness carry
-over, except that if only t1 holds 0, t2 inside t1 parts the supports
-and t2 apart from t1 nests them.  Clashing tubes can have nested
-supports (t1 holding 0 and t2 not, overlapping and covering V), so the
-support table decides after a tube clash.  On laminar cones:
+else on the support table.  The tube table (`Fan._tube_table`) and its
+pass (`Fan._tube_clashes`) are cached, and the tubing bijection hands
+`first_clash` that very table, so one `verify` builds each once.
+Compatible tubes have laminar supports: the support of t is t, or V - t
+if t holds 0, so nesting and apartness carry over, except that if only
+t1 holds 0, t2 inside t1 parts the supports and t2 apart from t1 nests
+them.  Clashing tubes can have nested supports (t1 holding 0 and t2 not,
+overlapping and covering V), so the support table decides after a tube
+clash.  On laminar cones:
 - the rem sets decide smoothness (see `is_smooth`);
 - the sign of the determinant is the product of the rays' signs times the
   sign of the permutation that sends the rays to their rem coordinates;
@@ -48,7 +51,7 @@ from itertools import chain, compress, repeat
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
+from .graphs import Graph, GraphError, bits_of, component_table, is_connected, nested_or_apart, tubes
 
 # translate tables: a byte to b"1" if its bit p is set, else to b"0"
 _BIT_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
@@ -134,24 +137,25 @@ def build_graph_fan(g: Graph, rng: Optional[random.Random] = None) -> Fan:
             rng.shuffle(layer)
         order += layer
     ray_of = {t: i for i, t in enumerate(order)}
-    memo: dict[int, list[int]] = {}
-    cones = [c for k in range(d, -1, -1) for c in _pieces(g, ray_of, g.vertex_mask ^ 1 << k, memo)]
+    comp, memo = component_table(g), {}
+    cones = [c for k in range(d, -1, -1) for c in _pieces(comp, ray_of, g.vertex_mask ^ 1 << k, memo)]
     return Fan(d, tuple(_tube_ray(t, d) for t in order), tuple(cones), g)
 
 
-def _pieces(g: Graph, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]) -> list[int]:
+def _pieces(comp: tuple, ray_of: dict[int, int], o: int, memo: dict[int, list[int]]) -> list[int]:
     """The final pieces of a cone whose vertex rays are o (see
-    `build_graph_fan`), memoised by o.  Module-level, so that the memo is in
+    `build_graph_fan`), the components of G[o] read off the graph's
+    `component_table`, memoised by o.  Module-level, so that the memo is in
     no reference cycle and goes when the build returns."""
     out = memo.get(o)
     if out is None:
         out, rest = [o], o
         while rest:
-            c = component(g, rest)
+            c = comp[rest]
             rest ^= c
             if c & c - 1:  # the first component of G[o] with an edge
                 ray = 1 << ray_of[c]
-                out = [ray | p for i in bits_of(c) for p in _pieces(g, ray_of, o ^ 1 << i, memo)]
+                out = [ray | p for i in bits_of(c) for p in _pieces(comp, ray_of, o ^ 1 << i, memo)]
                 break
         memo[o] = out
     return out
@@ -206,9 +210,11 @@ def _clash_lanes(lanes: list[int], compat: Sequence[int]) -> int:
 
 def first_clash(f: Fan, valid: int, compat: Sequence[int]) -> Optional[int]:
     """The first maximal cone with a ray outside the bitmask `valid` or two
-    rays that clash in compat (`_clash_lanes`, cached for the tube table)."""
+    rays that clash in compat (`_clash_lanes`).  The fan's cached pass
+    answers for its own tube table, known by identity: an equal list built
+    elsewhere takes a pass of its own, and no table is built to compare."""
     lanes = f._lanes
-    cached = f.graph is not None and compat == f._tube_table
+    cached = compat is vars(f).get("_tube_table")
     bad = f._tube_clashes if cached else _clash_lanes(lanes, compat)
     bad = reduce(or_, _pick(lanes, ~valid & (1 << len(lanes)) - 1), bad)
     return f.max_cones[(bad & -bad).bit_length() - 1] if bad else None

@@ -5,6 +5,10 @@ catalog of connected graphs on 1 to 8 vertices up to isomorphism, read
 from the package data file catalog.txt (`connected_graphs_up_to_iso`).
 
 Vertex subsets are plain ints used as bitmasks throughout the package.
+Connectivity has one algorithm per kind of question: a loop over all
+vertex subsets reads `component_table`, built once per graph by a DP over
+subsets, and a query about one subset (`is_connected`, `obstruction_b`'s
+4-sets) runs the search `component`, so that no 2^n table is built for it.
 """
 
 from __future__ import annotations
@@ -101,6 +105,13 @@ def nested_or_apart(
     return above, compat
 
 
+def _capped(n: int) -> int:
+    """n, refused before anything is allocated for it if over the cap."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex cap")
+    return n
+
+
 @dataclass(frozen=True)
 class Graph:
     """Labeled simple graph; adj[v] is the neighbour bitmask of vertex v."""
@@ -109,11 +120,9 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.num_vertices
+        n = _capped(self.num_vertices)
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise GraphError(f"vertex count {n} exceeds the {MAX_VERTICES}-vertex cap")
         if len(self.adj) != n:
             raise GraphError("adjacency row count does not match num_vertices")
         full = (1 << n) - 1
@@ -150,7 +159,7 @@ class Graph:
 
 
 def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    adj = [0] * num_vertices
+    adj = [0] * _capped(num_vertices)
     for u, v in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise GraphError(f"edge ({u},{v}) out of range for {num_vertices} vertices")
@@ -162,39 +171,40 @@ def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 # -- named families ---------------------------------------------------------
+# Each family passes its vertex count through `_capped` as its first
+# argument, so that an oversized one is refused before its rows or edges.
 
 
 def complete(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+    return Graph(_capped(n), tuple((1 << n) - 1 & ~(1 << v) for v in range(n)))
 
 
 def path(n: int) -> Graph:
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(_capped(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(_capped(n), [(i, (i + 1) % n) for i in range(n)])
 
 
 def star(n: int) -> Graph:
     """Star on n vertices with center 0."""
-    return from_edges(n, [(0, i) for i in range(1, n)])
+    return from_edges(_capped(n), [(0, i) for i in range(1, n)])
 
 
 def discrete(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph(_capped(n), (0,) * n)
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
-    return from_edges(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return from_edges(_capped(m + n), [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def complete_multipartite(parts: list[int]) -> Graph:
     """Complete multipartite graph; parts get consecutive label blocks."""
-    n = sum(parts)
+    n = _capped(sum(parts))
     edges = []
     start = 0
     blocks = []
@@ -264,6 +274,7 @@ def parse_edge_list(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise GraphError(f"first line must be the vertex count, got {lines[0]!r}")
+    _capped(n)
     edges = []
     for ln in lines[1:]:
         try:
@@ -297,24 +308,32 @@ def induced_connected(g: Graph, s: int) -> bool:
     return component(g, s) == s
 
 
-def connected_table(g: Graph) -> list[bool]:
-    """connected[s] = induced_connected(g, s) for every bitmask s (True
-    for s = 0), by a DP over subsets: a set of two or more vertices is
-    connected iff dropping some vertex u adjacent to the rest leaves it
-    connected (a leaf of a spanning tree is such a u)."""
-    adj = g.adj
-    connected = [True] * (1 << g.num_vertices)
-    for s in range(3, len(connected)):
-        if s & (s - 1):
-            m = s
-            while m:
-                u = m & -m
-                m ^= u
-                if connected[s ^ u] and adj[u.bit_length() - 1] & s:
-                    break
-            else:
-                connected[s] = False
-    return connected
+@functools.lru_cache(maxsize=1)
+def component_table(g: Graph) -> tuple[int, ...]:
+    """comp[s] = component(g, s) for every bitmask s, for the loops over all
+    subsets.  With top the highest vertex of s, G[s] is G[s - top] plus top,
+    so the component of s's lowest vertex is comp[s - top] unless top has a
+    neighbour in it; then it grows from comp[s - top] + top by whole
+    neighbourhoods, nbr[c] the union of the rows of c's vertices (itself a
+    DP: nbr[s] = nbr[s - top] | adj[top]), until it is stable.
+
+    The cache keeps the last graph's table only: one `verify` or fan build
+    reads it many times, and a sweep over the catalog, whose graphs live
+    on, keeps no table of the graphs it has done."""
+    size = 1 << g.num_vertices
+    nbr, comp = [0] * size, [0] * size
+    for v, row in enumerate(g.adj):
+        top = 1 << v
+        for t in range(top):
+            s = t | top
+            nbr[s] = nbr[t] | row
+            c = comp[t]
+            if row & c:
+                c |= top
+                while (grown := (c | nbr[c]) & s) != c:
+                    c = grown
+            comp[s] = c or top  # top alone when t is empty
+    return tuple(comp)
 
 
 def subsets_by_size(n: int, size: int) -> Iterator[int]:
@@ -337,12 +356,9 @@ def tubes(g: Graph, min_size: int, max_size: int) -> list[int]:
     decreasing cardinality, then ascending bitmask."""
     if not (1 <= min_size <= max_size <= g.num_vertices):
         raise GraphError(f"bad tube size range [{min_size}, {max_size}]")
-    out = []
-    for size in range(max_size, min_size - 1, -1):
-        for s in subsets_by_size(g.num_vertices, size):
-            if induced_connected(g, s):
-                out.append(s)
-    return out
+    comp = component_table(g)
+    sizes = range(max_size, min_size - 1, -1)
+    return [s for size in sizes for s in subsets_by_size(g.num_vertices, size) if comp[s] == s]
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,7 +11,7 @@ maximal non-tube, besides the bounds and the total.  Every other tube or
 non-tube row follows from one of these and c > 0 (the lemma is in
 w1w2_system's docstring), so the solutions are the same, and the simplex
 reads about a quarter of the rows that one per subset would give.  Its
-entries are ints, 0 or 1, read off one connectivity table per call.
+entries are ints, 0 or 1, read off the graph's `graphs.component_table`.
 
 Feasibility is one exact simplex with Bland's rule, run on the homogenised
 LP of Motzkin's transposition theorem, which turns strict rows into a
@@ -41,7 +41,7 @@ from itertools import repeat
 from typing import Optional
 
 from .epsrational import _frac_str
-from .graphs import Graph, bits_of, connected_table, induced_connected, subsets_by_size
+from .graphs import Graph, bits_of, component_table, induced_connected, subsets_by_size
 
 
 @dataclass(frozen=True)
@@ -226,11 +226,16 @@ def w1w2_system(g: Graph) -> LinearSystem:
         for a in bits_of(g.adj[b] & ((1 << b) - 1)):
             rows.append(Constraint(row(1 << a | 1 << b), ">", 1))
 
-    connected = connected_table(g)
+    comp = component_table(g)
     for size in range(n, 1, -1):
         for d in subsets_by_size(n, size):
-            if not connected[d] and all(connected[d | 1 << v] for v in range(n) if not d >> v & 1):
-                rows.append(Constraint(row(d), "<=", 1))
+            if comp[d] != d:
+                for v in range(n):
+                    e = d | 1 << v
+                    if e != d and comp[e] != e:
+                        break  # e is a non-tube above d
+                else:
+                    rows.append(Constraint(row(d), "<=", 1))
 
     rows.append(Constraint((1,) * nv, ">", 1))
     return LinearSystem(nv, tuple(rows))

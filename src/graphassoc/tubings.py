@@ -2,7 +2,8 @@
 of the graph associahedron (Carr-Devadoss), used as an independent oracle
 against the fan: size-j tubings must biject onto j-dimensional cones.
 Compatibility is read off `graphs.nested_or_apart`; on a fan built from
-the same graph, the clash pass is the one its walk cached.
+the same graph it is the fan's own tube table, so that the clash pass is
+the one its walk cached, and neither is built twice.
 
 No tubing is listed: `tubing_counts` counts them by a recursion over
 vertex subsets, and the bijection check reads only the maximal cones."""
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fans import Fan, build_graph_fan, f_vector, first_clash, is_complete
-from .graphs import Graph, GraphError, bits_of, component, is_connected, nested_or_apart, tubes
+from .graphs import Graph, GraphError, bits_of, component_table, is_connected, nested_or_apart, tubes
 
 BIJECTION_MAX_VERTICES = 8
 
@@ -47,15 +48,17 @@ def tubing_counts(g: Graph) -> tuple[int, ...]:
     A polynomial is one int, its value at x = 2^lane: polynomials add and
     multiply as ints.  Every coefficient of x^k met counts sets of k <= n
     nonempty subsets of V, at most max(1, (2^n - 1)^k) < 2^(n^2) of them,
-    so lanes of n^2 bits never carry into each other."""
+    so lanes of n^2 bits never carry into each other.  The components of
+    each G[S] come off `graphs.component_table`."""
     if not is_connected(g):
         raise GraphError("tubing counts need a connected graph")
     n = g.num_vertices
     lane = n * n
     full = (1 << n) - 1
+    comp = component_table(g)
     outer = [0] * (full + 1)
     for s in range(1, full + 1):
-        c = component(g, s)
+        c = comp[s]
         if c == s:
             total = 1
             t = (s - 1) & s
@@ -82,9 +85,9 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     maximal cones.  The checks: (1) the fan has dimension n - 1; (2) every
     proper tube has a ray, looked up by its label, so the map is injective
     and keeps sizes; (3) no lane holds an untubed ray or two incompatible
-    rays (`fans.first_clash`, the pass the walk caches on a fan that
-    carries g), so each maximal cone carries a tubing: compatibility is
-    pairwise; (4) the fan is complete and its f-vector equals
+    rays (`fans.first_clash`; on a fan that carries g, over its own tube
+    table, with the pass the walk caches), so each maximal cone carries a
+    tubing: compatibility is pairwise; (4) the fan is complete and its f-vector equals
     `tubing_counts`.  Then every face, in a maximal cone, is the image of
     a subset of that cone's tubing, itself a tubing: the map is injective
     from the j-faces into the j-tubings, and equal counts make it onto."""
@@ -101,7 +104,7 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
         if t not in ray_index:
             return BijectionReport(False, counts, f"tubing {[bits_of(t)]} uses a tube with no ray")
         tubed |= 1 << ray_index[t]
-    c = first_clash(f, tubed, _compatibility(g, labels))
+    c = first_clash(f, tubed, f._tube_table if f.graph == g else _compatibility(g, labels))
     if c is not None:
         return BijectionReport(False, counts, f"cone {bits_of(c)} has no tubing partner")
     if not is_complete(f):

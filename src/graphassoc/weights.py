@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .epsrational import EpsRational, _frac_str, parse_eps_rational
-from .graphs import (
-    ConeStructure,
-    Graph,
-    bits_of,
-    connected_table,
-    subsets_by_size,
-)
+from .graphs import ConeStructure, Graph, bits_of, component_table, subsets_by_size
 
 
 @dataclass(frozen=True)
@@ -138,10 +132,11 @@ def check_w1_w2(
     index, e.g. from mark_of_vertex) when the vector uses another mark
     assignment.  `marks` must map the graph's vertices one-to-one onto
     1..n-2, else ValueError.  One doubling pass weighs all subsets, each
-    with one addition, and one table gives their connectivity.  Subsets
-    are then compared in canonical order (decreasing size, ascending
-    bitmask), so `record_comparisons` sees the pairs of summing each one
-    afresh; the report holds the first violation and the violation count.
+    with one addition, and `graphs.component_table` gives their
+    connectivity.  Subsets are then compared in canonical order (decreasing
+    size, ascending bitmask), so `record_comparisons` sees the pairs of
+    summing each one afresh; the report holds the first violation and the
+    violation count.
     """
     nv = g.num_vertices
     if w.n != nv + 2:
@@ -154,19 +149,14 @@ def check_w1_w2(
     for v in range(nv):
         weight = w.c[marks[v] - 1]
         sums += [t + weight for t in sums]
-    connected = connected_table(g)
+    comp = component_table(g)
     first_kind = None
     first_set = None
     violations = 0
     one = EpsRational(1)
     for size in range(nv, 1, -1):
         for s in subsets_by_size(nv, size):
-            if connected[s]:
-                ok = sums[s] > one
-                kind = "W1"
-            else:
-                ok = sums[s] <= one
-                kind = "W2"
+            ok, kind = (sums[s] > one, "W1") if comp[s] == s else (sums[s] <= one, "W2")
             if not ok:
                 violations += 1
                 if first_set is None:

@@ -3,6 +3,7 @@ iterated-cone classifier."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,7 +33,7 @@ from graphassoc import (
 from graphassoc.graphs import (
     cliques,
     component,
-    connected_table,
+    component_table,
     induced_connected,
     is_connected,
     nested_or_apart,
@@ -132,6 +133,29 @@ def test_parse_edge_list():
         parse_edge_list("3\n0 1 2")
     with pytest.raises(GraphError, match="bad edge line '0 x'"):
         parse_edge_list("3\n0 x")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_graph("K20000"),
+        lambda: parse_graph("P5000"),
+        lambda: parse_graph("Kb300,300"),
+        lambda: parse_graph("cone(D10000000)"),
+        lambda: parse_edge_list("10000000\n0 1\n"),
+        lambda: from_edges(10000000, []),
+    ],
+    ids=["K", "P", "Kb", "cone of D", "edge list", "from_edges"],
+)
+def test_an_oversized_vertex_count_is_refused_before_anything_is_built(make):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="exceeds the 24-vertex cap"):
+            make()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_subsets_by_size():
@@ -266,12 +290,25 @@ def test_induced_connected_matches_networkx(n, data):
 
 
 @given(st.integers(min_value=1, max_value=8), st.booleans(), st.data())
-def test_connected_table_matches_induced_connected(n, dense, data):
+def test_component_table_matches_component(n, dense, data):
     """On random graphs, connected or not, and their complements."""
     pairs = list(itertools.combinations(range(n), 2))
     edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2 * n))) if pairs else set()
     g = from_edges(n, set(pairs) - edges if dense else edges)
-    assert connected_table(g) == [component(g, s) == s for s in range(1 << n)]
+    assert component_table(g) == tuple(component(g, s) for s in range(1 << n))
+
+
+def test_component_table_matches_component_on_the_catalog_and_larger_graphs():
+    rng = random.Random(27)
+    graphs = [g for n in range(1, 8) for g in connected_graphs_up_to_iso(n)]
+    for n in range(9, 13):
+        pairs = list(itertools.combinations(range(n), 2))
+        for density in (0.15, 0.3, 0.6):
+            graphs.append(from_edges(n, [e for e in pairs if rng.random() < density]))
+    for g in graphs:
+        table = component_table(g)
+        assert table == tuple(component(g, s) for s in range(1 << g.num_vertices)), g.edges()
+        assert component_table(g) is table  # cached for the last graph
 
 
 def test_universal_vertices():

@@ -328,7 +328,8 @@ def test_bijection_fails_on_a_maximal_tubing_below_dimension(monkeypatch):
     g = parse_graph("P4")
     f = build_graph_fan(g)
     assert f.rays[0].label == 0b0001
-    rep = verify_fan_tubing_bijection(g, f)
+    # without its graph, the fan's own tube table does not stand in
+    rep = verify_fan_tubing_bijection(g, dataclasses.replace(f, graph=None))
     assert rep.passed is False
     assert rep.failure == "cone [0, 2, 4] has no tubing partner"
 
@@ -376,6 +377,51 @@ def test_one_clash_pass_per_graph(monkeypatch, spec):
     assert len(passes) == 5
 
 
+def _benchmark_order(g) -> bool:
+    """The calls of perfbench's verify-sweep on one graph, in its order."""
+    from graphassoc import (check_w1_w2, classify_iterated_cone, divisor_tube_correspondence,
+                            feasible, fans, is_valid, mark_of_vertex, obstruction_a,
+                            obstruction_b, remark_weights, w1w2_system)
+
+    fan = build_graph_fan(g)
+    ok = fans.is_smooth(fan) and fans.is_complete(fan)
+    ok &= verify_fan_tubing_bijection(g, fan).passed
+    cs = classify_iterated_cone(g)
+    ok &= (feasible(w1w2_system(g)) is not None) == (cs is not None)
+    ok &= ((obstruction_a(g) or obstruction_b(g)) is None) == (cs is not None)
+    if cs is not None:
+        w = remark_weights(cs, g)
+        ok &= is_valid(w).valid and check_w1_w2(g, w, marks=mark_of_vertex(cs)).passed
+        ok &= divisor_tube_correspondence(g, w).passed
+    return ok
+
+
+@pytest.mark.parametrize("spec", ["P4", "C6", "K5", "S6", "cone^2(D3)"])
+def test_one_component_table_and_one_tube_table_per_graph(monkeypatch, spec):
+    # verify's calls and the benchmark's, each in its own order, build the
+    # graph's component table once, and its tube table once: the walk's,
+    # which the bijection reads too
+    from graphassoc import cli, fans, graphs, moduli
+
+    tube_tables = []
+    nested_or_apart = graphs.nested_or_apart
+
+    def spy(sets, width, adj=None):
+        if adj is not None:
+            tube_tables.append(len(sets))
+        return nested_or_apart(sets, width, adj)
+
+    for module in (fans, tubings, moduli):
+        monkeypatch.setattr(module, "nested_or_apart", spy)
+    g = parse_graph(spec)
+    for run in (lambda: cli._verify_one(g)["ok"], lambda: _benchmark_order(g)):
+        graphs.component_table.cache_clear()
+        tube_tables.clear()
+        assert run()
+        assert graphs.component_table.cache_info().misses == 1
+        assert len(tube_tables) == 1
+
+
 def test_bijection_guards():
     with pytest.raises(GraphError):
         verify_fan_tubing_bijection(parse_graph("P9"))
@@ -419,7 +465,8 @@ def _damaged_fans():
     cases += [
         (name, g, dataclasses.replace(f, **kw), _compatibility) for name, kw in damaged.items()
     ]
-    cases.append(("tube {0} compatible with none", g, f, _isolate_singleton_0))
+    bare = dataclasses.replace(f, graph=None)  # so that the table given is the one used
+    cases.append(("tube {0} compatible with none", g, bare, _isolate_singleton_0))
     rng = random.Random(20)
     for spec in ["C6", "K5"]:
         h = build_graph_fan(parse_graph(spec))
