@@ -51,7 +51,7 @@ EXIT_INVARIANT = 2
 def load_graph(spec: str) -> Graph:
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            return parse_edge_list(fh.read())
+            return parse_edge_list(fh)
     return parse_graph(spec)
 
 

@@ -5,12 +5,21 @@ infinitesimal: a + b*eps < c + d*eps iff a < c, or a = c and b < d.  This
 turns every "for eps sufficiently small" comparison into an exact one, and
 ``preservation_threshold`` recovers a concrete rational eps0 below which the
 symbolic strict comparisons remain true after substitution.
+
+A value is held as three ints p, q, d meaning (p + q*eps)/d, with d > 0 and
+gcd(p, q, d) = 1, so equal values have equal triples.  Sums and comparisons
+are int operations, with no common denominator to find when the two agree
+(weights are mostly integers and multiples of eps); ``a`` and ``b`` give the
+parts as Fractions.  ``preservation_threshold`` keeps its bound as a ratio
+of two ints, since |delta a| / |delta b| does not depend on the pair's
+common denominator, and makes a Fraction of the result only.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -21,69 +30,64 @@ _RECORDERS: list[list[tuple["EpsRational", "EpsRational"]]] = []
 
 
 class EpsRational:
-    """a + b*eps with exact rational a, b."""
+    """(p + q*eps)/d with ints p, q, d, d > 0 and gcd(p, q, d) = 1: the
+    value a + b*eps for a = p/d and b = q/d.  Immutable by convention, as
+    a Fraction is; ``a`` and ``b`` are read-only."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        d = 1
+        if type(a) is not int or type(b) is not int:
+            a, b = Fraction(a), Fraction(b)
+            d = lcm(a.denominator, b.denominator)  # then gcd(p, q, d) = 1
+            a, b = a.numerator * d // a.denominator, b.numerator * d // b.denominator
+        self.p, self.q, self.d = a, b, d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsRational is immutable")
+    a = property(lambda self: Fraction(self.p, self.d), doc="The standard part p/d.")
+    b = property(lambda self: Fraction(self.q, self.d), doc="The eps part q/d.")
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x) -> "EpsRational":
-        if isinstance(x, EpsRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return EpsRational(x)
-        raise TypeError(f"cannot interpret {x!r} as EpsRational")
-
     def __add__(self, other):
-        o = self._coerce(other)
-        return EpsRational(self.a + o.a, self.b + o.b)
+        return _combine(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return EpsRational(self.a - o.a, self.b - o.b)
+        return _combine(self, _coerce(other), -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return _combine(_coerce(other), self, -1)
 
     def __neg__(self):
-        return EpsRational(-self.a, -self.b)
+        return _make(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if self.b != 0 and o.b != 0:
+        o = _coerce(other)
+        if self.q and o.q:
             # eps^2 never occurs in the affine expressions we manipulate; a
             # product of two genuinely infinitesimal parts is a usage bug.
             raise ValueError("product would have an eps^2 term")
-        return EpsRational(self.a * o.a, self.a * o.b + self.b * o.a)
+        return _reduced(self.p * o.p, self.p * o.q + self.q * o.p, self.d * o.d)
 
     __rmul__ = __mul__
 
     def scale(self, r: RationalLike) -> "EpsRational":
-        r = Fraction(r)
-        return EpsRational(self.a * r, self.b * r)
+        return self * Fraction(r)
 
     # -- order --------------------------------------------------------------
 
     def compare(self, other) -> int:
-        """-1, 0 or 1 by the lexicographic (standard part, eps part) order."""
-        o = self._coerce(other)
+        """-1, 0 or 1 by the lexicographic (standard part, eps part) order,
+        on the parts cross-multiplied by the two denominators."""
+        o = _coerce(other)
         for rec in _RECORDERS:
             rec.append((self, o))
-        if self.a != o.a:
-            return -1 if self.a < o.a else 1
-        if self.b != o.b:
-            return -1 if self.b < o.b else 1
-        return 0
+        x, y = self.p * o.d, o.p * self.d
+        if x == y:
+            x, y = self.q * o.d, o.q * self.d
+        return (x > y) - (x < y)
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -99,13 +103,13 @@ class EpsRational:
 
     def __eq__(self, other):
         try:
-            o = self._coerce(other)
+            o = _coerce(other)
         except TypeError:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.d))
 
     # -- substitution -------------------------------------------------------
 
@@ -119,14 +123,45 @@ class EpsRational:
     # -- text ---------------------------------------------------------------
 
     def __str__(self):
-        if self.b == 0:
-            return _frac_str(self.a)
-        if self.a == 0:
-            return _eps_term(self.b, lead=True)
-        return _frac_str(self.a) + _eps_term(self.b, lead=False)
+        a, b = self.a, self.b
+        if b == 0:
+            return _frac_str(a)
+        return (_frac_str(a) if a else "") + _eps_term(b, lead=a == 0)
 
     def __repr__(self):
         return f"EpsRational({self.a!r}, {self.b!r})"
+
+
+def _make(p: int, q: int, d: int) -> EpsRational:
+    """(p + q*eps)/d from a triple already in lowest terms with d > 0."""
+    x = object.__new__(EpsRational)
+    x.p, x.q, x.d = p, q, d
+    return x
+
+
+def _reduced(p: int, q: int, d: int) -> EpsRational:
+    """(p + q*eps)/d for d > 0, divided by gcd(p, q, d)."""
+    g = gcd(p, q, d)
+    return _make(p // g, q // g, d // g)
+
+
+def _combine(x: EpsRational, y: EpsRational, sign: int) -> EpsRational:
+    """x + sign*y for sign 1 or -1, reduced unless both denominators are 1."""
+    d = x.d
+    if d == y.d:
+        p, q = x.p + sign * y.p, x.q + sign * y.q
+        return _make(p, q, 1) if d == 1 else _reduced(p, q, d)
+    return _reduced(x.p * y.d + sign * y.p * d, x.q * y.d + sign * y.q * d, d * y.d)
+
+
+def _coerce(x) -> EpsRational:
+    if isinstance(x, EpsRational):
+        return x
+    if isinstance(x, int):
+        return _make(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
+    raise TypeError(f"cannot interpret {x!r} as EpsRational")
 
 
 EPS = EpsRational(0, 1)
@@ -246,18 +281,17 @@ def preservation_threshold(
     standard parts and the eps coefficients pull in opposite directions, in
     which case eps must stay below |delta_a| / |delta_b|.
     """
-    bound: Optional[Fraction] = None
+    num = den = 0  # the bound so far is num/den; none while den is 0
     for x, y in pairs:
-        da = y.a - x.a
-        db = y.b - x.b
-        if da == 0:
-            continue  # decided by eps parts alone, any eps > 0 works
-        if (da > 0) != (db < 0) or db == 0:
-            continue  # eps part reinforces (or does not fight) the order
-        cand = abs(da) / abs(db)
-        if bound is None or cand < bound:
-            bound = cand
-    return bound
+        # delta a and delta b, both times x.d * y.d > 0
+        da = y.p * x.d - x.p * y.d
+        db = y.q * x.d - x.q * y.d
+        if da * db >= 0:
+            continue  # decided by the eps parts, or the eps parts do not fight
+        da, db = abs(da), abs(db)
+        if not den or da * den < num * db:
+            num, den = da, db
+    return Fraction(num, den) if den else None
 
 
 def default_eps(n: int, k: int) -> Fraction:

@@ -261,22 +261,26 @@ def parse_graph(spec: str) -> Graph:
     raise GraphError(f"cannot parse graph spec {spec!r}")
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Edge-list file format: first line vertex count, then 'u v' lines.
 
-    '#' starts a comment; duplicate edges are tolerated.
+    '#' starts a comment; duplicate edges are tolerated.  ``text`` is the
+    whole input or its lines, such as an open file, which is then read no
+    further than the first line when the vertex count is over the cap.
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
+    lines = text.splitlines() if isinstance(text, str) else (
+        ln for chunk in text for ln in chunk.splitlines())
+    lines = filter(None, (ln.split("#", 1)[0].strip() for ln in lines))
+    header = next(lines, None)
+    if header is None:
         raise GraphError("empty edge-list input")
     try:
-        n = int(lines[0])
+        n = int(header)
     except ValueError:
-        raise GraphError(f"first line must be the vertex count, got {lines[0]!r}")
+        raise GraphError(f"first line must be the vertex count, got {header!r}")
     _capped(n)
     edges = []
-    for ln in lines[1:]:
+    for ln in lines:
         try:
             u, v = map(int, ln.split())
         except ValueError:  # not two tokens, or a token that is no integer

@@ -46,9 +46,11 @@ from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_a
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
 
-def _labels(marks: int) -> list[str]:
-    """The JSON labels of a set of marks, in bit order: "M", "0", "1", ..."""
-    return ["M" if b == 0 else str(b - 1) for b in bits_of(marks)]
+@functools.cache
+def _labels(marks: int) -> tuple[str, ...]:
+    """The JSON labels of a set of marks, in bit order: "M", "0", "1", ...;
+    made once per set of marks, since trees share their leg sets."""
+    return tuple("M" if b == 0 else str(b - 1) for b in bits_of(marks))
 
 
 def _canonical_order(legs: Sequence[int], branches: Callable[[int], list[int]]) -> list[int]:
@@ -99,9 +101,10 @@ class StableTree:
         vertex numbering; labels appear only here."""
         order = _canonical_order(self.legs, self._branches)
         pos = {old: new for new, old in enumerate(order)}
+        ends = ((pos[a], pos[b]) for a, b in self.edges)
         return {
-            "vertices": [{"legs": _labels(self.legs[v])} for v in order],
-            "edges": sorted(sorted((pos[a], pos[b])) for a, b in self.edges),
+            "vertices": [{"legs": list(_labels(self.legs[v]))} for v in order],
+            "edges": sorted([x, y] if x < y else [y, x] for x, y in ends),
         }
 
 
@@ -223,7 +226,7 @@ class NodalDivisor:
     side: int
 
     def to_json(self) -> list[str]:
-        return _labels(self.side)
+        return list(_labels(self.side))
 
 
 def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:

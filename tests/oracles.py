@@ -21,6 +21,7 @@ from graphassoc import (
     WeightVector,
     bits_of,
 )
+from graphassoc.epsrational import _eps_term, _frac_str
 from graphassoc.fans import _Checks
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
@@ -647,3 +648,104 @@ class _HeavyKey:
         if cmp != 0:
             return cmp > 0
         return self.bit < other.bit
+
+
+# -- Q[eps] with Fraction parts ------------------------------------------------
+
+
+class FractionEps:
+    """a + b*eps as a pair of Fractions, the representation `EpsRational`
+    had before it held three ints: every operation on the parts, so a
+    reference for the int arithmetic.  It records no comparisons."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    @staticmethod
+    def _coerce(x) -> "FractionEps":
+        if isinstance(x, FractionEps):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return FractionEps(x)
+        raise TypeError(f"cannot interpret {x!r} as FractionEps")
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionEps(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FractionEps(self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return FractionEps(-self.a, -self.b)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if self.b != 0 and o.b != 0:
+            raise ValueError("product would have an eps^2 term")
+        return FractionEps(self.a * o.a, self.a * o.b + self.b * o.a)
+
+    __rmul__ = __mul__
+
+    def scale(self, r) -> "FractionEps":
+        r = Fraction(r)
+        return FractionEps(self.a * r, self.b * r)
+
+    def compare(self, other) -> int:
+        o = self._coerce(other)
+        if self.a != o.a:
+            return -1 if self.a < o.a else 1
+        if self.b != o.b:
+            return -1 if self.b < o.b else 1
+        return 0
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def instantiate(self, eps_value) -> Fraction:
+        eps_value = Fraction(eps_value)
+        if eps_value <= 0:
+            raise ValueError(f"eps must be positive, got {eps_value}")
+        return self.a + self.b * eps_value
+
+    def __str__(self):
+        if self.b == 0:
+            return _frac_str(self.a)
+        if self.a == 0:
+            return _eps_term(self.b, lead=True)
+        return _frac_str(self.a) + _eps_term(self.b, lead=False)
+
+
+def fraction_eps(x: EpsRational) -> FractionEps:
+    """The reference value of x, read off its int triple."""
+    return FractionEps(Fraction(x.p, x.d), Fraction(x.q, x.d))
+
+
+def reference_preservation_threshold(pairs) -> Optional[Fraction]:
+    """`preservation_threshold` on Fraction parts: the least |delta_a| /
+    |delta_b| over the pairs x < y whose standard and eps parts pull in
+    opposite directions; None when there is no such pair."""
+    bound: Optional[Fraction] = None
+    for x, y in pairs:
+        da = y.a - x.a
+        db = y.b - x.b
+        if da == 0:
+            continue
+        if (da > 0) != (db < 0) or db == 0:
+            continue
+        cand = abs(da) / abs(db)
+        if bound is None or cand < bound:
+            bound = cand
+    return bound

@@ -6,13 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import graphassoc
-from graphassoc.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-from graphassoc.graphs import MAX_VERTICES
+from graphassoc.cli import EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, load_graph, main
+from graphassoc.graphs import MAX_VERTICES, GraphError
 
 
 def run(capsys, *argv):
@@ -115,6 +116,21 @@ def test_classify_edge_list_file(capsys, tmp_path):
     code, report, _ = run_json(capsys, "classify", f"@{f}")
     assert code == EXIT_OK
     assert report["results"]["is_hassett"] is True
+
+
+def test_an_oversized_edge_list_file_is_refused_after_its_first_line(tmp_path):
+    # 200,000 edge lines after a vertex count over the cap: the count is
+    # checked before the rest of the file is read or split
+    f = tmp_path / "big.txt"
+    f.write_text("1000000000\n" + "0 1\n" * 200_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="^vertex count 1000000000 exceeds the 24-vertex cap$"):
+            load_graph(f"@{f}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fan_report(capsys):

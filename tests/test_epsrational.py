@@ -1,5 +1,7 @@
 """Arithmetic, ordering, parsing, and eps-threshold recovery in Q[eps]."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,10 +12,12 @@ from graphassoc import (
     EPS,
     EpsRational,
     default_eps,
+    epsrational,
     parse_eps_rational,
     preservation_threshold,
     record_comparisons,
 )
+from oracles import FractionEps, fraction_eps, reference_preservation_threshold
 
 
 def test_construction_and_equality():
@@ -28,6 +32,8 @@ def test_immutable():
     x = EpsRational(1)
     with pytest.raises(AttributeError):
         x.a = Fraction(2)
+    with pytest.raises(AttributeError):
+        x.b = Fraction(2)
 
 
 def test_arithmetic():
@@ -173,3 +179,118 @@ def test_threshold_preserves_all_comparisons(coeffs):
                 assert numeric == symbolic
             else:
                 assert numeric == symbolic
+
+
+# -- the int triple against the Fraction pair of tests/oracles.py -------------
+
+
+def random_part(rng: random.Random) -> Fraction:
+    """Zero, an integer or a fraction over a small denominator, so that two
+    values meet equal, mixed and reducible denominators."""
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 4, 6]))
+
+
+def random_value(rng: random.Random) -> tuple[EpsRational, FractionEps]:
+    a, b = random_part(rng), random_part(rng)
+    if rng.random() < 0.25:
+        b = Fraction(0)  # a standard value, which any value may multiply
+    return EpsRational(a, b), FractionEps(a, b)
+
+
+def same(x: EpsRational, ref: FractionEps) -> bool:
+    """x holds ref as its canonical triple: d the lcm of the denominators of
+    the parts, and so d > 0 and gcd(p, q, d) = 1."""
+    d = math.lcm(ref.a.denominator, ref.b.denominator)
+    return type(x) is EpsRational and (x.p, x.q, x.d) == (ref.a * d, ref.b * d, d)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_triples_match_the_fraction_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(300):
+        (x, rx), (y, ry) = random_value(rng), random_value(rng)
+        r, k = random_part(rng), rng.randint(-3, 3)
+        eps = Fraction(rng.randint(1, 5), rng.randint(1, 60))
+        assert same(x, rx) and (x.a, x.b) == (rx.a, rx.b)
+        assert same(x + y, rx + ry) and same(x - y, rx - ry) and same(-x, -rx)
+        assert same(x + r, rx + r) and same(r - x, r - rx) and same(k + x, k + rx)
+        assert same(x - k, rx - k) and same(x.scale(r), rx.scale(r)) and same(x.scale(k), rx.scale(k))
+        assert same(x * r, rx * r) and same(k * x, k * rx)
+        if x.q == 0 or y.q == 0:
+            assert same(x * y, rx * ry)
+        assert x.compare(y) == rx.compare(ry) and x.compare(r) == rx.compare(r)
+        assert (x == y) == (rx == ry) and (x == r) == (rx == r) and (x == k) == (rx == k)
+        assert str(x) == str(rx) and x.instantiate(eps) == rx.instantiate(eps)
+        assert fraction_eps(x) == rx
+
+
+def test_equal_values_built_two_ways_are_one_triple():
+    half = Fraction(1, 2)
+    pairs = [
+        (EpsRational(Fraction(2, 4)), EpsRational(half)),
+        (EpsRational(Fraction(6, 4), Fraction(-3, 6)), EpsRational(Fraction(3, 2), -half)),
+        (EpsRational(Fraction(1, 3), Fraction(1, 6)) + EpsRational(Fraction(1, 6), Fraction(1, 3)),
+         EpsRational(half, half)),
+        (EpsRational(1, 1).scale(half) + EpsRational(1, 1).scale(half), EpsRational(1, 1)),
+        (EpsRational(half, 1) - EpsRational(half), EPS),
+        (EpsRational(Fraction(3, 4), Fraction(1, 4)) * 0, EpsRational(0)),
+        (EpsRational(half) * EpsRational(4, 2), EpsRational(2, 1)),
+    ]
+    for x, y in pairs:
+        assert (x.p, x.q, x.d) == (y.p, y.q, y.d)
+        assert x == y and hash(x) == hash(y) and x.compare(y) == 0
+        assert len({x, y}) == 1
+    assert EpsRational(Fraction(2, 4)) == half and EpsRational(Fraction(6, 2)) == 3
+
+
+def test_sums_comparisons_and_the_threshold_loop_make_no_fraction(monkeypatch):
+    values = [
+        EpsRational(Fraction(1, 2), -3),
+        EpsRational(Fraction(1, 3), Fraction(1, 6)),
+        EpsRational(2),
+        EPS,
+        EpsRational(1, -4),
+    ]
+    bound = reference_preservation_threshold(combinations(map(fraction_eps, values), 2))
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(epsrational, "Fraction", Counted)
+    for x, y in combinations(values, 2):
+        _ = (x + y, x - y, -x, x.compare(y), x == y, y < x)
+    assert made == []
+    assert bound is not None and preservation_threshold(combinations(values, 2)) == bound
+    assert len(made) == 1  # the result
+
+
+def test_the_threshold_matches_the_fraction_reference_on_random_pairs():
+    rng = random.Random(5)
+    sizes = [0, 1, 1, 2, 3, 5, 8, 13, 40] * 20
+    bounded = 0
+    for size in sizes:
+        pairs = [(random_value(rng), random_value(rng)) for _ in range(size)]
+        got = preservation_threshold((x, y) for (x, _), (y, _) in pairs)
+        want = reference_preservation_threshold((rx, ry) for (_, rx), (_, ry) in pairs)
+        assert got == want
+        bounded += got is not None
+    assert 0 < bounded < len(sizes)  # both answers occur
+
+
+def test_the_threshold_on_none_and_on_tied_bounds():
+    x, y = EpsRational(Fraction(1, 3), -1), EpsRational(Fraction(2, 3))
+    reinforcing = [(x, x + 1), (x, x + EPS), (y, y), (EPS, EpsRational(Fraction(1, 2), 1)), (x, y)]
+    assert preservation_threshold([]) is None
+    assert preservation_threshold(reinforcing) is None
+    # 4e < 1 - 3e, twice as large, and over a denominator of 3: each eps < 1/7
+    tied = [
+        (EpsRational(0, 4), EpsRational(1, -3)),
+        (EpsRational(0, 8), EpsRational(2, -6)),
+        (EpsRational(0, Fraction(4, 3)), EpsRational(Fraction(1, 3), -1)),
+    ]
+    for pairs in (tied, tied[::-1], reinforcing + tied):
+        reference = [(fraction_eps(a), fraction_eps(b)) for a, b in pairs]
+        assert preservation_threshold(pairs) == Fraction(1, 7) == reference_preservation_threshold(reference)
