@@ -39,7 +39,7 @@ class EpsRational:
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0):
         d = 1
         if type(a) is not int or type(b) is not int:
-            a, b = Fraction(a), Fraction(b)
+            a, b = Fraction(_rational(a)), Fraction(_rational(b))
             d = lcm(a.denominator, b.denominator)  # then gcd(p, q, d) = 1
             a, b = a.numerator * d // a.denominator, b.numerator * d // b.denominator
         self.p, self.q, self.d = a, b, d
@@ -74,7 +74,7 @@ class EpsRational:
     __rmul__ = __mul__
 
     def scale(self, r: RationalLike) -> "EpsRational":
-        return self * Fraction(r)
+        return self * _rational(r)
 
     # -- order --------------------------------------------------------------
 
@@ -109,13 +109,14 @@ class EpsRational:
         return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.p, self.q, self.d))
+        # an eps-free value equals, so hashes as, its int or Fraction
+        return hash((self.p, self.q, self.d)) if self.q else hash(Fraction(self.p, self.d))
 
     # -- substitution -------------------------------------------------------
 
     def instantiate(self, eps_value: RationalLike) -> Fraction:
         """Exact value of a + b*eps at a concrete positive rational eps."""
-        eps_value = Fraction(eps_value)
+        eps_value = Fraction(_rational(eps_value))
         if eps_value <= 0:
             raise ValueError(f"eps must be positive, got {eps_value}")
         return self.a + self.b * eps_value
@@ -154,14 +155,18 @@ def _combine(x: EpsRational, y: EpsRational, sign: int) -> EpsRational:
     return _reduced(x.p * y.d + sign * y.p * d, x.q * y.d + sign * y.q * d, d * y.d)
 
 
+def _rational(x: RationalLike) -> RationalLike:
+    """x if it is an int or a Fraction: no float enters the arithmetic."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"cannot interpret {x!r} as EpsRational")
+
+
 def _coerce(x) -> EpsRational:
     if isinstance(x, EpsRational):
         return x
-    if isinstance(x, int):
-        return _make(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _make(x.numerator, 0, x.denominator)
-    raise TypeError(f"cannot interpret {x!r} as EpsRational")
+    x = _rational(x)
+    return _make(x.numerator, 0, x.denominator)
 
 
 EPS = EpsRational(0, 1)

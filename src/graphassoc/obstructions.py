@@ -27,18 +27,20 @@ set aside once those are basic, since they never leave the basis; the
 point is read back from them at the end.  Both verdicts come with a
 certificate that is checked before it is returned: a point against every
 constraint, in integers over the point's common denominator, or
-nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.  Constraints
-and points hold ints and Fractions only; anything else is a ValueError.
+nonnegative row multipliers that sum to 0 < 0 or 0 <= -c.  A LinearSystem
+checks its rows once, as it is made, in the pass that makes its integer
+rows: length, relation, and entries ints or Fractions.  satisfies checks a
+point likewise.  Anything else is a ValueError.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .epsrational import _frac_str
 from .graphs import Graph, bits_of, component_table, induced_connected, subsets_by_size
@@ -148,43 +150,61 @@ def obstruction_b(g: Graph) -> Optional[ObstructionWitness]:
 _EXACT = (int, Fraction)
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """coeffs . x rel rhs, every entry an int or a Fraction."""
+class Constraint(NamedTuple):
+    """coeffs . x rel rhs, every entry an int or a Fraction (checked by its LinearSystem)."""
 
     coeffs: tuple[int | Fraction, ...]
     rel: str  # one of '<', '<=', '>', '>=', '='
     rhs: int | Fraction
 
-    def __post_init__(self):
-        for v in (*self.coeffs, self.rhs):
-            if not isinstance(v, _EXACT):
-                raise ValueError(f"constraint entry {v!r} is not an int or a Fraction")
+
+# each relation as upper-form rows (sign, strict): sign*a.x < or <= sign*b
+_UPPER = {"<": ((1, 1),), "<=": ((1, 0),), ">": ((-1, 1),), ">=": ((-1, 0),),
+          "=": ((1, 0), (-1, 0))}
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rational linear constraints on the variables c_0, ..., c_{n-2}."""
+    """Rational linear constraints on the variables c_0, ..., c_{n-2}, and
+    feasible's integer rows of them, which _upper_rows checks them to make."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
+    int_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, con in enumerate(self.constraints):
-            if len(con.coeffs) != self.num_vars:
-                raise ValueError(
-                    f"constraint {i} has {len(con.coeffs)} coefficients, not {self.num_vars}"
-                )
+        object.__setattr__(self, "int_rows", _upper_rows(self.num_vars, self.constraints))
 
     def to_json(self) -> list[dict]:
-        return [
-            {
-                "coeffs": [_frac_str(c) for c in row.coeffs],
-                "rel": row.rel,
-                "rhs": _frac_str(row.rhs),
-            }
-            for row in self.constraints
-        ]
+        return [{"coeffs": [_frac_str(c) for c in a], "rel": rel, "rhs": _frac_str(b)}
+                for a, rel, b in self.constraints]
+
+
+def _upper_rows(n: int, constraints) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Each constraint, checked, as integer rows (a, b, strict): a.x < b if
+    strict, else a.x <= b (an equality gives two).  A row of ints is taken
+    as it is; any other must hold ints and Fractions only, and is scaled by
+    the lcm of its denominators.  strict is that scale on a strict row, else
+    0: as the coefficient of the margin t in feasible's LP it keeps the
+    unscaled rows' pivots."""
+    rows = []
+    for i, (a, rel, b) in enumerate(constraints):
+        if len(a) != n:
+            raise ValueError(f"constraint {i} has {len(a)} coefficients, not {n}")
+        if rel not in _UPPER:
+            raise ValueError(f"unknown relation {rel!r}")
+        scale = 1
+        if not (isinstance(b, int) and all(map(isinstance, a, repeat(int)))):
+            for v in (*a, b):
+                if not isinstance(v, _EXACT):
+                    raise ValueError(f"constraint entry {v!r} is not an int or a Fraction")
+            scale = math.lcm(b.denominator, *(c.denominator for c in a))
+            a = tuple(c.numerator * (scale // c.denominator) for c in a)
+            b = b.numerator * (scale // b.denominator)
+        for sg, st in _UPPER[rel]:
+            rows.append((a, b, scale * st) if sg > 0 else
+                        (tuple(map(operator.neg, a)), -b, scale * st))
+    return tuple(rows)
 
 
 def w1w2_system(g: Graph) -> LinearSystem:
@@ -243,33 +263,8 @@ def w1w2_system(g: Graph) -> LinearSystem:
 
 # -- exact simplex with Motzkin certificates -------------------------------
 
-# each relation as upper-form rows (sign, strict): sign*a.x < or <= sign*b
-_UPPER = {"<": ((1, 1),), "<=": ((1, 0),), ">": ((-1, 1),), ">=": ((-1, 0),),
-          "=": ((1, 0), (-1, 0))}
 _HOLDS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
           "=": operator.eq}
-
-
-def _upper_rows(sys: LinearSystem) -> list[tuple[tuple[int, ...], int, int]]:
-    """Each constraint as integer rows (a, b, strict), a.x < b if strict,
-    else a.x <= b (an equality gives two).  A row of ints is taken as it
-    is; a row with Fraction entries is scaled by the lcm of its
-    denominators.  strict is that scale on a strict row, else 0: as the
-    coefficient of the margin t in feasible's LP it keeps the unscaled
-    rows' pivots."""
-    rows = []
-    for con in sys.constraints:
-        if con.rel not in _UPPER:
-            raise ValueError(f"unknown relation {con.rel!r}")
-        a, b, scale = con.coeffs, con.rhs, 1
-        if not (isinstance(b, int) and all(map(isinstance, a, repeat(int)))):
-            scale = math.lcm(b.denominator, *(c.denominator for c in a))
-            a = tuple(c.numerator * (scale // c.denominator) for c in a)
-            b = b.numerator * (scale // b.denominator)
-        for sg, st in _UPPER[con.rel]:
-            rows.append((a, b, scale * st) if sg > 0 else
-                        (tuple(map(operator.neg, a)), -b, scale * st))
-    return rows
 
 
 def _pivot(table, basis, nonbasic, r, c, d) -> int:
@@ -351,7 +346,7 @@ def feasible(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     Motzkin certificate of infeasibility before None is returned.  A failed
     check raises RuntimeError.
     """
-    rows = _upper_rows(sys)
+    rows = sys.int_rows
     n, m = sys.num_vars, len(rows)
     # columns: x_j is j, s is n, t is n + 1, then the right-hand side;
     # the slack of tableau row i is variable n + 2 + i
@@ -411,9 +406,6 @@ def satisfies(sys: LinearSystem, point: tuple[int | Fraction, ...]) -> bool:
     for x in point:
         if not isinstance(x, _EXACT):
             raise ValueError(f"point coordinate {x!r} is not an int or a Fraction")
-    if unknown := {con.rel for con in sys.constraints} - _HOLDS.keys():
-        raise ValueError(f"unknown relation {min(unknown)!r}")
     q = math.lcm(*(x.denominator for x in point))
     qx = [x.numerator * (q // x.denominator) for x in point]
-    return all(_HOLDS[con.rel](sum(map(operator.mul, con.coeffs, qx)), q * con.rhs)
-               for con in sys.constraints)
+    return all(_HOLDS[rel](sum(map(operator.mul, a, qx)), q * b) for a, rel, b in sys.constraints)

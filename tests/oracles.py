@@ -156,6 +156,32 @@ def check_w1_w2_per_subset(g: Graph, w: WeightVector, marks: dict[int, int]) -> 
     return W1W2Report(violations == 0, first_kind, first_set, violations)
 
 
+# each relation as upper-form rows (sign, strict): sign*a.x < or <= sign*b
+_UPPER = {"<": ((1, 1),), "<=": ((1, 0),), ">": ((-1, 1),), ">=": ((-1, 0),),
+          "=": ((1, 0), (-1, 0))}
+
+
+def reference_upper_rows(sys: LinearSystem) -> list[tuple[tuple[int, ...], int, int]]:
+    """The integer rows (a, b, strict) of LinearSystem.int_rows, made from
+    the constraints after the system exists, as feasible once made them
+    itself: a.x < b if strict, else a.x <= b (an equality gives two); a
+    row of ints as it is, any other scaled by the lcm of its
+    denominators; strict is that scale on a strict row, else 0."""
+    rows = []
+    for con in sys.constraints:
+        if con.rel not in _UPPER:
+            raise ValueError(f"unknown relation {con.rel!r}")
+        a, b, scale = con.coeffs, con.rhs, 1
+        if not (isinstance(b, int) and all(isinstance(c, int) for c in a)):
+            scale = math.lcm(b.denominator, *(c.denominator for c in a))
+            a = tuple(c.numerator * (scale // c.denominator) for c in a)
+            b = b.numerator * (scale // b.denominator)
+        for sg, st in _UPPER[con.rel]:
+            rows.append((a, b, scale * st) if sg > 0 else
+                        (tuple(-c for c in a), -b, scale * st))
+    return rows
+
+
 def pivot_dense(table, basis, nonbasic, r, c, d) -> int:
     """obstructions._pivot rewriting every entry of each row it updates,
     (v*p - f*w) / d throughout, with no sparse case for |p| = d."""

@@ -243,6 +243,40 @@ def test_equal_values_built_two_ways_are_one_triple():
     assert EpsRational(Fraction(2, 4)) == half and EpsRational(Fraction(6, 2)) == 3
 
 
+def test_an_eps_free_value_hashes_as_its_int_or_fraction():
+    # == holds across the types, so hash must agree, as for int and Fraction
+    values = [(EpsRational(1), 1), (EpsRational(2), 2), (EpsRational(0), 0), (EpsRational(-3), -3),
+              (EpsRational(Fraction(1, 2)), Fraction(1, 2)),
+              (EpsRational(Fraction(-7, 3)), Fraction(-7, 3)),
+              (EpsRational(1, 1) - EPS, 1), (EpsRational(Fraction(3, 4), 1).scale(4) - 4 * EPS, 3)]
+    for x, v in values:
+        assert x == v and hash(x) == hash(v)
+        assert x in {v} and v in {x} and len({x, v}) == 1 and {x: 0}[v] == 0
+    # a value with an eps part equals no int or Fraction and hashes its triple
+    x = EpsRational(Fraction(1, 2), 3)
+    assert hash(x) == hash((x.p, x.q, x.d)) and len({x, Fraction(1, 2), x - 3 * EPS}) == 2
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda: EpsRational(0.1), "0.1"),
+    (lambda: EpsRational(1, 0.5), "0.5"),
+    (lambda: EpsRational(Fraction(1, 2), 0.25), "0.25"),
+    (lambda: EpsRational(0.1) + EpsRational(0.2), "0.1"),
+    (lambda: EpsRational("1/2"), "'1/2'"),
+    (lambda: EpsRational(1, 1).scale(0.1), "0.1"),
+    (lambda: EPS.scale("2"), "'2'"),
+    (lambda: EpsRational(1, -3).instantiate(0.1), "0.1"),
+    (lambda: EpsRational(1, -3).instantiate("1/12"), "'1/12'"),
+    (lambda: EpsRational(1) + 0.5, "0.5"),
+], ids=["float-a", "float-b", "fraction-and-float", "float-sum", "str-a", "float-scale",
+        "str-scale", "float-instantiate", "str-instantiate", "float-operand"])
+def test_only_ints_and_fractions_enter_the_arithmetic(make, bad):
+    # EpsRational(0.1) held 3602879701896397/36028797018963968, so 0.1 + 0.2
+    # was not 0.3; construction, scale and instantiate now refuse as + does
+    with pytest.raises(TypeError, match=f"^cannot interpret {bad} as EpsRational$"):
+        make()
+
+
 def test_sums_comparisons_and_the_threshold_loop_make_no_fraction(monkeypatch):
     values = [
         EpsRational(Fraction(1, 2), -3),

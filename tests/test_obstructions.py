@@ -28,7 +28,7 @@ from graphassoc import (
 from graphassoc import obstructions
 from graphassoc.graphs import induced_connected, subsets_by_size
 from graphassoc.obstructions import Constraint, LinearSystem, ObstructionWitness, satisfies
-from oracles import full_w1w2_system, non_tubes, pivot_dense
+from oracles import full_w1w2_system, non_tubes, pivot_dense, reference_upper_rows
 
 
 # -- obstruction A ------------------------------------------------------------
@@ -604,7 +604,7 @@ def test_inexact_constraint_entry_raises_value_error(coeffs, rhs, bad):
     # a float coefficient made feasible raise AttributeError, and satisfies
     # answered in floats
     with pytest.raises(ValueError, match=f"constraint entry {bad} is not an int or a Fraction"):
-        Constraint(coeffs, "<", rhs)
+        LinearSystem(len(coeffs), (Constraint(coeffs, "<", rhs),))
 
 
 def test_inexact_point_raises_value_error():
@@ -746,11 +746,65 @@ def test_free_phase_pivots_are_unit_pivots(monkeypatch):
 
 def test_unknown_relation_raises_value_error():
     rows = (Constraint(F(1), ">", Fraction(0)), Constraint(F(1), "!=", Fraction(0)))
-    sys_ = LinearSystem(1, rows)
     with pytest.raises(ValueError, match="unknown relation '!='"):
-        satisfies(sys_, F(1))
-    with pytest.raises(ValueError, match="unknown relation '!='"):
-        feasible(sys_)
+        LinearSystem(1, rows)
+
+
+def test_int_rows_match_the_reference_on_random_systems():
+    """The rows a system makes as it is checked equal, in order, those the
+    reference makes from its constraints afterwards: 400 seeded systems of
+    1-4 variables and 1-6 rows, over all five relations, with int-only
+    rows and rows holding Fractions (over denominators of 1-6, or ints with
+    a Fraction right-hand side), and negative and zero entries."""
+    rng = random.Random(2914)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("ints", "fractions", "int coefficients"))
+            den = rng.randint(1, 6)
+
+            def entry():
+                k = rng.randint(-5, 5)
+                return k if kind != "fractions" else Fraction(k, rng.choice((1, den)))
+
+            coeffs = tuple(entry() for _ in range(n))
+            rhs = entry() if kind == "ints" else Fraction(rng.randint(-5, 5), den)
+            rel = rng.choice(RELATIONS)
+            rows.append(Constraint(coeffs, rel, rhs))
+            seen.update((kind, rel))
+            seen.update("negative" if v < 0 else "zero" if v == 0 else "positive"
+                        for v in (*coeffs, rhs))
+        sys_ = LinearSystem(n, tuple(rows))
+        assert sys_.int_rows == tuple(reference_upper_rows(sys_))
+        assert all(type(v) is int for a, b, strict in sys_.int_rows for v in (*a, b, strict))
+    assert seen == {"ints", "fractions", "int coefficients", *RELATIONS,
+                    "negative", "zero", "positive"}
+
+
+@pytest.mark.parametrize("spec", ["P4", "C5", "K5", "S6", "cone^2(D3)"])
+def test_one_row_conversion_per_system(monkeypatch, spec):
+    # verify's calls and the benchmark's oracle calls (w1w2_system, then
+    # feasible and its point checked) turn the system's constraints into
+    # integer rows once: feasible reads the rows the system made
+    from graphassoc import cli
+
+    made = []
+    upper_rows = obstructions._upper_rows
+
+    def spy(n, constraints):
+        made.append(len(constraints))
+        return upper_rows(n, constraints)
+
+    monkeypatch.setattr(obstructions, "_upper_rows", spy)
+    g = parse_graph(spec)
+    assert cli._verify_one(g)["ok"]
+    assert len(made) == 1
+    system = w1w2_system(g)
+    point = feasible(system)
+    assert point is None or satisfies(system, point)
+    assert made == [len(system.constraints)] * 2
 
 
 # The point feasible returns for every yes-instance on 3..6 vertices (in the
