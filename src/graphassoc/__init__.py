@@ -49,7 +49,6 @@ from .graphs import (
     universal_vertices,
 )
 from .moduli import (
-    NodalDivisor,
     StableTree,
     count_stable_trees,
     divisor_tube_correspondence,

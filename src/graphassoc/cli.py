@@ -32,7 +32,7 @@ from .graphs import (
     parse_edge_list,
     parse_graph,
 )
-from .moduli import _check_weights, count_stable_trees, divisor_tube_correspondence, nodal_divisors
+from .moduli import _check_weights, _labels, count_stable_trees, divisor_tube_correspondence, nodal_divisors
 from .obstructions import feasible, obstruction_a, obstruction_b, w1w2_system
 from .tubings import BIJECTION_MAX_VERTICES, verify_fan_tubing_bijection
 from .weights import (
@@ -251,7 +251,7 @@ def cmd_moduli(args) -> tuple[dict, dict, str]:
         _check_weights(w)  # as counting the trees does
         divisors = nodal_divisors(w)
         results["num_nodal_divisors"] = len(divisors)
-        results["nodal_divisors"] = [d.to_json() for d in divisors]
+        results["nodal_divisors"] = [list(_labels(side)) for side in divisors]
     else:
         by_size = count_stable_trees(w, cap)
         results["max_components"] = max(by_size, default=0)

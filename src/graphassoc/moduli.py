@@ -7,7 +7,9 @@ nodal divisors plus the count of independent marks.
 
 A set of marks is an int bitmask: bit 0 is M and bit l + 1 is mark l, the
 order of `WeightVector.entries()`, so bit b weighs `w.entries()[b]`.  Leg
-sets and divisor sides are such masks; labels appear only in the JSON.
+sets are such masks, and a nodal divisor is one too: its side without M.
+Labels appear only in the JSON, whose vertex order one function,
+`_canonical`, gives every tree: the enumerator's and any other.
 
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
 a nodal divisor, and its splits are then pairwise compatible: their M-free
@@ -39,7 +41,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .epsrational import EpsRational
 from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_apart, tubes
@@ -51,20 +53,6 @@ def _labels(marks: int) -> tuple[str, ...]:
     """The JSON labels of a set of marks, in bit order: "M", "0", "1", ...;
     made once per set of marks, since trees share their leg sets."""
     return tuple("M" if b == 0 else str(b - 1) for b in bits_of(marks))
-
-
-def _canonical_order(legs: Sequence[int], branches: Callable[[int], list[int]]) -> list[int]:
-    """The vertices of a stable tree in JSON order, legs[v] being the marks
-    on vertex v and branches(v) the marks beyond each edge at v.  Vertices
-    go by their lowest leg bit, the order of their sorted labels since leg
-    sets are disjoint, so legless vertices come first.  Those tie, and go by
-    the sorted bits of their branches: these partition the marks
-    differently at each vertex, so they tell the legless vertices apart."""
-    order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
-    k = legs.count(0)
-    if k > 1:
-        order[:k] = sorted(order[:k], key=lambda v: sorted(map(bits_of, branches(v))))
-    return order
 
 
 @dataclass(frozen=True)
@@ -79,33 +67,46 @@ class StableTree:
     def num_vertices(self) -> int:
         return len(self.legs)
 
-    def _branches(self, v: int) -> list[int]:
-        """The marks beyond each edge at v, by a walk of the tree."""
-        nbrs = [[] for _ in self.legs]
-        for a, b in self.edges:
+    def to_json(self) -> dict:
+        """The tree as `_canonical` renumbers it, so the JSON does not
+        depend on vertex numbering; labels appear only here."""
+        tree = _canonical(self.legs, self.edges)
+        return {
+            "vertices": [{"legs": list(_labels(legs))} for legs in tree.legs],
+            "edges": [list(e) for e in tree.edges],
+        }
+
+
+def _canonical(legs: Sequence[int], edges: Sequence[tuple[int, int]]) -> StableTree:
+    """The tree with these legs and edges renumbered in JSON order, its
+    edges as sorted (smaller, larger) pairs.  Vertices go by their lowest
+    leg bit, the order of their sorted labels since leg sets are disjoint,
+    so legless vertices come first.  Those tie, and go by the sorted bits of
+    the marks beyond each of their edges, read by a walk over the edges:
+    these partition the marks differently at each vertex, so they tell the
+    legless vertices apart."""
+    order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
+    k = legs.count(0)
+    if k > 1:
+        nbrs = [[] for _ in legs]
+        for a, b in edges:
             nbrs[a].append(b)
             nbrs[b].append(a)
-        out = []
-        for start in nbrs[v]:
-            seen, stack, marks = {v, start}, [start], 0
-            while stack:
-                u = stack.pop()
-                marks |= self.legs[u]
-                stack += [x for x in nbrs[u] if x not in seen]
-                seen.update(nbrs[u])
-            out.append(marks)
-        return out
 
-    def to_json(self) -> dict:
-        """Vertices in `_canonical_order`, so the JSON does not depend on
-        vertex numbering; labels appear only here."""
-        order = _canonical_order(self.legs, self._branches)
-        pos = {old: new for new, old in enumerate(order)}
-        ends = ((pos[a], pos[b]) for a, b in self.edges)
-        return {
-            "vertices": [{"legs": list(_labels(self.legs[v]))} for v in order],
-            "edges": sorted([x, y] if x < y else [y, x] for x, y in ends),
-        }
+        def beyond(v: int, u: int) -> int:
+            """The marks on u's side of the edge vu: disjoint leg sets, so
+            their sum is their union."""
+            return legs[u] + sum(beyond(u, x) for x in nbrs[u] if x != v)
+
+        order[:k] = sorted(order[:k], key=lambda v: sorted(bits_of(beyond(v, u)) for u in nbrs[v]))
+    pos = [0] * len(legs)
+    for new, old in enumerate(order):
+        pos[old] = new
+    ends = ((pos[a], pos[b]) for a, b in edges)
+    return StableTree(
+        tuple(map(legs.__getitem__, order)),
+        tuple(sorted((x, y) if x < y else (y, x) for x, y in ends)),
+    )
 
 
 def _vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
@@ -133,7 +134,7 @@ def _stable_cliques(
     _check_weights(w)
     if not _vertex_stable(w, (1 << w.n) - 1, 0):
         return [], [], iter(())
-    sides = [d.side for d in nodal_divisors(w)]
+    sides = nodal_divisors(w)
     compat, sup = _side_tables(sides, w.n)
     return sides, sup, itertools.chain([()], cliques(compat, max_vertices - 1))
 
@@ -147,9 +148,10 @@ def _side_tables(sides: list[int], marks: int) -> tuple[list[int], list[int]]:
 
 
 def _json_sort_key():
-    """A sort key that orders trees numbered in JSON order as
-    (num_vertices, str(to_json())) does, see `enumerate_stable_trees`; it
-    makes the key of each leg set and each edge once."""
+    """A sort key that orders trees numbered in JSON order, as `_canonical`
+    returns them, as (num_vertices, str(to_json())) does, see
+    `enumerate_stable_trees`; it makes the key of each leg set and each
+    edge once."""
     vertex = functools.cache(lambda legs: (*_labels(legs), "~"))
     edge = functools.cache(lambda e: (str(e[0]), f"{e[1]}~"))
     return lambda t: (len(t.legs), tuple(map(vertex, t.legs)), tuple(map(edge, t.edges)))
@@ -163,20 +165,11 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
     when the total weight is at most 2.  Raises ValueError unless every
     weight lies in (0, 1].
 
-    For weights in (0, 1] a tree is stable iff every edge's split is a
-    nodal divisor: a leaf needs its side to weigh more than 1, a vertex of
-    degree 2 carries the marks by which its two splits differ, and a vertex
-    of degree 3 or more is always stable; summing the stability
-    inequalities over the vertices on one side of an edge gives the
-    converse.  Splits of one tree have nested or disjoint M-free sides, and
-    fix the tree.  So the trees of j + 1 components are the j-cliques of
-    compatible nodal divisors, walked once.
-
-    Each tree is built from its clique: side i hangs from the smallest
-    side of the clique that contains it, the lowest bit of sup[i] inside
-    the clique, or else from the vertex of M.  Its vertices are then put in
-    `_canonical_order`, with the branches of a vertex read off the parent
-    links.
+    The trees of j + 1 components are the j-cliques of compatible nodal
+    divisors, by the lemma in the module docstring, walked once.  Each tree
+    is built from its clique: side i hangs from the smallest side of the
+    clique that contains it, the lowest bit of sup[i] inside the clique, or
+    else from the vertex of M.  `_canonical` then renumbers it.
 
     The sort key stands in for the JSON string without building it.  A
     vertex gives its label strings and then "~", which sorts above every
@@ -196,21 +189,13 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
         clique = sum(map(bit.__getitem__, c))
         at = {i: j for j, i in enumerate(c)}
         legs = [*map(sides.__getitem__, c), every]
-        parent = []
-        for i in c:
+        edges = []
+        for j, i in enumerate(c):
             above = sup[i] & clique
             p = at[(above & -above).bit_length() - 1] if above else len(c)
-            parent.append(p)
+            edges.append((p, j))
             legs[p] &= ~sides[i]
-        order = _canonical_order(legs, lambda v: [every & ~sides[c[v]]] + [
-            sides[c[u]] for u, p in enumerate(parent) if p == v
-        ])
-        pos = {v: j for j, v in enumerate(order)}
-        edges = sorted(
-            (a, b) if a < b else (b, a)
-            for a, b in ((pos[p], pos[j]) for j, p in enumerate(parent))
-        )
-        trees.append(StableTree(tuple(map(legs.__getitem__, order)), tuple(edges)))
+        trees.append(_canonical(legs, edges))
     trees.sort(key=_json_sort_key())
     return trees
 
@@ -218,20 +203,10 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
 # -- nodal divisors ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodalDivisor:
-    """Two-component degeneration, stored as the marks of the side not
-    containing M: bit l + 1 for mark l, so bit 0 is never set."""
-
-    side: int
-
-    def to_json(self) -> list[str]:
-        return list(_labels(self.side))
-
-
-def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
-    """All mark bipartitions with both sides of size >= 2 and weight > 1,
-    ordered by the size and then the labels of the M-free side.
+def nodal_divisors(w: WeightVector) -> list[int]:
+    """The M-free sides of all mark bipartitions with both sides of size
+    >= 2 and weight > 1, as masks of marks (bit l + 1 for mark l, so bit 0
+    is never set), ordered by size and then by their labels.
 
     One doubling pass weighs all 2^(n-1) M-free subsets, each with one
     addition; the sides of each size are then compared in lexicographic
@@ -249,7 +224,7 @@ def nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
         for side in map(sum, itertools.combinations(bits, r)):
             total = sums[side >> 1]
             if total > one and whole - total > one:
-                out.append(NodalDivisor(side))
+                out.append(side)
     return out
 
 
@@ -286,6 +261,8 @@ def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> C
         raise ValueError("graph is not an iterated cone over a discrete set")
     if w is None:
         w = remark_weights(cs, g)
+    elif w.n != g.num_vertices + 2:
+        raise ValueError("weight vector length does not match the graph")
     marks = mark_of_vertex(cs)
     one, weights = EpsRational(1), w.entries()
     expected = set()
@@ -294,19 +271,13 @@ def divisor_tube_correspondence(g: Graph, w: Optional[WeightVector] = None) -> C
         side = sum(2 << marks[v] for v in bits_of(t)) | 2  # mark 0 and the marks of t
         if sum(map(weights.__getitem__, bits_of(side)), EpsRational(0)) > one:
             expected.add(side)
-    actual = {d.side for d in nodal_divisors(w)}
-    num_rays = len(proper)
-    report = CorrespondenceReport(
-        passed=(expected == actual) and (num_rays == len(actual) + cs.k),
-        num_rays=num_rays,
-        num_divisors=len(actual),
-        k=cs.k,
+    actual = set(nodal_divisors(w))
+    passed = expected == actual and len(proper) == len(actual) + cs.k
+
+    def listed(sides: set[int]) -> list[list[int]]:
+        return sorted([b - 1 for b in bits_of(s)] for s in sides)
+
+    detail = None if passed else (
+        f"extra divisors {listed(actual - expected)}, missing {listed(expected - actual)}"
     )
-    if not report.passed:
-        extra = sorted([b - 1 for b in bits_of(s)] for s in actual - expected)
-        missing = sorted([b - 1 for b in bits_of(s)] for s in expected - actual)
-        report = CorrespondenceReport(
-            False, num_rays, len(actual), cs.k,
-            detail=f"extra divisors {extra}, missing {missing}",
-        )
-    return report
+    return CorrespondenceReport(passed, len(proper), len(actual), cs.k, detail)

@@ -15,7 +15,6 @@ from graphassoc import (
     FanError,
     Graph,
     GraphError,
-    NodalDivisor,
     Ray,
     StableTree,
     WeightVector,
@@ -605,9 +604,9 @@ def tree_from_json(item: dict) -> StableTree:
     return StableTree(tuple(legs), tuple(map(tuple, item["edges"])))
 
 
-def subset_nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
-    """All mark bipartitions with both sides of size >= 2 and weight > 1,
-    each side's weight summed afresh from its marks."""
+def subset_nodal_divisors(w: WeightVector) -> list[int]:
+    """The M-free sides of all mark bipartitions with both sides of size
+    >= 2 and weight > 1, each side's weight summed afresh from its marks."""
     weights = w.entries()
     non_m = list(range(1, w.n))  # the bits of the labels 0..n-2
     out = []
@@ -617,8 +616,8 @@ def subset_nodal_divisors(w: WeightVector) -> list[NodalDivisor]:
         for side in combinations(non_m, r):
             total = sum(map(weights.__getitem__, side), EpsRational(0))
             if total > one and whole - total > one:
-                out.append(NodalDivisor(sum(1 << b for b in side)))
-    out.sort(key=lambda d: (d.side.bit_count(), bits_of(d.side)))
+                out.append(sum(1 << b for b in side))
+    out.sort(key=lambda side: (side.bit_count(), bits_of(side)))
     return out
 
 

@@ -294,9 +294,7 @@ def test_criterion_7_divisor_correspondence(capsys):
     g = parse_graph("cone^2(D2)")
     cs = classify_iterated_cone(g)
     v4 = remark_weights(cs, g)
-    lost = {d.side for d in nodal_divisors(lm6)} - {
-        d.side for d in nodal_divisors(v4)
-    }
+    lost = set(nodal_divisors(lm6)) - set(nodal_divisors(v4))
     independent_marks = {
         mark_of_vertex(cs)[v] for v in range(4) if (cs.independent >> v) & 1
     }

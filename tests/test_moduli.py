@@ -178,7 +178,7 @@ def test_side_tables_match_the_pairwise_tables():
     # the holder-mask tables against the pair loop they replaced, on the
     # clique weights and on thirteen marks of weight 1 (4,082 sides)
     for w in [*CLIQUE_WEIGHTS, parse_weight_vector(",".join(["1"] * 13))]:
-        sides = [d.side for d in nodal_divisors(w)]
+        sides = nodal_divisors(w)
         assert _side_tables(sides, w.n) == pairwise_side_tables(sides), str(w)
     assert len(sides) == 4082
 
@@ -282,16 +282,42 @@ def test_tree_lists_are_pinned(w, digest):
     assert hashlib.sha256(json.dumps(trees_json(trees)).encode()).hexdigest() == digest
 
 
+def renumbered(tree, rng):
+    """The tree with its vertices renumbered at random, its edges listed in
+    random order and each edge's ends in random order."""
+    perm = list(range(tree.num_vertices))
+    rng.shuffle(perm)
+    legs = [0] * tree.num_vertices
+    for v, new in enumerate(perm):
+        legs[new] = tree.legs[v]
+    edges = [(perm[a], perm[b]) if rng.random() < 0.5 else (perm[b], perm[a]) for a, b in tree.edges]
+    rng.shuffle(edges)
+    return StableTree(tuple(legs), tuple(edges))
+
+
 def test_json_does_not_depend_on_vertex_numbering():
     """Two adjacent legless vertices tie on their legs and are ordered by
     the legs of their branches, so one 8-mark tree numbered two ways gives
-    one JSON, with the vertex next to M first."""
+    one JSON, with the vertex next to M first.  Then every enumerated tree
+    of eight marks of weight 1 (where legless vertices tie), of an iterated
+    cone and of Losev-Manin space on 7 marks reads back from its JSON as
+    itself.  Every tree whose legless vertices tie, and one in four of the
+    others, gives that JSON again when renumbered at random."""
     legs = tuple(marks(*x) for x in (["M", 0], [1, 2], [], [], [3, 4], [5, 6]))
     a = StableTree(legs, ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)))
     b = StableTree(legs, ((0, 3), (1, 3), (3, 2), (2, 4), (2, 5)))
     assert tree_stable(parse_weight_vector("1,1,1,1,1,1,1,1"), a)
     assert a.to_json() == b.to_json()
     assert a.to_json()["edges"] == [[0, 1], [0, 2], [0, 3], [1, 4], [1, 5]]
+    rng = random.Random(7)
+    g = parse_graph("cone^2(D3)")
+    cone = remark_weights(classify_iterated_cone(g), g)
+    for w, cap in [(parse_weight_vector("1,1,1,1,1,1,1,1"), 6), (cone, cone.n - 2), (lm_weights(7), 5)]:
+        for tree in enumerate_stable_trees(w, cap):
+            item = tree.to_json()
+            assert tree_from_json(item) == tree
+            if tree.legs.count(0) > 1 or rng.random() < 0.25:
+                assert renumbered(tree, rng).to_json() == item, (str(w), item)
 
 
 def test_losev_manin_trees_are_ordered_set_partitions():
@@ -389,7 +415,7 @@ def test_two_component_trees_match_nodal_divisors():
         tree_sides = {
             t.legs[0] if t.legs[1] & marks("M") else t.legs[1] for t in two
         }
-        assert tree_sides == {d.side for d in divisors}
+        assert tree_sides == set(divisors)
 
 
 def test_every_stable_tree_contracts_to_a_stable_tree():
@@ -424,7 +450,7 @@ def test_nodal_divisors_weigh_the_side_of_m():
     # with c_M = 1/2, the side {0, 1} weighs 2 but leaves M, 2, 3 with
     # 1/2 + 2e <= 1, so the M side rules it (and its supersets) out
     w = parse_weight_vector("1/2,1,1,e,e")
-    sides = [[b - 1 for b in bits_of(d.side)] for d in nodal_divisors(w)]
+    sides = [[b - 1 for b in bits_of(side)] for side in nodal_divisors(w)]
     assert sides == [[0, 2], [0, 3], [1, 2], [1, 3], [0, 2, 3], [1, 2, 3]]
 
 
@@ -433,7 +459,7 @@ def test_nodal_divisors_need_an_m_side_above_one():
     # {1, 2, 3} leave M and a mark of weight 1/2, exactly 1, so neither is
     # a nodal divisor; the sides listed leave more than 1 on both sides
     w = parse_weight_vector("1/2,1/2,1,1,1/2")
-    sides = [[b - 1 for b in bits_of(d.side)] for d in nodal_divisors(w)]
+    sides = [[b - 1 for b in bits_of(side)] for side in nodal_divisors(w)]
     assert sides == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [0, 1, 3], [0, 2, 3]]
 
 
@@ -489,6 +515,23 @@ def test_correspondence_counts():
     assert (rep.num_rays, rep.num_divisors, rep.k) == (13, 11, 2)
     rep = divisor_tube_correspondence(parse_graph("S4"))
     assert (rep.num_rays, rep.num_divisors, rep.k) == (10, 7, 3)
+
+
+def test_correspondence_reports_extra_and_missing_divisors():
+    # with c_M = 1/2, a tube's side {0, a, b} weighs 2 but leaves M and one
+    # mark, 1/2 + 1/2 = 1, so it is missing; the side {1, 2, 3} weighs 3/2
+    # and leaves M and 0, 3/2, a nodal divisor that is no tube's side
+    rep = divisor_tube_correspondence(parse_graph("K3"), parse_weight_vector("1/2,1,1/2,1/2,1/2"))
+    assert rep.passed is False
+    assert rep.detail == "extra divisors [[1, 2, 3]], missing [[0, 1, 2], [0, 1, 3], [0, 2, 3]]"
+    assert (rep.num_rays, rep.num_divisors, rep.k) == (6, 4, 1)
+
+
+def test_correspondence_refuses_a_weight_vector_of_the_wrong_length():
+    # as check_w1_w2 does: two marks too few for K4, two too many for K2
+    for spec, weights in [("K4", "1,1-2e,3e,e"), ("K2", "1,1-2e,3e,e,e,e")]:
+        with pytest.raises(ValueError, match="weight vector length does not match the graph"):
+            divisor_tube_correspondence(parse_graph(spec), parse_weight_vector(weights))
 
 
 def test_correspondence_counts_the_rays_of_the_fan():
