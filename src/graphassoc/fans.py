@@ -13,13 +13,15 @@ the graph on the fan.
 Smoothness, completeness and the f-vector come from one pass over the
 rays, cached on the `Fan` (`_walk`).  Maximal cone k is lane k, bit k of
 an int: the cone list is transposed once per fan into one lane mask per
-ray (`Fan._lanes`, the cones that hold it), and each step of the pass
-works on every cone at once with a few int operations per coordinate of
-the ray's support.  The pass needs laminar cones (supports pairwise
-nested or disjoint) and raises FanError at any other, found by a clash
-pass over the lanes (`_clash_lanes`): on the tube table, if the fan
-carries its graph and each ray is its label's closed form (`_tube_ray`),
-else on the support table.  The tube table (`Fan._tube_table`) and its
+ray (`Fan._lanes`, the cones that hold it), 8x8 bit blocks at a time, one
+byte of every cone in one int (`_lane_masks`, after Hacker's Delight
+7-3), and each step of the pass works on every cone at once with a few
+int operations per coordinate of the ray's support.  A cone that names a
+ray the fan does not have raises FanError there.  The pass needs laminar
+cones (supports pairwise nested or disjoint) and raises FanError at any
+other, found by a clash pass over the lanes (`_clash_lanes`): on the tube
+table, if the fan carries its graph and each ray is its label's closed
+form (`_tube_ray`), else on the support table.  The tube table (`Fan._tube_table`) and its
 pass (`Fan._tube_clashes`) are cached, and the tubing bijection hands
 `first_clash` that very table, so one `verify` builds each once.
 Compatible tubes have laminar supports: the support of t is t, or V - t
@@ -53,8 +55,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, GraphError, bits_of, component_table, is_connected, nested_or_apart, tubes
 
-# translate tables: a byte to b"1" if its bit p is set, else to b"0"
-_BIT_DIGITS = [(b"0" * (1 << p) + b"1" * (1 << p)) * (128 >> p) for p in range(8)]
+# Hacker's Delight 7-3: the shift and the mask of each delta swap that
+# transposes an 8x8 bit matrix held in a 64-bit word, one byte per row
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 _FALSE_ZERO = bytes.maketrans(b"0", b"\0")
 
 
@@ -171,22 +174,42 @@ class _Checks(NamedTuple):
 
 def _lane_masks(cones: Sequence[int], num_rays: int) -> list[int]:
     """The cones transposed: bit k of entry i is set when cones[k] holds ray i.
-    Each cone is a row of little-endian bytes, and a strided slice of the
-    rows, last cone first, is the column of one byte of every cone; for each
-    ray of that byte, translate turns its bit into a binary digit."""
-    if not cones:
-        return [0] * num_rays
+    Each cone is a row of little-endian bytes.  A strided slice of the rows
+    is byte q of every cone, read as one int and padded with zeros to whole
+    64-bit words: word w is an 8x8 bit matrix whose row r is byte q of cone
+    8w + r.  Three masked delta swaps, each mask tiled over all the words,
+    transpose every word at once (Warren, Hacker's Delight, 2nd ed., 7-3),
+    so that byte p of word w holds ray 8q + p of cones 8w..8w+7, and lane
+    8q + p is bytes p, p + 8, ... of the result.  A cone with a bit past
+    num_rays raises FanError: it fails to_bytes, or it sets a spare lane
+    of the last byte, p >= num_rays - 8q."""
     width = (num_rays + 7) >> 3
-    # joined in blocks, so that no list holds a bytes object for every cone
-    rows = b"".join(
-        b"".join(map(int.to_bytes, cones[k : k + 4096], repeat(width), repeat("little")))
-        for k in range(0, len(cones), 4096)
-    )
+    try:  # joined in blocks, so that no list holds a bytes object for every cone
+        rows = b"".join(
+            b"".join(map(int.to_bytes, cones[k : k + 4096], repeat(width), repeat("little")))
+            for k in range(0, len(cones), 4096)
+        )
+    except OverflowError:
+        raise _foreign(next(c for c in cones if c >> num_rays)) from None
+    size = len(cones) + 7 & ~7  # whole words: the ints below end in zeros
+    words = int.from_bytes(b"\1\0\0\0\0\0\0\0" * (size >> 3), "little")  # bit 0 of each word
+    swaps = [(s, m * words) for s, m in _SWAPS]
     out = []
     for q in range(width):
-        column = rows[len(rows) - width + q :: -width]
-        out += (int(column.translate(t), 2) for t in _BIT_DIGITS[: num_rays - 8 * q])
-    return out
+        x = int.from_bytes(rows[q::width], "little")
+        for s, m in swaps:
+            t = (x ^ x >> s) & m
+            x ^= t ^ t << s
+        block = x.to_bytes(size, "little")
+        out += (int.from_bytes(block[p::8], "little") for p in range(8))
+    spare = reduce(or_, out[num_rays:], 0)
+    if spare:
+        raise _foreign(cones[(spare & -spare).bit_length() - 1])
+    return out[:num_rays]
+
+
+def _foreign(c: int) -> FanError:
+    return FanError(f"cone {bits_of(c) if c > 0 else c} names a ray the fan does not have")
 
 
 def _pick(items: Sequence[int], lanes: int) -> Iterator[int]:

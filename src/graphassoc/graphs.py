@@ -433,7 +433,9 @@ def connected_graphs_up_to_iso(n: int) -> list[Graph]:
     hex with bit k for the k-th pair (u, v), u < v, in lexicographic order.
     For n <= 7 the graphs come in the order and with the vertex labels of
     networkx's graph atlas; for n = 8 by edge count, then in the order the
-    script generated them.  The file is read on the first call for each n."""
+    script generated them.  The file is read and split by size once per
+    process (`_catalog_blocks`), and each n's graphs are built on the first
+    call for that n."""
     if not 1 <= n <= CATALOG_MAX_VERTICES:
         raise GraphError(f"the graph catalog covers 1 to {CATALOG_MAX_VERTICES} vertices, not {n}")
     return list(_catalog(n))
@@ -441,12 +443,21 @@ def connected_graphs_up_to_iso(n: int) -> list[Graph]:
 
 @functools.cache
 def _catalog(n: int) -> tuple[Graph, ...]:
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    masks = _catalog_blocks()[n].split()[1::2]  # each line is `n mask`
+    return tuple(from_edges(n, [pairs[k] for k in bits_of(int(mask, 16))]) for mask in masks)
+
+
+@functools.cache
+def _catalog_blocks() -> dict[int, str]:
+    """catalog.txt's lines by vertex count, one block of text for each.  The
+    file lists the counts in ascending order, so a block ends where the next
+    count's first line begins, and no line is parsed before its n is asked."""
     from importlib.resources import files
 
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    lines = (files(__package__) / "catalog.txt").read_text().splitlines()
-    return tuple(
-        from_edges(n, [pairs[k] for k in bits_of(int(mask, 16))])
-        for size, mask in map(str.split, lines)
-        if int(size) == n
-    )
+    text = (files(__package__) / "catalog.txt").read_text()
+    blocks, start = {}, 0
+    for n in range(1, CATALOG_MAX_VERTICES + 1):
+        end = text.find(f"\n{n + 1} ", start) + 1 or len(text)  # 0 past the last count
+        blocks[n], start = text[start:end], end
+    return blocks

@@ -480,6 +480,18 @@ def walk_per_cone(f: Fan) -> _Checks:
     return _Checks(smooth, h[0] == 1, tuple(h))
 
 
+def reference_lane_masks(cones: Sequence[int], num_rays: int) -> list[int]:
+    """`fans._lane_masks` cone by cone and bit by bit: bit k of lane i is
+    set when cones[k] holds ray i, written as binary digit k from the right
+    of lane i's digit string."""
+    digits = [bytearray(b"0" * len(cones)) for _ in range(num_rays)]
+    for k, c in enumerate(cones):
+        for i, bit in enumerate(reversed(bin(c)[2:])):
+            if bit == "1":
+                digits[i][-1 - k] = ord("1")
+    return [int(d or b"0", 2) for d in digits]
+
+
 def first_non_laminar(f: Fan) -> Optional[int]:
     """The first maximal cone with a ray that is not a signed 0/1 vector
     (nonzero entries all 1 or all -1) or with two rays whose supports meet

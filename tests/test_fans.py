@@ -37,6 +37,7 @@ from oracles import (
     make_ray,
     primitive_sum,
     projective_simplex_fan,
+    reference_lane_masks,
     scan_graph_fan,
     subdivide,
     support_of,
@@ -515,6 +516,38 @@ def test_a_cone_without_d_rays_is_neither_smooth_nor_complete():
         assert first_non_laminar(damaged) is None
         assert not is_smooth(damaged) and not is_complete(damaged)
         assert fans._walk(damaged) == walk_per_cone(damaged) == (False, False, None)
+
+
+def test_lane_masks_match_the_reference():
+    # the bit-block transpose against the per-cone one: random cones over
+    # ray counts around whole bytes and words, and cone counts around whole
+    # 8-cone words and the 4096-cone join blocks; every graph fan on at most
+    # 6 vertices; the five fans of the fan-build benchmark, shuffled
+    rng = random.Random(31)
+    cases = [
+        ([rng.getrandbits(num_rays) for _ in range(count)], num_rays)
+        for num_rays in (1, 7, 8, 9, 63, 64, 65, 126, 254)
+        for count in (0, 1, 7, 8, 9, 4095, 4096, 4097)
+    ]
+    graphs = [g for n in range(2, 7) for g in connected_graphs_up_to_iso(n)]
+    for f in [build_graph_fan(g) for g in graphs] + [
+        build_graph_fan(parse_graph(spec), rng=random.Random(seed))
+        for seed, spec in enumerate(("P10", "C9", "S8", "S7", "K7"))
+    ]:
+        cases.append((f.max_cones, len(f.rays)))
+    for cones, num_rays in cases:
+        assert fans._lane_masks(cones, num_rays) == reference_lane_masks(cones, num_rays), (num_rays, len(cones))
+
+
+@pytest.mark.parametrize("last", [0b10000101, 1 << 20 | 1])
+def test_a_cone_with_a_ray_the_fan_lacks_is_refused(last):
+    # the P^2 fan with rays 0..2 and its last cone {0, 2, 7}, whose ray 7
+    # sits in the spare bits of the cones' one byte, or {0, 20}, past it
+    rays = (Ray(1, 1, 0), Ray(2, 1, 0), Ray(3, -1, 0))
+    message = re.escape(f"cone {fans.bits_of(last)} names a ray the fan does not have")
+    for check in (is_smooth, is_complete, lambda f: fans.first_clash(f, 0b111, [0b111] * 3)):
+        with pytest.raises(FanError, match=message):
+            check(Fan(2, rays, (0b011, 0b110, last)))
 
 
 def test_walk_matches_the_per_cone_walk_on_damaged_fans():

@@ -2,6 +2,7 @@
 iterated-cone classifier."""
 
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -393,6 +394,25 @@ def test_eight_vertex_catalog_sample_is_pairwise_non_isomorphic():
             pairs += 1
             assert not nx.is_isomorphic(a, b), (list(a.edges()), list(b.edges()))
     assert pairs > 0
+
+
+def test_catalog_file_is_read_once_for_every_size(monkeypatch):
+    from graphassoc import graphs
+
+    # pathlib's read_text opens the file through Path.open too
+    opened = []
+    open_path = pathlib.Path.open
+
+    def counted(path, *args, **kwargs):
+        opened.append(path.name)
+        return open_path(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "open", counted)
+    graphs._catalog.cache_clear()
+    graphs._catalog_blocks.cache_clear()
+    counts = [len(connected_graphs_up_to_iso(n)) for n in range(1, 9)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert opened.count("catalog.txt") == 1
 
 
 def test_catalog_hands_out_copies():
