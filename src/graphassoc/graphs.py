@@ -1,8 +1,9 @@
 """Simple graphs on bitmask adjacency rows, tube enumeration, the
-iterated-cone-over-a-discrete-set classifier, the set-family helpers
-that the other modules share (`cliques`, `nested_or_apart`), and the
-catalog of connected graphs on 1 to 8 vertices up to isomorphism, read
-from the package data file catalog.txt (`connected_graphs_up_to_iso`).
+iterated-cone-over-a-discrete-set classifier, the compatibility table
+that the other modules share (`nested_or_apart`), the clique walk of
+`moduli` (`cliques`), and the catalog of connected graphs on 1 to 8
+vertices up to isomorphism, read from the package data file catalog.txt
+(`connected_graphs_up_to_iso`).
 
 Vertex subsets are plain ints used as bitmasks throughout the package.
 Connectivity has one algorithm per kind of question: a loop over all
@@ -53,8 +54,9 @@ def cliques(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
     adjacent to the nodes of the bitmask compat[i], as the increasing tuple
     of its nodes, depth first: each size comes out in lexicographic order.
 
-    These are the faces of a flag complex: tubings over a table of
-    compatible tubes, stable trees over one of compatible nodal divisors."""
+    These are the faces of a flag complex: the stable trees of `moduli`
+    over a table of compatible nodal divisors (tubings are counted, not
+    walked; the test oracles walk them over a table of compatible tubes)."""
 
     def extend(chosen: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
         while cand:

@@ -8,8 +8,8 @@ nodal divisors plus the count of independent marks.
 A set of marks is an int bitmask: bit 0 is M and bit l + 1 is mark l, the
 order of `WeightVector.entries()`, so bit b weighs `w.entries()[b]`.  Leg
 sets are such masks, and a nodal divisor is one too: its side without M.
-Labels appear only in the JSON, whose vertex order one function,
-`_canonical`, gives every tree: the enumerator's and any other.
+The enumerator numbers each tree as it builds it from its clique; labels
+and the JSON's vertex order appear only in `StableTree.to_json`.
 
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
 a nodal divisor, and its splits are then pairwise compatible: their M-free
@@ -41,7 +41,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .epsrational import EpsRational
 from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_apart, tubes
@@ -68,45 +68,37 @@ class StableTree:
         return len(self.legs)
 
     def to_json(self) -> dict:
-        """The tree as `_canonical` renumbers it, so the JSON does not
-        depend on vertex numbering; labels appear only here."""
-        tree = _canonical(self.legs, self.edges)
+        """The tree renumbered in JSON order, its edges as sorted (smaller,
+        larger) pairs, so the JSON does not depend on vertex numbering; JSON
+        order and labels are decided here only.  Vertices go by their lowest
+        leg bit, the order of their sorted labels since leg sets are
+        disjoint, so legless vertices come first.  Those tie, and go by the
+        sorted bits of the marks beyond each of their edges, read by a walk
+        over the edges: these partition the marks differently at each
+        vertex, so they tell the legless vertices apart."""
+        legs, edges = self.legs, self.edges
+        order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
+        k = legs.count(0)
+        if k > 1:
+            nbrs = [[] for _ in legs]
+            for a, b in edges:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+
+            def beyond(v: int, u: int) -> int:
+                """The marks on u's side of the edge vu: disjoint leg sets,
+                so their sum is their union."""
+                return legs[u] + sum(beyond(u, x) for x in nbrs[u] if x != v)
+
+            order[:k] = sorted(order[:k], key=lambda v: sorted(bits_of(beyond(v, u)) for u in nbrs[v]))
+        pos = [0] * len(legs)
+        for new, old in enumerate(order):
+            pos[old] = new
+        ends = ((pos[a], pos[b]) for a, b in edges)
         return {
-            "vertices": [{"legs": list(_labels(legs))} for legs in tree.legs],
-            "edges": [list(e) for e in tree.edges],
+            "vertices": [{"legs": list(_labels(legs[v]))} for v in order],
+            "edges": sorted([x, y] if x < y else [y, x] for x, y in ends),
         }
-
-
-def _canonical(legs: Sequence[int], edges: Sequence[tuple[int, int]]) -> StableTree:
-    """The tree with these legs and edges renumbered in JSON order, its
-    edges as sorted (smaller, larger) pairs.  Vertices go by their lowest
-    leg bit, the order of their sorted labels since leg sets are disjoint,
-    so legless vertices come first.  Those tie, and go by the sorted bits of
-    the marks beyond each of their edges, read by a walk over the edges:
-    these partition the marks differently at each vertex, so they tell the
-    legless vertices apart."""
-    order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
-    k = legs.count(0)
-    if k > 1:
-        nbrs = [[] for _ in legs]
-        for a, b in edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-
-        def beyond(v: int, u: int) -> int:
-            """The marks on u's side of the edge vu: disjoint leg sets, so
-            their sum is their union."""
-            return legs[u] + sum(beyond(u, x) for x in nbrs[u] if x != v)
-
-        order[:k] = sorted(order[:k], key=lambda v: sorted(bits_of(beyond(v, u)) for u in nbrs[v]))
-    pos = [0] * len(legs)
-    for new, old in enumerate(order):
-        pos[old] = new
-    ends = ((pos[a], pos[b]) for a, b in edges)
-    return StableTree(
-        tuple(map(legs.__getitem__, order)),
-        tuple(sorted((x, y) if x < y else (y, x) for x, y in ends)),
-    )
 
 
 def _vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
@@ -147,45 +139,24 @@ def _side_tables(sides: list[int], marks: int) -> tuple[list[int], list[int]]:
     return compat, [up >> i + 1 << i + 1 for i, up in enumerate(above)]
 
 
-def _json_sort_key():
-    """A sort key that orders trees numbered in JSON order, as `_canonical`
-    returns them, as (num_vertices, str(to_json())) does, see
-    `enumerate_stable_trees`; it makes the key of each leg set and each
-    edge once."""
-    vertex = functools.cache(lambda legs: (*_labels(legs), "~"))
-    edge = functools.cache(lambda e: (str(e[0]), f"{e[1]}~"))
-    return lambda t: (len(t.legs), tuple(map(vertex, t.legs)), tuple(map(edge, t.edges)))
-
-
 def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
     """All stable dual trees with at most max_vertices components, up to
     isomorphism fixing the legs, with leg sets as bitmasks of marks (bit 0
-    for M, bit l + 1 for mark l), numbered in the vertex order of their
-    JSON and sorted by component count and then by `str(to_json())`; []
-    when the total weight is at most 2.  Raises ValueError unless every
-    weight lies in (0, 1].
+    for M, bit l + 1 for mark l), in the order of the clique walk, the
+    one-component tree first; [] when the total weight is at most 2.
+    Raises ValueError unless every weight lies in (0, 1].
 
     The trees of j + 1 components are the j-cliques of compatible nodal
     divisors, by the lemma in the module docstring, walked once.  Each tree
-    is built from its clique: side i hangs from the smallest side of the
-    clique that contains it, the lowest bit of sup[i] inside the clique, or
-    else from the vertex of M.  `_canonical` then renumbers it.
-
-    The sort key stands in for the JSON string without building it.  A
-    vertex gives its label strings and then "~", which sorts above every
-    label as the `]` closing a leg list sorts above the `,` before a
-    further label; labels compare as strings, as in the text ('10' < '2').
-    An edge (a, b) gives (str(a), str(b) + "~"), since b is followed by
-    `]`, which sorts above a digit: the text puts [0, 1] after [0, 10],
-    where ("0", "1") would sort before ("0", "10").
-    """
+    is built from its clique c: vertex j hangs below the edge of side c[j],
+    from the smallest side of the clique that contains it, the lowest bit
+    of sup[c[j]] inside the clique, or else from the vertex of M, which
+    comes last.  Only `StableTree.to_json` renumbers."""
     sides, sup, walk = _stable_cliques(w, max_vertices)
     every = (1 << w.n) - 1  # the marks, all on the vertex of M at first
     bit = [1 << i for i in range(len(sides))]
     trees = []
     for c in walk:
-        # vertex j < len(c) hangs below the edge of side c[j]; the last
-        # vertex holds M
         clique = sum(map(bit.__getitem__, c))
         at = {i: j for j, i in enumerate(c)}
         legs = [*map(sides.__getitem__, c), every]
@@ -195,8 +166,7 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
             p = at[(above & -above).bit_length() - 1] if above else len(c)
             edges.append((p, j))
             legs[p] &= ~sides[i]
-        trees.append(_canonical(legs, edges))
-    trees.sort(key=_json_sort_key())
+        trees.append(StableTree(tuple(legs), tuple(edges)))
     return trees
 
 

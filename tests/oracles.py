@@ -585,12 +585,46 @@ def tree_of(n: int, sides: list[int]) -> StableTree:
 
 def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
     """The JSON of the trees of the package's clique walk, each built by
-    `tree_of` with M on vertex 0, sorted by component count and then by
-    the JSON string."""
+    `tree_of` with M on vertex 0 and written by a numbering rule of its
+    own, not `StableTree.to_json`, in the order of `sorted_tree_json`.
+
+    Vertices go by their lowest mark bit, so the legless ones come first,
+    ordered by the sorted marks on M's side of each.  This is the order of
+    `to_json`, whose tie-break compares the sorted marks of each branch of
+    a legless vertex: the branch holding M sorts first, and two legless
+    vertices never share it, since their edges toward M are distinct
+    splits."""
     sides, _, walk = _stable_cliques(w, max_vertices)
-    items = [tree_of(w.n, [sides[i] for i in c]).to_json() for c in walk]
-    items.sort(key=lambda item: (len(item["vertices"]), str(item)))
+    every = (1 << w.n) - 1
+    items = []
+    for c in walk:
+        tree = tree_of(w.n, [sides[i] for i in c])
+        m_side = [every] + [every & ~sides[i] for i in c]  # vertex 0 holds M
+        # the lowest mark bits tie only between legless vertices
+        order = sorted(
+            range(tree.num_vertices),
+            key=lambda v: (tree.legs[v] & -tree.legs[v], bits_of(m_side[v])),
+        )
+        pos = {old: new for new, old in enumerate(order)}
+        items.append({
+            "vertices": [
+                {"legs": ["M" if b == 0 else str(b - 1) for b in bits_of(tree.legs[v])]}
+                for v in order
+            ],
+            "edges": sorted(sorted([pos[a], pos[b]]) for a, b in tree.edges),
+        })
+    items.sort(key=_json_text_order)
     return items
+
+
+def _json_text_order(item: dict) -> tuple[int, str]:
+    return len(item["vertices"]), str(item)
+
+
+def sorted_tree_json(trees) -> list[dict]:
+    """The JSON of the trees, sorted by component count and then by the
+    JSON string: the order of the reference and of the pinned digests."""
+    return sorted((t.to_json() for t in trees), key=_json_text_order)
 
 
 def pairwise_side_tables(sides: list[int]) -> tuple[list[int], list[int]]:

@@ -29,13 +29,14 @@ from graphassoc import (
     remark_weights,
 )
 from graphassoc.graphs import bits_of
-from graphassoc.moduli import _json_sort_key, _side_tables, _vertex_stable
+from graphassoc.moduli import _side_tables, _vertex_stable
 from oracles import (
     chain_shape_check,
     enumerate_tubings,
     marks,
     pairwise_side_tables,
     reference_tree_json,
+    sorted_tree_json,
     subset_nodal_divisors,
     tree_from_json,
     tree_stable,
@@ -67,10 +68,9 @@ def iterated_cones_up_to(max_n):
 def splitting_trees(w, max_vertices):
     """Stable trees by recursive vertex splitting from the one-component
     tree, pruning splits that leave either side unstable and removing
-    duplicates by their multiset of leg bipartitions; sorted like
-    `enumerate_stable_trees`.  Every stable tree contracts, edge by edge,
-    to the one-component tree through stable trees, so splitting reaches
-    everything."""
+    duplicates by their multiset of leg bipartitions.  Every stable tree
+    contracts, edge by edge, to the one-component tree through stable
+    trees, so splitting reaches everything."""
     root = StableTree(((1 << w.n) - 1,), ())
     if not tree_stable(w, root):
         return []
@@ -86,9 +86,7 @@ def splitting_trees(w, max_vertices):
                     found[key] = split
                     next_frontier.append(split)
         frontier = next_frontier
-    trees = list(found.values())
-    trees.sort(key=lambda t: (t.num_vertices, str(t.to_json())))
-    return trees
+    return list(found.values())
 
 
 def partition_key(tree):
@@ -151,10 +149,6 @@ def splits(stable, tree):
             yield StableTree(tuple(legs_out), tuple(edges_out))
 
 
-def trees_json(trees):
-    return [t.to_json() for t in trees]
-
-
 CLIQUE_WEIGHTS = [
     parse_weight_vector("1,1-3e,4e,4e,e,e"),
     parse_weight_vector("1,1,1,e,e,e,e"),
@@ -164,14 +158,18 @@ CLIQUE_WEIGHTS = [
 
 
 def test_cliques_match_the_splitting_enumerator():
-    """Tree for tree and in order, and counted alike without building."""
+    """Tree for tree, and counted alike without building, at every cap on
+    the components: the splitting trees of at most that many components,
+    so the walk's cut-off at the cap is checked too."""
     assert len(CLIQUE_WEIGHTS) == 2 + 15 + 4
     for w in CLIQUE_WEIGHTS:
-        trees = enumerate_stable_trees(w, w.n - 2)
-        assert trees_json(trees) == trees_json(splitting_trees(w, w.n - 2)), str(w)
-        assert count_stable_trees(w, w.n - 2) == dict(
-            sorted(Counter(t.num_vertices for t in trees).items())
-        )
+        splitting = sorted_tree_json(splitting_trees(w, w.n - 2))
+        for cap in range(1, w.n - 1):
+            expected = [item for item in splitting if len(item["vertices"]) <= cap]
+            assert sorted_tree_json(enumerate_stable_trees(w, cap)) == expected, (str(w), cap)
+            assert count_stable_trees(w, cap) == dict(
+                sorted(Counter(len(item["vertices"]) for item in expected).items())
+            ), (str(w), cap)
 
 
 def test_side_tables_match_the_pairwise_tables():
@@ -194,51 +192,10 @@ def test_side_tables_match_the_pairwise_tables():
     ids=str,
 )
 def test_trees_match_the_reference_json(w, cap):
-    """Tree for tree and in order: the trees built in JSON order from their
-    cliques and sorted by `_json_sort_key` are the reference trees, built
-    with M on vertex 0, renumbered as their JSON reads and sorted by
-    `str(to_json())`."""
-    trees = enumerate_stable_trees(w, cap)
-    reference = reference_tree_json(w, cap)
-    assert trees == [tree_from_json(item) for item in reference]
-    assert trees_json(trees) == reference
-
-
-def prufer_tree(seq, n):
-    """The labelled tree on n vertices with Pruefer sequence seq, as sorted
-    (smaller, larger) edges."""
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    for v in seq:
-        leaf = min(u for u in range(n) if degree[u] == 1)
-        edges.append(tuple(sorted((leaf, v))))
-        degree[leaf] -= 1
-        degree[v] -= 1
-    edges.append(tuple(u for u in range(n) if degree[u] == 1))
-    return tuple(sorted(edges))
-
-
-def test_json_sort_key_orders_edges_as_the_json_text():
-    """On 13-vertex trees with labels up to 20 that differ only in their
-    edges, where edge ends reach 10, `_json_sort_key` orders as the JSON
-    string does, and a key without the closing "~" does not."""
-    legs = (marks("M", 0, 13),) + tuple(
-        marks(v, v + 13) if v + 13 <= 20 else marks(v) for v in range(1, 13)
-    )
-    rng = random.Random(13)
-    trees = {
-        StableTree(legs, prufer_tree([rng.randrange(13) for _ in range(11)], 13))
-        for _ in range(2000)
-    }
-    trees = sorted(trees, key=lambda t: t.edges)  # a start not in JSON order
-    for t in trees:  # numbered in JSON order, which the key assumes
-        assert t.to_json()["edges"] == [list(e) for e in t.edges]
-    by_text = sorted(trees, key=lambda t: (t.num_vertices, str(t.to_json())))
-    assert sorted(trees, key=_json_sort_key()) == by_text
-    no_sentinel = sorted(trees, key=lambda t: [(str(a), str(b)) for a, b in t.edges])
-    assert no_sentinel != by_text
+    """Tree for tree: the JSON of the trees built from their cliques is
+    the reference JSON, built with M on vertex 0 and numbered by a rule of
+    its own, both sorted by component count and JSON string."""
+    assert sorted_tree_json(enumerate_stable_trees(w, cap)) == reference_tree_json(w, cap)
 
 
 @pytest.mark.parametrize(
@@ -277,9 +234,10 @@ def test_nodal_divisors_match_the_per_subset_reference(w):
     ids=["S6", "LM9"],
 )
 def test_tree_lists_are_pinned(w, digest):
-    """SHA-256 of the JSON tree list the splitting enumerator gave."""
-    trees = enumerate_stable_trees(w, w.n - 2)
-    assert hashlib.sha256(json.dumps(trees_json(trees)).encode()).hexdigest() == digest
+    """SHA-256 of the JSON tree list the splitting enumerator gave, sorted
+    by component count and JSON string."""
+    trees = sorted_tree_json(enumerate_stable_trees(w, w.n - 2))
+    assert hashlib.sha256(json.dumps(trees).encode()).hexdigest() == digest
 
 
 def renumbered(tree, rng):
@@ -298,11 +256,12 @@ def renumbered(tree, rng):
 def test_json_does_not_depend_on_vertex_numbering():
     """Two adjacent legless vertices tie on their legs and are ordered by
     the legs of their branches, so one 8-mark tree numbered two ways gives
-    one JSON, with the vertex next to M first.  Then every enumerated tree
-    of eight marks of weight 1 (where legless vertices tie), of an iterated
-    cone and of Losev-Manin space on 7 marks reads back from its JSON as
-    itself.  Every tree whose legless vertices tie, and one in four of the
-    others, gives that JSON again when renumbered at random."""
+    one JSON, with the vertex next to M first.  Then the JSON of every
+    enumerated tree of eight marks of weight 1 (where legless vertices
+    tie), of an iterated cone and of Losev-Manin space on 7 marks reads
+    back as a tree with that JSON.  Every tree whose legless vertices tie,
+    and one in four of the others, gives that JSON again when renumbered
+    at random."""
     legs = tuple(marks(*x) for x in (["M", 0], [1, 2], [], [], [3, 4], [5, 6]))
     a = StableTree(legs, ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)))
     b = StableTree(legs, ((0, 3), (1, 3), (3, 2), (2, 4), (2, 5)))
@@ -315,7 +274,7 @@ def test_json_does_not_depend_on_vertex_numbering():
     for w, cap in [(parse_weight_vector("1,1,1,1,1,1,1,1"), 6), (cone, cone.n - 2), (lm_weights(7), 5)]:
         for tree in enumerate_stable_trees(w, cap):
             item = tree.to_json()
-            assert tree_from_json(item) == tree
+            assert tree_from_json(item).to_json() == item
             if tree.legs.count(0) > 1 or rng.random() < 0.25:
                 assert renumbered(tree, rng).to_json() == item, (str(w), item)
 
