@@ -38,8 +38,12 @@ clash.  On laminar cones:
 The two cones at a facet F = c ^ u must lie on opposite sides of it, the
 sign of det(F, u) = det(c) (-1)^(d-1-k) for u in place k of c: the
 facets on one side go into one set, and those on the other side must
-empty it.  With that wall condition the number of cones over a generic
-point is constant, and h_0 = 1 (the cones holding v) makes it one
+empty it.  Rays that share no cone are checked as a group, and c's facet
+is c ANDed with every ray bit except the group's: c holds one ray of the
+group, and no bit past the last ray (`_lane_masks` refused any such
+cone), so that is c ^ u exactly, made from positive ints alone.  With
+that wall condition the number of cones over a generic point is
+constant, and h_0 = 1 (the cones holding v) makes it one
 (`is_complete`).  The h-vector, h_k the number of cones with k negative
 lambda, gives the f-vector, f_j = sum_i C(d-i, j+1-i) h_i (`f_vector`)."""
 
@@ -249,8 +253,11 @@ def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[i
     many, must empty it.  Ray i's facet is on the side of the cone's first
     facet (`sides`) if i is in an even place, in the cones `odd[i]` on the
     other.  Rays that share no cone form a group, and one `_pick` per side
-    yields the cones of all of them; c & ~group is the facet, c without the
-    one ray of the group in c."""
+    yields the cones of all of them.  The facet is c & (full ^ group), c
+    with every ray bit but the group's: c without the one ray of the group
+    in c, since no cone holds a ray at or past len(lanes) (`_lane_masks`).
+    The mask is positive: CPython ANDs a negative int such as ~group
+    through a two's-complement copy of it, one per facet."""
     groups = []  # [lanes, rays, lanes with the facet on side 1]
     for i, o in odd.items():
         here = lanes[i]
@@ -267,9 +274,11 @@ def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[i
     if size != sum(one.bit_count() for _, _, one in groups):
         return False
 
+    full = (1 << len(lanes)) - 1
+
     def on_side(side: int) -> Iterator[int]:
         return chain.from_iterable(
-            map(and_, _pick(cones, one if side else held ^ one), repeat(~rays))
+            map(and_, _pick(cones, one if side else held ^ one), repeat(full ^ rays))
             for held, rays, one in groups
         )
 

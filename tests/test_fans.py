@@ -568,6 +568,25 @@ def test_walk_matches_the_per_cone_walk_on_damaged_fans():
     assert laminar == {True, False}
 
 
+@pytest.mark.parametrize("spec", ["S7", "K7"])
+def test_walk_matches_the_per_cone_walk_on_damaged_wide_fans(spec):
+    # fans of 69 and 126 rays, whose facets pass the 61-bit hash modulus and
+    # one and two 64-bit words: intact, and with a cone dropped, doubled, or
+    # replaced by another of its cones (the walls fail among laminar cones)
+    # or by a random set of d rays
+    rng = random.Random(33)
+    f = build_graph_fan(parse_graph(spec))
+    assert len(f.rays) > 64 and _walk_matches(f)
+    for _ in range(3):
+        cones = list(f.max_cones)
+        k, j = rng.sample(range(len(cones)), 2)
+        for damaged in (cones[:k] + cones[k + 1:], cones + [cones[k]], cones[:k] + [cones[j]] + cones[k + 1:]):
+            damaged = Fan(f.dim, f.rays, tuple(damaged))
+            assert fans._walk(damaged) == walk_per_cone(damaged) == (True, False, None)
+        new = sum(1 << i for i in rng.sample(range(len(f.rays)), f.dim))
+        _walk_matches(Fan(f.dim, f.rays, tuple(cones[:k] + [new] + cones[k + 1:])))
+
+
 def test_walk_matches_the_per_cone_walk_on_blown_up_fans():
     # complete smooth fans of other shapes than graph fans: random stellar
     # subdivisions of P^d and of (P^1)^d, whose rays (sums of signed unit
