@@ -1,9 +1,9 @@
 """Simple graphs on bitmask adjacency rows, tube enumeration, the
 iterated-cone-over-a-discrete-set classifier, the compatibility table
-that the other modules share (`nested_or_apart`), the clique walk of
-`moduli` (`cliques`), and the catalog of connected graphs on 1 to 8
-vertices up to isomorphism, read from the package data file catalog.txt
-(`connected_graphs_up_to_iso`).
+that the other modules share (`nested_or_apart`), the clique walk that
+counts `moduli`'s trees (`cliques`), and the catalog of connected graphs
+on 1 to 8 vertices up to isomorphism, read from the package data file
+catalog.txt (`connected_graphs_up_to_iso`).
 
 Vertex subsets are plain ints used as bitmasks throughout the package.
 Connectivity has one algorithm per kind of question: a loop over all
@@ -54,21 +54,24 @@ def cliques(compat: list[int], max_size: int) -> Iterator[tuple[int, ...]]:
     adjacent to the nodes of the bitmask compat[i], as the increasing tuple
     of its nodes, depth first: each size comes out in lexicographic order.
 
-    These are the faces of a flag complex: the stable trees of `moduli`
-    over a table of compatible nodal divisors (tubings are counted, not
-    walked; the test oracles walk them over a table of compatible tubes)."""
+    These are the faces of a flag complex: the stable trees that `moduli`
+    counts over a table of compatible nodal divisors (tubings are counted,
+    not walked; the test oracles walk them over a table of compatible
+    tubes)."""
+    return _extend(compat, max_size, (), (1 << len(compat)) - 1 if max_size > 0 else 0)
 
-    def extend(chosen: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            clique = chosen + (low.bit_length() - 1,)
-            yield clique
-            if len(clique) < max_size:
-                # compatible nodes after this one only, so none is seen twice
-                yield from extend(clique, cand & compat[clique[-1]])
 
-    return extend((), (1 << len(compat)) - 1 if max_size > 0 else 0)
+def _extend(compat: list[int], max_size: int, chosen: tuple, cand: int) -> Iterator[tuple[int, ...]]:
+    """The cliques of `cliques` that extend chosen by nodes of cand; at
+    module level, since a recursive closure would be a reference cycle."""
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        clique = chosen + (low.bit_length() - 1,)
+        yield clique
+        if len(clique) < max_size:
+            # compatible nodes after this one only, so none is seen twice
+            yield from _extend(compat, max_size, clique, cand & compat[clique[-1]])
 
 
 def nested_or_apart(

@@ -8,7 +8,7 @@ nodal divisors plus the count of independent marks.
 A set of marks is an int bitmask: bit 0 is M and bit l + 1 is mark l, the
 order of `WeightVector.entries()`, so bit b weighs `w.entries()[b]`.  Leg
 sets are such masks, and a nodal divisor is one too: its side without M.
-The enumerator numbers each tree as it builds it from its clique; labels
+The enumerator numbers each tree as it grows it, M on vertex 0; labels
 and the JSON's vertex order appear only in `StableTree.to_json`.
 
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
@@ -29,10 +29,11 @@ deg(v) + w(legs(v)) > 2.
 A stable tree is determined by its splits, since every vertex of degree at
 most 2 carries a leg.  So the stable trees with j + 1 components are
 exactly the j-cliques of the compatibility graph on `nodal_divisors(w)`,
-read off `graphs.nested_or_apart` and walked by `graphs.cliques`; only
-the one-component tree needs its own check, total weight > 2.  Weights are
-compared in `nodal_divisors`, in that check and in the check that they lie
-in (0, 1]; the walk compares none.
+read off `graphs.nested_or_apart`; only the one-component tree needs its
+own check, total weight > 2.  Trees are grown along their own walk of the
+cliques, a vertex per side; counts still walk them with `graphs.cliques`.
+Weights are compared in `nodal_divisors`, in that check and in the check
+that they lie in (0, 1]; the walks compare none.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .epsrational import EpsRational
 from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_apart, tubes
@@ -112,61 +113,59 @@ def _check_weights(w: WeightVector) -> None:
         raise ValueError(f"stable trees need every weight in (0, 1], got {w}")
 
 
-def _stable_cliques(
-    w: WeightVector, max_vertices: int
-) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
-    """The M-free sides of the nodal divisors; sup[i], the bitmask of the
-    later sides that contain side i; and a walk over the cliques of
-    pairwise compatible sides, as tuples of side indices: one per stable
-    tree of 1..max_vertices components, the empty clique (the one-component
-    tree) first.  No cliques at all when the one-component tree is
-    unstable."""
+def _stable_sides(w: WeightVector, max_vertices: int) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """After the checks of the cap and the weights, in this order: the
+    M-free sides of the nodal divisors and their tables (above, compat) from
+    `graphs.nested_or_apart`; None when the one-component tree is unstable."""
     if not (1 <= max_vertices <= w.n - 2):
         raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
     _check_weights(w)
     if not _vertex_stable(w, (1 << w.n) - 1, 0):
-        return [], [], iter(())
+        return None
     sides = nodal_divisors(w)
-    compat, sup = _side_tables(sides, w.n)
-    return sides, sup, itertools.chain([()], cliques(compat, max_vertices - 1))
+    return (sides, *nested_or_apart(sides, w.n))
 
 
-def _side_tables(sides: list[int], marks: int) -> tuple[list[int], list[int]]:
-    """compat[i], the sides other than side i that are nested with it or
-    disjoint from it, and sup[i], the later sides that contain it, read off
-    `graphs.nested_or_apart` over the marks."""
-    above, compat = nested_or_apart(sides, marks)
-    return compat, [up >> i + 1 << i + 1 for i, up in enumerate(above)]
+def _grow(trees, legs, edges, at, sides, above, compat, chosen, cand, room):
+    """Append each tree grown from the tree (legs, edges) of the chosen
+    sides by 1..room sides of cand, the largest first, so that no later side
+    contains a chosen one.  Side i hangs below at[j], the vertex of its
+    smallest chosen container j, the lowest bit of above[i] & chosen, or
+    else below at[-1] = 0, M's vertex.  No chosen child of that parent,
+    being larger and not above side i, meets it, so the parent's legs hold
+    side i, and lose it to the new vertex until the step is undone."""
+    while cand:
+        i = cand.bit_length() - 1
+        cand ^= 1 << i
+        up = above[i] & chosen
+        p = at[(up & -up).bit_length() - 1]
+        at[i] = len(legs)
+        legs[p] ^= sides[i]
+        legs.append(sides[i])
+        edges.append((p, at[i]))
+        trees.append(StableTree(tuple(legs), tuple(edges)))
+        if room > 1:
+            _grow(trees, legs, edges, at, sides, above, compat, chosen | 1 << i, cand & compat[i], room - 1)
+        del legs[-1], edges[-1]
+        legs[p] ^= sides[i]
 
 
 def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTree]:
     """All stable dual trees with at most max_vertices components, up to
     isomorphism fixing the legs, with leg sets as bitmasks of marks (bit 0
-    for M, bit l + 1 for mark l), in the order of the clique walk, the
-    one-component tree first; [] when the total weight is at most 2.
+    for M, bit l + 1 for mark l); [] when the total weight is at most 2.
     Raises ValueError unless every weight lies in (0, 1].
 
     The trees of j + 1 components are the j-cliques of compatible nodal
-    divisors, by the lemma in the module docstring, walked once.  Each tree
-    is built from its clique c: vertex j hangs below the edge of side c[j],
-    from the smallest side of the clique that contains it, the lowest bit
-    of sup[c[j]] inside the clique, or else from the vertex of M, which
-    comes last.  Only `StableTree.to_json` renumbers."""
-    sides, sup, walk = _stable_cliques(w, max_vertices)
-    every = (1 << w.n) - 1  # the marks, all on the vertex of M at first
-    bit = [1 << i for i in range(len(sides))]
-    trees = []
-    for c in walk:
-        clique = sum(map(bit.__getitem__, c))
-        at = {i: j for j, i in enumerate(c)}
-        legs = [*map(sides.__getitem__, c), every]
-        edges = []
-        for j, i in enumerate(c):
-            above = sup[i] & clique
-            p = at[(above & -above).bit_length() - 1] if above else len(c)
-            edges.append((p, j))
-            legs[p] &= ~sides[i]
-        trees.append(StableTree(tuple(legs), tuple(edges)))
+    divisors, by the lemma in the module docstring.  The one-component
+    tree comes first.  `_grow` then walks the cliques depth first, largest
+    side first, and builds each tree from its parent clique's by one new
+    vertex, so M is on vertex 0; only `StableTree.to_json` renumbers."""
+    tables = _stable_sides(w, max_vertices)
+    trees = [StableTree(((1 << w.n) - 1,), ())] if tables else []  # every mark on M's vertex
+    if tables and max_vertices > 1:
+        n = len(tables[0])
+        _grow(trees, list(trees[0].legs), [], [0] * (n + 1), *tables, 0, (1 << n) - 1, max_vertices - 1)
     return trees
 
 
@@ -200,10 +199,11 @@ def nodal_divisors(w: WeightVector) -> list[int]:
 
 def count_stable_trees(w: WeightVector, max_vertices: int) -> dict[int, int]:
     """Component count -> number of stable trees with that many components,
-    for 1..max_vertices components, by the walk of `enumerate_stable_trees`
-    without building the trees."""
-    counts = Counter(len(c) + 1 for c in _stable_cliques(w, max_vertices)[2])
-    return dict(sorted(counts.items()))
+    for 1..max_vertices components: one per clique of compatible sides,
+    walked by `graphs.cliques` without building the trees."""
+    tables = _stable_sides(w, max_vertices)
+    walk = itertools.chain([()], cliques(tables[2], max_vertices - 1)) if tables else ()
+    return dict(sorted(Counter(len(c) + 1 for c in walk).items()))
 
 
 # -- divisor/tube correspondence --------------------------------------------

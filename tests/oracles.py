@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from graphassoc import (
@@ -24,7 +24,7 @@ from graphassoc.epsrational import _eps_term, _frac_str
 from graphassoc.fans import _Checks
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
-from graphassoc.moduli import _stable_cliques, _vertex_stable, enumerate_stable_trees
+from graphassoc.moduli import _stable_sides, _vertex_stable, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
 from graphassoc.weights import W1W2Report
@@ -584,9 +584,11 @@ def tree_of(n: int, sides: list[int]) -> StableTree:
 
 
 def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
-    """The JSON of the trees of the package's clique walk, each built by
-    `tree_of` with M on vertex 0 and written by a numbering rule of its
-    own, not `StableTree.to_json`, in the order of `sorted_tree_json`.
+    """The JSON of the trees of the cliques of compatible sides, walked by
+    `graphs.cliques` as `count_stable_trees` walks them, not grown as the
+    enumerator grows its trees: each built by `tree_of` with M on vertex 0
+    and written by a numbering rule of its own, not `StableTree.to_json`,
+    in the order of `sorted_tree_json`.
 
     Vertices go by their lowest mark bit, so the legless ones come first,
     ordered by the sorted marks on M's side of each.  This is the order of
@@ -594,7 +596,11 @@ def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
     a legless vertex: the branch holding M sorts first, and two legless
     vertices never share it, since their edges toward M are distinct
     splits."""
-    sides, _, walk = _stable_cliques(w, max_vertices)
+    tables = _stable_sides(w, max_vertices)
+    if tables is None:
+        return []
+    sides = tables[0]
+    walk = chain([()], cliques(tables[2], max_vertices - 1))
     every = (1 << w.n) - 1
     items = []
     for c in walk:
@@ -628,8 +634,9 @@ def sorted_tree_json(trees) -> list[dict]:
 
 
 def pairwise_side_tables(sides: list[int]) -> tuple[list[int], list[int]]:
-    """`moduli._side_tables` pair by pair: compat[i], the sides nested with
-    or disjoint from side i, and sup[i], the later sides that contain it."""
+    """The tables of the M-free sides, pair by pair: compat[i], the sides
+    nested with or disjoint from side i, and sup[i], the later sides that
+    contain it."""
     compat = [0] * len(sides)
     sup = [0] * len(sides)
     for i, a in enumerate(sides):

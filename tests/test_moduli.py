@@ -1,6 +1,7 @@
 """Stable dual trees, nodal divisors, and the divisor/ray correspondence."""
 
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -28,8 +29,8 @@ from graphassoc import (
     record_comparisons,
     remark_weights,
 )
-from graphassoc.graphs import bits_of
-from graphassoc.moduli import _side_tables, _vertex_stable
+from graphassoc.graphs import bits_of, nested_or_apart
+from graphassoc.moduli import _vertex_stable
 from oracles import (
     chain_shape_check,
     enumerate_tubings,
@@ -173,12 +174,32 @@ def test_cliques_match_the_splitting_enumerator():
 
 
 def test_side_tables_match_the_pairwise_tables():
-    # the holder-mask tables against the pair loop they replaced, on the
-    # clique weights and on thirteen marks of weight 1 (4,082 sides)
+    # the holder-mask tables that the walks read against the pair loop, on
+    # the clique weights and on thirteen marks of weight 1 (4,082 sides):
+    # compat, and above[i], the later sides that contain side i and side i
     for w in [*CLIQUE_WEIGHTS, parse_weight_vector(",".join(["1"] * 13))]:
         sides = nodal_divisors(w)
-        assert _side_tables(sides, w.n) == pairwise_side_tables(sides), str(w)
+        above, compat = nested_or_apart(sides, w.n)
+        pair_compat, sup = pairwise_side_tables(sides)
+        assert compat == pair_compat, str(w)
+        assert above == [s | 1 << i for i, s in enumerate(sup)], str(w)
     assert len(sides) == 4082
+
+
+@pytest.mark.parametrize("walk", [enumerate_stable_trees, count_stable_trees], ids=lambda f: f.__name__)
+def test_tree_walks_leave_no_cyclic_garbage(walk):
+    """With the collector off, a walk over the trees of Losev-Manin 7 leaves
+    nothing that only the cycle collector frees.  A recursive closure is a
+    reference cycle, and would keep each call's locals alive until a full
+    collection."""
+    w = lm_weights(7)
+    gc.disable()
+    try:
+        gc.collect()
+        walk(w, w.n - 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -192,9 +213,11 @@ def test_side_tables_match_the_pairwise_tables():
     ids=str,
 )
 def test_trees_match_the_reference_json(w, cap):
-    """Tree for tree: the JSON of the trees built from their cliques is
-    the reference JSON, built with M on vertex 0 and numbered by a rule of
-    its own, both sorted by component count and JSON string."""
+    """Tree for tree: the JSON of the trees grown by the enumerator is the
+    reference JSON, whose trees come from the clique walk of
+    `graphs.cliques`, a walk the enumerator does not share, built with M
+    on vertex 0 and numbered by a rule of their own; both sorted by
+    component count and JSON string."""
     assert sorted_tree_json(enumerate_stable_trees(w, cap)) == reference_tree_json(w, cap)
 
 
