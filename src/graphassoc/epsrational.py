@@ -271,7 +271,9 @@ class record_comparisons:
         return self
 
     def __exit__(self, *exc):
-        _RECORDERS.remove(self.pairs)
+        # by identity: list.remove would drop the first recorder whose pairs
+        # merely equal these, as those of two nested empty recorders do
+        _RECORDERS[:] = [rec for rec in _RECORDERS if rec is not self.pairs]
         return False
 
 

@@ -8,8 +8,11 @@ nodal divisors plus the count of independent marks.
 A set of marks is an int bitmask: bit 0 is M and bit l + 1 is mark l, the
 order of `WeightVector.entries()`, so bit b weighs `w.entries()[b]`.  Leg
 sets are such masks, and a nodal divisor is one too: its side without M.
-The enumerator numbers each tree as it grows it, M on vertex 0; labels
-and the JSON's vertex order appear only in `StableTree.to_json`.
+A tree is a `StableTree`, the named tuple (legs, edges) of its leg masks
+and vertex pairs.  The enumerator numbers each tree as it grows it, M on
+vertex 0, and makes it with one C call, `tuple.__new__`, since the named
+tuple's generated `__new__` is a Python call per tree; labels and the
+JSON's vertex order appear only in `StableTree.to_json`.
 
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
 a nodal divisor, and its splits are then pairwise compatible: their M-free
@@ -42,7 +45,7 @@ import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .epsrational import EpsRational
 from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_apart, tubes
@@ -56,10 +59,13 @@ def _labels(marks: int) -> tuple[str, ...]:
     return tuple("M" if b == 0 else str(b - 1) for b in bits_of(marks))
 
 
-@dataclass(frozen=True)
-class StableTree:
+class StableTree(NamedTuple):
     """Dual tree: legs[v] is the bitmask of the marks on vertex v, bit 0
-    for M and bit l + 1 for mark l."""
+    for M and bit l + 1 for mark l, and edges the pairs of its vertices.
+
+    A named tuple, so a tree is the plain tuple (legs, edges): it equals
+    and hashes as that tuple, and len(tree) is 2, not the vertex count
+    (that is `num_vertices`).  It has no per-instance dict."""
 
     legs: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -126,6 +132,9 @@ def _stable_sides(w: WeightVector, max_vertices: int) -> Optional[tuple[list[int
     return (sides, *nested_or_apart(sides, w.n))
 
 
+_new = tuple.__new__  # _new(StableTree, (legs, edges)), bound once
+
+
 def _grow(trees, legs, edges, at, sides, above, compat, chosen, cand, room):
     """Append each tree grown from the tree (legs, edges) of the chosen
     sides by 1..room sides of cand, the largest first, so that no later side
@@ -133,7 +142,9 @@ def _grow(trees, legs, edges, at, sides, above, compat, chosen, cand, room):
     smallest chosen container j, the lowest bit of above[i] & chosen, or
     else below at[-1] = 0, M's vertex.  No chosen child of that parent,
     being larger and not above side i, meets it, so the parent's legs hold
-    side i, and lose it to the new vertex until the step is undone."""
+    side i, and lose it to the new vertex until the step is undone.  Each
+    tree is made by `tuple.__new__` from its two fields in one C call; the
+    named tuple's generated `__new__` would add a Python call per tree."""
     while cand:
         i = cand.bit_length() - 1
         cand ^= 1 << i
@@ -143,7 +154,7 @@ def _grow(trees, legs, edges, at, sides, above, compat, chosen, cand, room):
         legs[p] ^= sides[i]
         legs.append(sides[i])
         edges.append((p, at[i]))
-        trees.append(StableTree(tuple(legs), tuple(edges)))
+        trees.append(_new(StableTree, (tuple(legs), tuple(edges))))
         if room > 1:
             _grow(trees, legs, edges, at, sides, above, compat, chosen | 1 << i, cand & compat[i], room - 1)
         del legs[-1], edges[-1]

@@ -150,6 +150,27 @@ def test_record_comparisons():
     assert len(rec.pairs) == 1
 
 
+def test_nested_recorders_detach_themselves_only():
+    """Each recorder sees the comparisons made inside it and none after its
+    exit, also when nested recorders hold equal pairs and when an exception
+    leaves one."""
+    with record_comparisons() as outer:
+        with record_comparisons() as inner:
+            _ = EpsRational(1) < 2
+        _ = EpsRational(1) < 3
+        with pytest.raises(ZeroDivisionError):
+            with record_comparisons() as failed:
+                _ = EPS < 1
+                1 / 0
+        _ = EPS < 2
+    _ = EPS < 3
+    assert inner.pairs == [(EpsRational(1), EpsRational(2))]
+    assert failed.pairs == [(EPS, EpsRational(1))]
+    assert outer.pairs == [(EpsRational(1), EpsRational(2)), (EpsRational(1), EpsRational(3)),
+                           (EPS, EpsRational(1)), (EPS, EpsRational(2))]
+    assert epsrational._RECORDERS == []
+
+
 def test_default_eps():
     assert default_eps(6, 2) == Fraction(1, 30)
     assert 0 < default_eps(6, 2) < Fraction(1, 6)

@@ -369,6 +369,24 @@ def test_one_component_tree_always_first():
     assert trees[0].edges == ()
 
 
+def test_stable_tree_is_a_value():
+    """A tree is an immutable pair (legs, edges) without a per-instance dict:
+    equal fields make equal trees, and the enumerator's trees are of this
+    type, with the JSON of the same tree built by hand."""
+    legs, edges = (marks(0, 1), marks("M", 2, 3)), ((1, 0),)
+    tree = StableTree(legs, edges)
+    with pytest.raises(AttributeError):
+        tree.legs = ()
+    twin = StableTree(tuple(legs), tuple(edges))
+    assert tree == twin and hash(tree) == hash(twin) and tree == (legs, edges)
+    assert StableTree.__slots__ == ()
+    assert tree.num_vertices == 2 and len(tree) == 2
+    assert StableTree((marks("M", 0, 1, 2),), ()).num_vertices == 1
+    trees = enumerate_stable_trees(lm_weights(5), 3)
+    assert all(type(t) is StableTree for t in trees)
+    assert sum(t.to_json() == tree.to_json() for t in trees) == 1
+
+
 def test_lm5_tree_census():
     w = lm_weights(5)
     trees = enumerate_stable_trees(w, 3)
