@@ -4,11 +4,20 @@ and enumerate moduli data.
 Each `cmd_*` returns `(input, results, status)`, or raises; `main` alone
 writes the report, reports errors and picks the exit code.
 
+`verify` runs the stages of VERIFY_STAGES in order: the fan (smooth,
+complete, the tubing bijection), the three oracles, and the weights and the
+divisor correspondence (iterated cones only).  Each stage maps the graph to
+its keys and its own verdict; `_verify_one` merges the keys in order and
+takes `ok` from the verdicts of the stages that ran.
+
 Exit codes: 0 computed (whatever the answer), 1 usage or parse error,
 argparse's own errors and conflicting inputs included, 2 internal invariant
 failure (status `fail`: a cross-check that should always pass failed, a
-`verify` check or a `fan` that is not smooth and complete; or any FanError,
-such as a fan cone that is not laminar).
+`verify` check or a `fan` that is not smooth and complete; or an internal
+error: a RuntimeError, or any ValueError that is not a GraphError, FanError
+included, such as a fan cone that is not laminar).  A ValueError from what
+the user typed (`--weights`, `--max-vertices`, `--eps`, an edge-list file)
+is raised as a GraphError where the flag is read, so it exits 1.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import sys
 
 from . import __version__
 from .epsrational import _fraction_literal, default_eps
-from .fans import FanError, build_graph_fan, f_vector, fan_to_json, is_complete, is_smooth
+from .fans import build_graph_fan, f_vector, fan_to_json, is_complete, is_smooth
 from .graphs import (
     CATALOG_MAX_VERTICES,
     Graph,
@@ -48,10 +57,19 @@ EXIT_USAGE = 1
 EXIT_INVARIANT = 2
 
 
+def _usage(fn, *args):
+    """fn(*args), with a ValueError from it raised as GraphError, a usage
+    error: for the library calls that read what the user typed."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from None
+
+
 def load_graph(spec: str) -> Graph:
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            return parse_edge_list(fh)
+            return _usage(parse_edge_list, fh)  # bytes that are not UTF-8, too
     return parse_graph(spec)
 
 
@@ -108,7 +126,7 @@ def _hassett_weights(cs, g):
 
 def cmd_classify(args) -> tuple[dict, dict, str]:
     g = load_graph(args.graph)
-    eps = _fraction_literal(args.eps) if args.eps is not None else None
+    eps = _usage(_fraction_literal, args.eps) if args.eps is not None else None
     cs = classify_iterated_cone(g)
     results: dict = {}
     if cs is not None:
@@ -165,47 +183,56 @@ def cmd_fan(args) -> tuple[dict, dict, str]:
     return graph_echo(args.graph, g), results, "pass" if ok else "fail"
 
 
-def _verify_one(g: Graph) -> dict:
-    """All cross-checks for a single connected graph; 'ok' is the verdict."""
-    out: dict = {}
+def _fan_stage(g: Graph) -> tuple[dict, bool]:
+    """The fan: smooth, complete, and in bijection with the maximal tubings."""
     fan = build_graph_fan(g)
-    out["smooth"] = is_smooth(fan)
-    out["complete"] = is_complete(fan)
+    smooth, complete = is_smooth(fan), is_complete(fan)
     bij = verify_fan_tubing_bijection(g, fan)
-    out["fan_tubing_bijection"] = bij.passed
-    if not bij.passed:
-        out["bijection_failure"] = bij.failure
+    failure = {} if bij.passed else {"bijection_failure": bij.failure}
+    return {"smooth": smooth, "complete": complete, "fan_tubing_bijection": bij.passed,
+            **failure}, smooth and complete and bij.passed
 
+
+def _oracle_stage(g: Graph) -> tuple[dict, bool]:
+    """The three oracles: the iterated-cone test and W1/W2 feasibility agree,
+    and an obstruction is found exactly when W1/W2 is infeasible."""
+    cone = classify_iterated_cone(g) is not None
+    solvable = feasible(w1w2_system(g)) is not None
+    obstructed = (obstruction_a(g) or obstruction_b(g)) is not None
+    agree, witnessed = cone == solvable, obstructed != solvable
+    return {"is_iterated_cone": cone, "w1w2_feasible": solvable, "oracle_agreement": agree,
+            "obstructed": obstructed, "obstruction_agreement": witnessed}, agree and witnessed
+
+
+def _weight_stage(g: Graph) -> tuple[dict, bool]:
+    """For an iterated cone, its remark weights: valid, meeting W1/W2 at the
+    cone's marks, and giving the divisor correspondence.  No keys, and a
+    pass, for any other graph."""
     cs = classify_iterated_cone(g)
-    point = feasible(w1w2_system(g))
-    out["is_iterated_cone"] = cs is not None
-    out["w1w2_feasible"] = point is not None
-    out["oracle_agreement"] = (cs is not None) == (point is not None)
-    witness = obstruction_a(g) or obstruction_b(g)
-    out["obstructed"] = witness is not None
-    out["obstruction_agreement"] = (witness is not None) == (point is None)
+    if cs is None:
+        return {}, True
+    w = remark_weights(cs, g)
+    valid, w1w2 = is_valid(w).valid, check_w1_w2(g, w, marks=mark_of_vertex(cs)).passed
+    corr = divisor_tube_correspondence(g, w)
+    return ({"weights_valid": valid, "w1w2_check": w1w2, "divisor_correspondence": corr.passed,
+             "rays_vs_divisors": f"{corr.num_rays} = {corr.num_divisors} + {corr.k}"},
+            valid and w1w2 and corr.passed)
 
-    if cs is not None:
-        w = remark_weights(cs, g)
-        out["weights_valid"] = is_valid(w).valid
-        out["w1w2_check"] = check_w1_w2(g, w, marks=mark_of_vertex(cs)).passed
-        corr = divisor_tube_correspondence(g, w)
-        out["divisor_correspondence"] = corr.passed
-        out["rays_vs_divisors"] = f"{corr.num_rays} = {corr.num_divisors} + {corr.k}"
 
-    out["ok"] = all(
-        out.get(key, True)
-        for key in (
-            "smooth",
-            "complete",
-            "fan_tubing_bijection",
-            "oracle_agreement",
-            "obstruction_agreement",
-            "weights_valid",
-            "w1w2_check",
-            "divisor_correspondence",
-        )
-    )
+# verify's check stages, in the order of their keys: each maps the graph to
+# (its keys, its verdict)
+VERIFY_STAGES = (_fan_stage, _oracle_stage, _weight_stage)
+
+
+def _verify_one(g: Graph) -> dict:
+    """Every stage of VERIFY_STAGES on one connected graph, their keys merged
+    in order; 'ok' is true when every stage that ran passed."""
+    out, verdicts = {}, []
+    for stage in VERIFY_STAGES:
+        keys, verdict = stage(g)
+        out.update(keys)
+        verdicts.append(verdict)
+    out["ok"] = all(verdicts)
     return out
 
 
@@ -236,7 +263,7 @@ def cmd_verify(args) -> tuple[dict, dict, str]:
 
 def cmd_moduli(args) -> tuple[dict, dict, str]:
     if args.weights is not None:
-        w = parse_weight_vector(args.weights)
+        w = _usage(parse_weight_vector, args.weights)
         echo = {"spec": f"--weights {args.weights}"}
     else:
         g = load_graph(args.graph)
@@ -246,9 +273,9 @@ def cmd_moduli(args) -> tuple[dict, dict, str]:
         w = _hassett_weights(cs, g)
         echo = graph_echo(args.graph, g)
     cap = args.max_vertices if args.max_vertices is not None else w.n - 2
+    _usage(_check_weights, w, cap)  # with --divisors, cap is n - 2 and passes
     results: dict = {"weights": str(w), "n": w.n}
     if args.divisors:
-        _check_weights(w)  # as counting the trees does
         divisors = nodal_divisors(w)
         results["num_nodal_divisors"] = len(divisors)
         results["nodal_divisors"] = [list(_labels(side)) for side in divisors]
@@ -330,13 +357,14 @@ def main(argv=None) -> int:
     try:
         echo, results, status = args.func(args)
         emit({"command": args.command, "input": echo, "results": results, "status": status}, args.format)
-    except (FanError, RuntimeError) as exc:
-        # a broken invariant of the fan or of a cross-check, not bad input
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (GraphError, ValueError, OSError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ValueError, RuntimeError) as exc:
+        # a broken invariant of the fan or of a cross-check, not bad input:
+        # FanError and every other ValueError that is not a GraphError
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_INVARIANT if status == "fail" else EXIT_OK
 
 

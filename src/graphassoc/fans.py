@@ -292,7 +292,9 @@ def _walls_match(cones: Sequence[int], lanes: list[int], sides: int, odd: dict[i
 
 def _tally(flags: Iterable[int], lanes: int, d: int) -> list[int]:
     """h[k], k <= d: the number of the given lanes set in exactly k of the
-    masks `flags`, read off a bit-sliced counter."""
+    masks `flags`, read off a bit-sliced counter.  Every flag lies within
+    `lanes`, and so does every plane, which is made of flags by AND and XOR:
+    `lanes ^ plane` is the complement of a plane within the lanes."""
     planes = []  # plane p: bit p of each lane's count
     for x in flags:
         p = 0
@@ -305,7 +307,7 @@ def _tally(flags: Iterable[int], lanes: int, d: int) -> list[int]:
     for k in range(min(d + 1, 1 << len(planes))):
         m = lanes
         for p, plane in enumerate(planes):
-            m &= plane if k >> p & 1 else ~plane
+            m &= plane if k >> p & 1 else lanes ^ plane
         h[k] = m.bit_count()
     return h
 
@@ -381,15 +383,17 @@ def _walk(f: Fan) -> _Checks:
             flips ^= here
         one = below = 0
         rems = []
+        # every mask lies within `every`, so `every ^ x` is x's complement;
+        # `one`, an OR of rems within `here`, lies within `here`
         for j in range(b.bit_length()):
             if b >> j & 1:
-                rem = here & ~covered[j]
+                rem = here & (covered[j] ^ every)
                 inversions ^= rem & below
                 rems.append((j, rem, one))
                 one |= rem
             below ^= covered[j]
-        zero |= here & ~one
-        keep = ~here
+        zero |= here ^ one
+        keep = every ^ here
         later = 0
         for j, rem, earlier in reversed(rems):
             lam[j] |= pos[j] & later | neg[j] & earlier

@@ -113,19 +113,21 @@ def _vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
     return total > EpsRational(2)
 
 
-def _check_weights(w: WeightVector) -> None:
+def _check_weights(w: WeightVector, max_vertices: int) -> None:
+    """ValueError unless 1 <= max_vertices <= n - 2 and every weight lies in
+    (0, 1], checked in this order."""
+    if not (1 <= max_vertices <= w.n - 2):
+        raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
     zero, one = EpsRational(0), EpsRational(1)
     if not all(zero < c <= one for c in w.entries()):
         raise ValueError(f"stable trees need every weight in (0, 1], got {w}")
 
 
 def _stable_sides(w: WeightVector, max_vertices: int) -> Optional[tuple[list[int], list[int], list[int]]]:
-    """After the checks of the cap and the weights, in this order: the
-    M-free sides of the nodal divisors and their tables (above, compat) from
-    `graphs.nested_or_apart`; None when the one-component tree is unstable."""
-    if not (1 <= max_vertices <= w.n - 2):
-        raise ValueError(f"max_vertices must be in [1, {w.n - 2}]")
-    _check_weights(w)
+    """After `_check_weights`: the M-free sides of the nodal divisors and
+    their tables (above, compat) from `graphs.nested_or_apart`; None when the
+    one-component tree is unstable."""
+    _check_weights(w, max_vertices)
     if not _vertex_stable(w, (1 << w.n) - 1, 0):
         return None
     sides = nodal_divisors(w)

@@ -205,6 +205,74 @@ def test_runtime_error_is_an_internal_error(capsys, monkeypatch):
     assert out == ""
 
 
+def test_value_error_inside_a_verify_stage_is_an_internal_error(capsys, monkeypatch):
+    # a ValueError that is not a GraphError is a broken invariant, not bad input
+    from graphassoc import cli
+
+    def broken(g):
+        raise ValueError("cone structure does not match the graph")
+
+    monkeypatch.setattr(cli, "VERIFY_STAGES", cli.VERIFY_STAGES[:1] + (broken,))
+    code, out, err = run(capsys, "verify", "P4")
+    assert code == EXIT_INVARIANT
+    assert err == "internal error: cone structure does not match the graph\n"
+    assert out == ""
+
+
+def test_a_library_value_error_in_verify_is_an_internal_error(capsys, monkeypatch):
+    # check_w1_w2's marks check, reached through the real weight stage
+    from graphassoc import cli
+
+    monkeypatch.setattr(cli, "mark_of_vertex", lambda cs: {})
+    code, out, err = run(capsys, "verify", "cone(D4)")
+    assert code == EXIT_INVARIANT
+    assert err == "internal error: marks must map the vertices 0..4 one-to-one onto 1..5\n"
+    assert out == ""
+
+
+def test_a_failing_verify_stage_makes_ok_false(capsys, monkeypatch):
+    from graphassoc import cli
+
+    monkeypatch.setattr(cli, "VERIFY_STAGES", cli.VERIFY_STAGES + (lambda g: ({"extra": 1}, False),))
+    code, report, _ = run_json(capsys, "verify", "P4")
+    assert code == EXIT_INVARIANT
+    assert report["status"] == "fail"
+    res = report["results"]
+    assert list(res)[-2:] == ["extra", "ok"]
+    assert res["ok"] is False
+    assert res["smooth"] and res["complete"] and res["fan_tubing_bijection"]
+    assert res["oracle_agreement"] and res["obstruction_agreement"]
+
+
+def test_ok_follows_only_the_verify_stages_that_ran(monkeypatch):
+    # without the fan stage, the oracle and weight keys come out in their
+    # order, and a fan that would fail does not count
+    from graphassoc import cli
+    from graphassoc.weights import W1W2Report
+
+    monkeypatch.setattr(cli, "VERIFY_STAGES", cli.VERIFY_STAGES[1:])
+    monkeypatch.setattr(cli, "is_complete", lambda f: False)
+    g = load_graph("cone(D4)")
+    res = cli._verify_one(g)
+    assert list(res) == [
+        "is_iterated_cone", "w1w2_feasible", "oracle_agreement", "obstructed", "obstruction_agreement",
+        "weights_valid", "w1w2_check", "divisor_correspondence", "rays_vs_divisors", "ok",
+    ]
+    assert res["ok"] is True
+    monkeypatch.setattr(cli, "check_w1_w2", lambda *args, **kwargs: W1W2Report(False))
+    res = cli._verify_one(g)
+    assert res["w1w2_check"] is False and res["ok"] is False
+
+
+def test_an_edge_list_file_that_is_not_text_is_a_usage_error(capsys, tmp_path):
+    f = tmp_path / "g.bin"
+    f.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "classify", f"@{f}")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: 'utf-8' codec can't decode")
+    assert out == ""
+
+
 def test_fan_of_one_vertex_is_a_usage_error(capsys):
     code, out, err = run(capsys, "fan", "K1")
     assert code == EXIT_USAGE
