@@ -9,7 +9,6 @@ inequalities and dual trees with exact arithmetic.
 __version__ = "0.1.0"
 
 from .epsrational import (
-    EPS,
     EpsRational,
     default_eps,
     parse_eps_rational,
@@ -29,7 +28,6 @@ from .graphs import (
     ConeStructure,
     Graph,
     GraphError,
-    UnsupportedGraphError,
     bits_of,
     classify_iterated_cone,
     complete,
@@ -40,7 +38,6 @@ from .graphs import (
     cycle,
     discrete,
     from_edges,
-    mask_of,
     parse_edge_list,
     parse_graph,
     path,

@@ -43,7 +43,7 @@ from .graphs import (
 )
 from .moduli import _check_weights, _labels, count_stable_trees, divisor_tube_correspondence, nodal_divisors
 from .obstructions import feasible, obstruction_a, obstruction_b, w1w2_system
-from .tubings import BIJECTION_MAX_VERTICES, verify_fan_tubing_bijection
+from .tubings import verify_fan_tubing_bijection
 from .weights import (
     check_w1_w2,
     is_valid,
@@ -55,6 +55,8 @@ from .weights import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVARIANT = 2
+
+BIJECTION_MAX_VERTICES = 8  # verify's cap, checked before the fan is built
 
 
 def _usage(fn, *args):

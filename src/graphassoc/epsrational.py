@@ -6,6 +6,10 @@ turns every "for eps sufficiently small" comparison into an exact one, and
 ``preservation_threshold`` recovers a concrete rational eps0 below which the
 symbolic strict comparisons remain true after substitution.
 
+The arithmetic is what the package's weights need: sums and differences
+of values (with ints and Fractions too), and ``scale`` by a rational.  No
+two values are multiplied, so no eps^2 term can arise.
+
 A value is held as three ints p, q, d meaning (p + q*eps)/d, with d > 0 and
 gcd(p, q, d) = 1, so equal values have equal triples.  Sums and comparisons
 are int operations, with no common denominator to find when the two agree
@@ -57,24 +61,10 @@ class EpsRational:
     def __sub__(self, other):
         return _combine(self, _coerce(other), -1)
 
-    def __rsub__(self, other):
-        return _combine(_coerce(other), self, -1)
-
-    def __neg__(self):
-        return _make(-self.p, -self.q, self.d)
-
-    def __mul__(self, other):
-        o = _coerce(other)
-        if self.q and o.q:
-            # eps^2 never occurs in the affine expressions we manipulate; a
-            # product of two genuinely infinitesimal parts is a usage bug.
-            raise ValueError("product would have an eps^2 term")
-        return _reduced(self.p * o.p, self.p * o.q + self.q * o.p, self.d * o.d)
-
-    __rmul__ = __mul__
-
     def scale(self, r: RationalLike) -> "EpsRational":
-        return self * _rational(r)
+        """The value times the rational r."""
+        r = _rational(r)
+        return _reduced(self.p * r.numerator, self.q * r.numerator, self.d * r.denominator)
 
     # -- order --------------------------------------------------------------
 
@@ -167,9 +157,6 @@ def _coerce(x) -> EpsRational:
         return x
     x = _rational(x)
     return _make(x.numerator, 0, x.denominator)
-
-
-EPS = EpsRational(0, 1)
 
 
 def _frac_str(q: Fraction) -> str:

@@ -26,18 +26,6 @@ class GraphError(ValueError):
     pass
 
 
-class UnsupportedGraphError(GraphError):
-    """Raised for disconnected non-discrete graphs, which have no toric
-    graph associahedron in the formulation used here."""
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def bits_of(mask: int) -> list[int]:
     """Set bit positions, ascending.  One step per set bit, so a sparse mask
     with a high top bit (a cone over many rays) costs no more than its bits."""
@@ -408,12 +396,11 @@ def classify_iterated_cone(g: Graph) -> Optional[ConeStructure]:
 
     Complete graphs use the lowest-label vertex as the size-1 base, so
     K_m = Cone^{m-1}(single vertex).  Discrete graphs classify with an
-    empty cone set; any other disconnected graph is unsupported.
+    empty cone set; any other disconnected graph is unsupported, a
+    GraphError, as in `fans.build_graph_fan`.
     """
     if not is_connected(g) and not g.is_discrete():
-        raise UnsupportedGraphError(
-            "unsupported: disconnected non-discrete graph"
-        )
+        raise GraphError("unsupported: disconnected non-discrete graph")
     univ = universal_vertices(g)
     rest = g.vertex_mask & ~univ
     if rest == 0:

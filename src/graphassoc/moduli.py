@@ -11,8 +11,10 @@ sets are such masks, and a nodal divisor is one too: its side without M.
 A tree is a `StableTree`, the named tuple (legs, edges) of its leg masks
 and vertex pairs.  The enumerator numbers each tree as it grows it, M on
 vertex 0, and makes it with one C call, `tuple.__new__`, since the named
-tuple's generated `__new__` is a Python call per tree; labels and the
-JSON's vertex order appear only in `StableTree.to_json`.
+tuple's generated `__new__` is a Python call per tree.  No command lists
+trees (`moduli` counts them), so the package writes no tree; the tests
+write one as JSON, in an order of its own, with `tests/oracles.tree_json`.
+`_labels` names the marks of a side for `moduli --divisors`.
 
 For weights in (0, 1], a dual tree is stable iff the split of every edge is
 a nodal divisor, and its splits are then pairwise compatible: their M-free
@@ -41,7 +43,6 @@ that they lie in (0, 1]; the walks compare none.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -52,10 +53,8 @@ from .graphs import Graph, bits_of, classify_iterated_cone, cliques, nested_or_a
 from .weights import WeightVector, mark_of_vertex, remark_weights
 
 
-@functools.cache
 def _labels(marks: int) -> tuple[str, ...]:
-    """The JSON labels of a set of marks, in bit order: "M", "0", "1", ...;
-    made once per set of marks, since trees share their leg sets."""
+    """The JSON labels of a set of marks, in bit order: "M", "0", "1", ..."""
     return tuple("M" if b == 0 else str(b - 1) for b in bits_of(marks))
 
 
@@ -74,44 +73,6 @@ class StableTree(NamedTuple):
     def num_vertices(self) -> int:
         return len(self.legs)
 
-    def to_json(self) -> dict:
-        """The tree renumbered in JSON order, its edges as sorted (smaller,
-        larger) pairs, so the JSON does not depend on vertex numbering; JSON
-        order and labels are decided here only.  Vertices go by their lowest
-        leg bit, the order of their sorted labels since leg sets are
-        disjoint, so legless vertices come first.  Those tie, and go by the
-        sorted bits of the marks beyond each of their edges, read by a walk
-        over the edges: these partition the marks differently at each
-        vertex, so they tell the legless vertices apart."""
-        legs, edges = self.legs, self.edges
-        order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
-        k = legs.count(0)
-        if k > 1:
-            nbrs = [[] for _ in legs]
-            for a, b in edges:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
-
-            def beyond(v: int, u: int) -> int:
-                """The marks on u's side of the edge vu: disjoint leg sets,
-                so their sum is their union."""
-                return legs[u] + sum(beyond(u, x) for x in nbrs[u] if x != v)
-
-            order[:k] = sorted(order[:k], key=lambda v: sorted(bits_of(beyond(v, u)) for u in nbrs[v]))
-        pos = [0] * len(legs)
-        for new, old in enumerate(order):
-            pos[old] = new
-        ends = ((pos[a], pos[b]) for a, b in edges)
-        return {
-            "vertices": [{"legs": list(_labels(legs[v]))} for v in order],
-            "edges": sorted([x, y] if x < y else [y, x] for x, y in ends),
-        }
-
-
-def _vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
-    total = sum(map(w.entries().__getitem__, bits_of(legs)), EpsRational(degree))
-    return total > EpsRational(2)
-
 
 def _check_weights(w: WeightVector, max_vertices: int) -> None:
     """ValueError unless 1 <= max_vertices <= n - 2 and every weight lies in
@@ -128,7 +89,7 @@ def _stable_sides(w: WeightVector, max_vertices: int) -> Optional[tuple[list[int
     their tables (above, compat) from `graphs.nested_or_apart`; None when the
     one-component tree is unstable."""
     _check_weights(w, max_vertices)
-    if not _vertex_stable(w, (1 << w.n) - 1, 0):
+    if w.total() <= EpsRational(2):
         return None
     sides = nodal_divisors(w)
     return (sides, *nested_or_apart(sides, w.n))
@@ -173,7 +134,7 @@ def enumerate_stable_trees(w: WeightVector, max_vertices: int) -> list[StableTre
     divisors, by the lemma in the module docstring.  The one-component
     tree comes first.  `_grow` then walks the cliques depth first, largest
     side first, and builds each tree from its parent clique's by one new
-    vertex, so M is on vertex 0; only `StableTree.to_json` renumbers."""
+    vertex, so M is on vertex 0."""
     tables = _stable_sides(w, max_vertices)
     trees = [StableTree(((1 << w.n) - 1,), ())] if tables else []  # every mark on M's vertex
     if tables and max_vertices > 1:

@@ -42,7 +42,6 @@ from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Optional
 
-from .epsrational import _frac_str
 from .graphs import Graph, bits_of, component_table, induced_connected, subsets_by_size
 
 
@@ -174,10 +173,6 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "int_rows", _upper_rows(self.num_vars, self.constraints))
-
-    def to_json(self) -> list[dict]:
-        return [{"coeffs": [_frac_str(c) for c in a], "rel": rel, "rhs": _frac_str(b)}
-                for a, rel, b in self.constraints]
 
 
 def _upper_rows(n: int, constraints) -> tuple[tuple[tuple[int, ...], int, int], ...]:

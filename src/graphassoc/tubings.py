@@ -6,17 +6,18 @@ the same graph it is the fan's own tube table, so that the clash pass is
 the one its walk cached, and neither is built twice.
 
 No tubing is listed: `tubing_counts` counts them by a recursion over
-vertex subsets, and the bijection check reads only the maximal cones."""
+vertex subsets, and the bijection check reads only the maximal cones of
+the fan it is given.  It has no size cap of its own: `verify` refuses a
+graph on more than `cli.BIJECTION_MAX_VERTICES` vertices before it builds
+the fan."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .fans import Fan, build_graph_fan, f_vector, first_clash, is_complete
+from .fans import Fan, f_vector, first_clash, is_complete
 from .graphs import Graph, GraphError, bits_of, component_table, is_connected, nested_or_apart, tubes
-
-BIJECTION_MAX_VERTICES = 8
 
 
 def proper_tubes(g: Graph) -> list[int]:
@@ -79,7 +80,7 @@ class BijectionReport:
     failure: Optional[str] = None
 
 
-def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> BijectionReport:
+def verify_fan_tubing_bijection(g: Graph, fan: Fan) -> BijectionReport:
     """Check that tubing -> its set of tube rays is a bijection from the
     j-tubings onto the j-dimensional cones, for every j, reading only the
     maximal cones.  The checks: (1) the fan has dimension n - 1; (2) every
@@ -91,24 +92,21 @@ def verify_fan_tubing_bijection(g: Graph, fan: Optional[Fan] = None) -> Bijectio
     `tubing_counts`.  Then every face, in a maximal cone, is the image of
     a subset of that cone's tubing, itself a tubing: the map is injective
     from the j-faces into the j-tubings, and equal counts make it onto."""
-    if g.num_vertices > BIJECTION_MAX_VERTICES:
-        raise GraphError(f"bijection check capped at {BIJECTION_MAX_VERTICES} vertices")
     counts = tubing_counts(g)
-    f = fan if fan is not None else build_graph_fan(g)
-    if f.dim != g.num_vertices - 1:
-        return BijectionReport(False, counts, f"fan has dimension {f.dim}, not {len(counts)}")
-    labels = [r.label for r in f.rays]
+    if fan.dim != g.num_vertices - 1:
+        return BijectionReport(False, counts, f"fan has dimension {fan.dim}, not {len(counts)}")
+    labels = [r.label for r in fan.rays]
     ray_index = {t: i for i, t in enumerate(labels)}
     tubed = 0  # the rays looked up by a tube
     for t in sorted(proper_tubes(g)):
         if t not in ray_index:
             return BijectionReport(False, counts, f"tubing {[bits_of(t)]} uses a tube with no ray")
         tubed |= 1 << ray_index[t]
-    c = first_clash(f, tubed, f._tube_table if f.graph == g else _compatibility(g, labels))
+    c = first_clash(fan, tubed, fan._tube_table if fan.graph == g else _compatibility(g, labels))
     if c is not None:
         return BijectionReport(False, counts, f"cone {bits_of(c)} has no tubing partner")
-    if not is_complete(f):
+    if not is_complete(fan):
         return BijectionReport(False, counts, "fan is not complete")
-    if f_vector(f) != counts:
-        return BijectionReport(False, counts, f"f-vector {f_vector(f)} is not {counts}")
+    if f_vector(fan) != counts:
+        return BijectionReport(False, counts, f"f-vector {f_vector(fan)} is not {counts}")
     return BijectionReport(True, counts)

@@ -24,12 +24,20 @@ from graphassoc.epsrational import _eps_term, _frac_str
 from graphassoc.fans import _Checks
 from graphassoc.graphs import cliques, from_edges, induced_connected
 from graphassoc.graphs import subsets_by_size, tubes
-from graphassoc.moduli import _stable_sides, _vertex_stable, enumerate_stable_trees
+from graphassoc.moduli import _labels, _stable_sides, enumerate_stable_trees
 from graphassoc.obstructions import Constraint, LinearSystem
 from graphassoc.tubings import _compatibility, proper_tubes
 from graphassoc.weights import W1W2Report
 
 # -- graphs and tubings -------------------------------------------------------
+
+
+def mask_of(vertices) -> int:
+    """The bitmask of a set of vertices."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:
@@ -583,16 +591,49 @@ def tree_of(n: int, sides: list[int]) -> StableTree:
     return StableTree(tuple(legs), tuple(edges))
 
 
+def tree_json(tree: StableTree) -> dict:
+    """The tree renumbered in JSON order, its edges as sorted (smaller,
+    larger) pairs, so the JSON does not depend on vertex numbering.
+    Vertices go by their lowest leg bit, the order of their sorted labels
+    since leg sets are disjoint, so legless vertices come first.  Those
+    tie, and go by the sorted bits of the marks beyond each of their edges,
+    read by a walk over the edges: these partition the marks differently
+    at each vertex, so they tell the legless vertices apart."""
+    legs, edges = tree.legs, tree.edges
+    order = sorted(range(len(legs)), key=lambda v: legs[v] & -legs[v])
+    k = legs.count(0)
+    if k > 1:
+        nbrs = [[] for _ in legs]
+        for a, b in edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+
+        def beyond(v: int, u: int) -> int:
+            """The marks on u's side of the edge vu: disjoint leg sets,
+            so their sum is their union."""
+            return legs[u] + sum(beyond(u, x) for x in nbrs[u] if x != v)
+
+        order[:k] = sorted(order[:k], key=lambda v: sorted(bits_of(beyond(v, u)) for u in nbrs[v]))
+    pos = [0] * len(legs)
+    for new, old in enumerate(order):
+        pos[old] = new
+    ends = ((pos[a], pos[b]) for a, b in edges)
+    return {
+        "vertices": [{"legs": list(_labels(legs[v]))} for v in order],
+        "edges": sorted([x, y] if x < y else [y, x] for x, y in ends),
+    }
+
+
 def reference_tree_json(w: WeightVector, max_vertices: int) -> list[dict]:
     """The JSON of the trees of the cliques of compatible sides, walked by
     `graphs.cliques` as `count_stable_trees` walks them, not grown as the
     enumerator grows its trees: each built by `tree_of` with M on vertex 0
-    and written by a numbering rule of its own, not `StableTree.to_json`,
+    and written by a numbering rule of its own, not `tree_json`,
     in the order of `sorted_tree_json`.
 
     Vertices go by their lowest mark bit, so the legless ones come first,
     ordered by the sorted marks on M's side of each.  This is the order of
-    `to_json`, whose tie-break compares the sorted marks of each branch of
+    `tree_json`, whose tie-break compares the sorted marks of each branch of
     a legless vertex: the branch holding M sorts first, and two legless
     vertices never share it, since their edges toward M are distinct
     splits."""
@@ -630,7 +671,7 @@ def _json_text_order(item: dict) -> tuple[int, str]:
 def sorted_tree_json(trees) -> list[dict]:
     """The JSON of the trees, sorted by component count and then by the
     JSON string: the order of the reference and of the pinned digests."""
-    return sorted((t.to_json() for t in trees), key=_json_text_order)
+    return sorted(map(tree_json, trees), key=_json_text_order)
 
 
 def pairwise_side_tables(sides: list[int]) -> tuple[list[int], list[int]]:
@@ -686,10 +727,16 @@ def end_vertices(tree: StableTree) -> list[int]:
     return [v for v in range(tree.num_vertices) if degree(tree, v) == 1]
 
 
+def vertex_stable(w: WeightVector, legs: int, degree: int) -> bool:
+    """deg + w(legs) > 2, the legs a bitmask of marks."""
+    total = sum(map(w.entries().__getitem__, bits_of(legs)), EpsRational(degree))
+    return total > EpsRational(2)
+
+
 def tree_stable(w: WeightVector, tree: StableTree) -> bool:
     """Every vertex v satisfies deg(v) + w(legs(v)) > 2."""
     return all(
-        _vertex_stable(w, tree.legs[v], degree(tree, v))
+        vertex_stable(w, tree.legs[v], degree(tree, v))
         for v in range(tree.num_vertices)
     )
 
@@ -758,20 +805,6 @@ class FractionEps:
     def __sub__(self, other):
         o = self._coerce(other)
         return FractionEps(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return FractionEps(-self.a, -self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if self.b != 0 and o.b != 0:
-            raise ValueError("product would have an eps^2 term")
-        return FractionEps(self.a * o.a, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
 
     def scale(self, r) -> "FractionEps":
         r = Fraction(r)

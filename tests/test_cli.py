@@ -680,3 +680,19 @@ def test_cli_text_is_pinned(capsys, argv):
     assert code == EXIT_OK
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLI_TEXT[argv]
+
+
+# SHA-256 of json.dumps of every `_verify_one` result, in catalog order, on
+# the 142 connected graphs on 2 to 6 vertices.  The sweep report lists only
+# the failing graphs, so it reads the same whatever a passing graph's keys
+# say; this pins each graph's keys, values and key order.
+PINNED_VERIFY_RESULTS = "72f31274b7cc24bfa78eb3040cef60574595ddefd4b3e3d7a44e37edc711138c"
+
+
+def test_every_verify_result_on_up_to_six_vertices_is_pinned():
+    from graphassoc.cli import _verify_one
+    from graphassoc.graphs import connected_graphs_up_to_iso
+
+    results = [_verify_one(g) for n in range(2, 7) for g in connected_graphs_up_to_iso(n)]
+    assert len(results) == 142 and all(r["ok"] for r in results)
+    assert hashlib.sha256(json.dumps(results).encode()).hexdigest() == PINNED_VERIFY_RESULTS

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from graphassoc import (
-    EPS,
     EpsRational,
     default_eps,
     epsrational,
@@ -19,13 +18,14 @@ from graphassoc import (
 )
 from oracles import FractionEps, fraction_eps, reference_preservation_threshold
 
+EPS = EpsRational(0, 1)
+
 
 def test_construction_and_equality():
     x = EpsRational(1, 2)
     assert x.a == 1 and x.b == 2
     assert x == EpsRational(Fraction(1), Fraction(2))
     assert EpsRational(3) == 3
-    assert EpsRational(0, 1) == EPS
 
 
 def test_immutable():
@@ -41,17 +41,8 @@ def test_arithmetic():
     y = EpsRational(3, -1)
     assert x + y == EpsRational(4, 1)
     assert x - y == EpsRational(-2, 3)
-    assert -x == EpsRational(-1, -2)
     assert 1 + x == EpsRational(2, 2)
-    assert 5 - x == EpsRational(4, -2)
     assert x.scale(Fraction(1, 2)) == EpsRational(Fraction(1, 2), 1)
-
-
-def test_multiplication_and_eps_squared_guard():
-    assert EpsRational(2) * EpsRational(3, 1) == EpsRational(6, 2)
-    assert 4 * EPS == EpsRational(0, 4)
-    with pytest.raises(ValueError):
-        EPS * EPS
 
 
 def test_lexicographic_order():
@@ -214,7 +205,7 @@ def random_part(rng: random.Random) -> Fraction:
 def random_value(rng: random.Random) -> tuple[EpsRational, FractionEps]:
     a, b = random_part(rng), random_part(rng)
     if rng.random() < 0.25:
-        b = Fraction(0)  # a standard value, which any value may multiply
+        b = Fraction(0)  # a standard value
     return EpsRational(a, b), FractionEps(a, b)
 
 
@@ -233,12 +224,9 @@ def test_int_triples_match_the_fraction_reference(seed):
         r, k = random_part(rng), rng.randint(-3, 3)
         eps = Fraction(rng.randint(1, 5), rng.randint(1, 60))
         assert same(x, rx) and (x.a, x.b) == (rx.a, rx.b)
-        assert same(x + y, rx + ry) and same(x - y, rx - ry) and same(-x, -rx)
-        assert same(x + r, rx + r) and same(r - x, r - rx) and same(k + x, k + rx)
+        assert same(x + y, rx + ry) and same(x - y, rx - ry)
+        assert same(x + r, rx + r) and same(k + x, k + rx)
         assert same(x - k, rx - k) and same(x.scale(r), rx.scale(r)) and same(x.scale(k), rx.scale(k))
-        assert same(x * r, rx * r) and same(k * x, k * rx)
-        if x.q == 0 or y.q == 0:
-            assert same(x * y, rx * ry)
         assert x.compare(y) == rx.compare(ry) and x.compare(r) == rx.compare(r)
         assert (x == y) == (rx == ry) and (x == r) == (rx == r) and (x == k) == (rx == k)
         assert str(x) == str(rx) and x.instantiate(eps) == rx.instantiate(eps)
@@ -254,8 +242,8 @@ def test_equal_values_built_two_ways_are_one_triple():
          EpsRational(half, half)),
         (EpsRational(1, 1).scale(half) + EpsRational(1, 1).scale(half), EpsRational(1, 1)),
         (EpsRational(half, 1) - EpsRational(half), EPS),
-        (EpsRational(Fraction(3, 4), Fraction(1, 4)) * 0, EpsRational(0)),
-        (EpsRational(half) * EpsRational(4, 2), EpsRational(2, 1)),
+        (EpsRational(Fraction(3, 4), Fraction(1, 4)).scale(0), EpsRational(0)),
+        (EpsRational(4, 2).scale(half), EpsRational(2, 1)),
     ]
     for x, y in pairs:
         assert (x.p, x.q, x.d) == (y.p, y.q, y.d)
@@ -269,13 +257,13 @@ def test_an_eps_free_value_hashes_as_its_int_or_fraction():
     values = [(EpsRational(1), 1), (EpsRational(2), 2), (EpsRational(0), 0), (EpsRational(-3), -3),
               (EpsRational(Fraction(1, 2)), Fraction(1, 2)),
               (EpsRational(Fraction(-7, 3)), Fraction(-7, 3)),
-              (EpsRational(1, 1) - EPS, 1), (EpsRational(Fraction(3, 4), 1).scale(4) - 4 * EPS, 3)]
+              (EpsRational(1, 1) - EPS, 1), (EpsRational(Fraction(3, 4), 1).scale(4) - EpsRational(0, 4), 3)]
     for x, v in values:
         assert x == v and hash(x) == hash(v)
         assert x in {v} and v in {x} and len({x, v}) == 1 and {x: 0}[v] == 0
     # a value with an eps part equals no int or Fraction and hashes its triple
     x = EpsRational(Fraction(1, 2), 3)
-    assert hash(x) == hash((x.p, x.q, x.d)) and len({x, Fraction(1, 2), x - 3 * EPS}) == 2
+    assert hash(x) == hash((x.p, x.q, x.d)) and len({x, Fraction(1, 2), x - EpsRational(0, 3)}) == 2
 
 
 @pytest.mark.parametrize("make, bad", [
@@ -316,7 +304,7 @@ def test_sums_comparisons_and_the_threshold_loop_make_no_fraction(monkeypatch):
 
     monkeypatch.setattr(epsrational, "Fraction", Counted)
     for x, y in combinations(values, 2):
-        _ = (x + y, x - y, -x, x.compare(y), x == y, y < x)
+        _ = (x + y, x - y, x.compare(y), x == y, y < x)
     assert made == []
     assert bound is not None and preservation_threshold(combinations(values, 2)) == bound
     assert len(made) == 1  # the result

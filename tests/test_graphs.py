@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from graphassoc import (
     Graph,
     GraphError,
-    UnsupportedGraphError,
     bits_of,
+    build_graph_fan,
     classify_iterated_cone,
     complete,
     complete_bipartite,
@@ -23,7 +23,6 @@ from graphassoc import (
     cycle,
     discrete,
     from_edges,
-    mask_of,
     parse_edge_list,
     parse_graph,
     path,
@@ -40,7 +39,7 @@ from graphassoc.graphs import (
     nested_or_apart,
     subsets_by_size,
 )
-from oracles import is_tube, non_tubes, relabel
+from oracles import is_tube, mask_of, non_tubes, relabel
 
 
 def test_mask_bits_roundtrip():
@@ -341,8 +340,10 @@ def test_classify_no_cases():
 
 def test_classify_unsupported():
     g = from_edges(4, [(0, 1)])  # disconnected, not discrete
-    with pytest.raises(UnsupportedGraphError):
+    with pytest.raises(GraphError, match="^unsupported: disconnected non-discrete graph$"):
         classify_iterated_cone(g)
+    with pytest.raises(GraphError, match="^unsupported: disconnected non-discrete graph$"):
+        build_graph_fan(g)
 
 
 def test_classify_invariant_under_relabeling():

@@ -21,14 +21,14 @@ from graphassoc import (
 )
 from graphassoc import count_stable_trees, parse_weight_vector, tubings
 from graphassoc.fans import Fan, first_clash
-from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected, mask_of
+from graphassoc.cli import BIJECTION_MAX_VERTICES
+from graphassoc.graphs import GraphError, bits_of, cliques, from_edges, is_connected
 from graphassoc.tubings import (
-    BIJECTION_MAX_VERTICES,
     BijectionReport,
     _compatibility,
     tubing_counts,
 )
-from oracles import compatible, enumerate_tubings, first_clash_per_cone
+from oracles import compatible, enumerate_tubings, first_clash_per_cone, mask_of
 
 
 def catalan(n):
@@ -237,8 +237,9 @@ def test_bijection_on_named_graphs():
 
 def test_bijection_counts_match_f_vector():
     g = parse_graph("P4")
-    rep = verify_fan_tubing_bijection(g)
-    assert rep.counts == f_vector(build_graph_fan(g))
+    f = build_graph_fan(g)
+    rep = verify_fan_tubing_bijection(g, f)
+    assert rep.counts == f_vector(f)
 
 
 def test_bijection_small_sweep():
@@ -307,7 +308,8 @@ def test_bijection_fails_on_a_wrong_tubing_count(monkeypatch):
     # a count off by one fails only the comparison with the f-vector
     counts = tubings.tubing_counts
     monkeypatch.setattr(tubings, "tubing_counts", lambda g: (counts(g)[0] + 1,) + counts(g)[1:])
-    rep = verify_fan_tubing_bijection(parse_graph("P4"))
+    g = parse_graph("P4")
+    rep = verify_fan_tubing_bijection(g, build_graph_fan(g))
     assert rep.passed is False
     assert rep.failure == "f-vector (9, 21, 14) is not (10, 21, 14)"
 
@@ -370,7 +372,7 @@ def test_one_clash_pass_per_graph(monkeypatch, spec):
     assert fans.is_smooth(f) and fans.is_complete(f)
     assert verify_fan_tubing_bijection(g, f).passed
     assert len(passes) == 2
-    assert verify_fan_tubing_bijection(g).passed
+    assert verify_fan_tubing_bijection(g, build_graph_fan(g)).passed
     assert len(passes) == 3
     bare = Fan(f.dim, f.rays, f.max_cones)
     assert fans.is_smooth(bare) and verify_fan_tubing_bijection(g, bare).passed
@@ -423,10 +425,9 @@ def test_one_component_table_and_one_tube_table_per_graph(monkeypatch, spec):
 
 
 def test_bijection_guards():
+    # a disconnected graph is refused before the fan is read
     with pytest.raises(GraphError):
-        verify_fan_tubing_bijection(parse_graph("P9"))
-    with pytest.raises(GraphError):
-        verify_fan_tubing_bijection(from_edges(4, [(0, 1)]))
+        verify_fan_tubing_bijection(from_edges(4, [(0, 1)]), build_graph_fan(parse_graph("P4")))
 
 
 def _isolate_singleton_0(g, all_tubes):
